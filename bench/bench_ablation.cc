@@ -111,10 +111,10 @@ int main(int argc, char** argv) {
   double baseline = 0;
   for (const Variant& v : variants) {
     android::Device device;
-    // Pin the seed interpretive engine: the ablations compare *per-hook*
-    // costs (handler cache, models, multilevel gating), which the TB
-    // engine's taint-liveness fast path would mask on untainted stretches.
-    device.cpu.set_use_tb_cache(false);
+    // Pin the interpreter: the ablations compare *per-hook* costs (handler
+    // cache, models, multilevel gating), which the block tiers'
+    // taint-liveness fast path would mask on untainted stretches.
+    device.cpu.set_engine(arm::Engine::kInterp);
     core::NDroid nd(device, v.config);
     dvm::Method* workload = build_libc_workload(device);
     const double t = time_run(
@@ -152,7 +152,7 @@ int main(int argc, char** argv) {
   double ml_on = 0, ml_off = 0;
   for (const bool multilevel : {true, false}) {
     android::Device device;
-    device.cpu.set_use_tb_cache(false);  // same engine pin as above
+    device.cpu.set_engine(arm::Engine::kInterp);  // same pin as above
     core::NDroidConfig cfg;
     cfg.multilevel_hooking = multilevel;
     core::NDroid nd(device, cfg);

@@ -33,7 +33,7 @@
 // repo's reference box has 1), and honest numbers beat fabricated ones.
 //
 //   bench_farm [reps] [--json out.json]
-//              [--engine interp|tb|tb+tlb|threaded|jit]
+//              [--engine interp|threaded|jit]
 // (`--engine jit` degrades to the threaded tier on hosts without host-code
 // emission, so the row is valid — just not faster — everywhere.)
 #include <cstdio>

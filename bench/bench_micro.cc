@@ -3,8 +3,8 @@
 // cost, shadow-memory operations, and interpreter throughput.
 //
 // The BM_Mem* group covers the memory data plane (software TLB, page
-// directory, word-granular shadow range ops); the BM_Threaded* pair covers
-// the threaded micro-op dispatch loop. `--smoke` runs both groups with a
+// directory, word-granular shadow range ops); BM_ThreadedDispatch and
+// BM_JitDispatch cover the block-dispatch loops. `--smoke` runs both groups with a
 // short min-time so CI can catch crashes/asserts in benchmark code without
 // perf gating.
 #include <benchmark/benchmark.h>
@@ -36,7 +36,7 @@ void report_native_mips(benchmark::State& state, const arm::Cpu& cpu) {
       benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 
-/// Taint-free native loop, translation-block engine (the default).
+/// Taint-free native loop, threaded tier (the default).
 void BM_EmulatorNativeMips(benchmark::State& state) {
   Env env;
   const auto* w = env.bench.find("Native MIPS");
@@ -50,11 +50,11 @@ BENCHMARK(BM_EmulatorNativeMips);
 /// Taint-free native loop with the template JIT tier on: clean blocks run
 /// as emitted host x86-64 with version-fenced direct links. Acceptance:
 /// >= 1.3x BM_EmulatorNativeMips (the threaded tier). On hosts without
-/// host-code emission set_jit_enabled is a no-op and this measures the
-/// threaded tier exactly.
+/// host-code emission set_engine(kJit) records kThreaded and this measures
+/// the threaded tier exactly.
 void BM_JitNativeMips(benchmark::State& state) {
   Env env;
-  env.device.cpu.set_jit_enabled(true);
+  env.device.cpu.set_engine(arm::Engine::kJit);
   const auto* w = env.bench.find("Native MIPS");
   for (auto _ : state) {
     benchmark::DoNotOptimize(env.bench.run(*w, 1000));
@@ -70,25 +70,11 @@ void BM_JitNativeMips(benchmark::State& state) {
 }
 BENCHMARK(BM_JitNativeMips);
 
-/// Taint-free native loop on the PR-5 per-instruction TB+TLB engine
-/// (ablation `set_threaded_enabled(false)`): the baseline the threaded
-/// micro-op tier's >= 2x acceptance ratio is measured against.
-void BM_EmulatorNativeMipsTbTlb(benchmark::State& state) {
-  Env env;
-  env.device.cpu.set_threaded_enabled(false);
-  const auto* w = env.bench.find("Native MIPS");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(env.bench.run(*w, 1000));
-  }
-  report_native_mips(state, env.device.cpu);
-}
-BENCHMARK(BM_EmulatorNativeMipsTbTlb);
-
-/// Taint-free native loop on the seed interpretive path (ablation
-/// `use_tb_cache=false`): the pre-PR baseline for the emulator itself.
+/// Taint-free native loop on the interpreter (`set_engine(kInterp)`): the
+/// baseline for the emulator itself.
 void BM_EmulatorNativeMipsInterp(benchmark::State& state) {
   Env env;
-  env.device.cpu.set_use_tb_cache(false);
+  env.device.cpu.set_engine(arm::Engine::kInterp);
   const auto* w = env.bench.find("Native MIPS");
   for (auto _ : state) {
     benchmark::DoNotOptimize(env.bench.run(*w, 1000));
@@ -97,7 +83,7 @@ void BM_EmulatorNativeMipsInterp(benchmark::State& state) {
 }
 BENCHMARK(BM_EmulatorNativeMipsInterp);
 
-/// Taint-free native loop with NDroid attached, TB engine: the block gate
+/// Taint-free native loop with NDroid attached, threaded tier: the block gate
 /// sees no live taint and skips all per-instruction work (fast path).
 void BM_EmulatorNativeMipsTraced(benchmark::State& state) {
   Env env;
@@ -110,12 +96,12 @@ void BM_EmulatorNativeMipsTraced(benchmark::State& state) {
 }
 BENCHMARK(BM_EmulatorNativeMipsTraced);
 
-/// NDroid attached on the seed interpretive path: every instruction is
-/// hooked and classified — the pre-PR traced baseline. The acceptance
-/// target is BM_EmulatorNativeMipsTraced >= 3x faster than this.
+/// NDroid attached on the interpreter: every instruction is hooked and
+/// classified — the traced baseline. The acceptance target is
+/// BM_EmulatorNativeMipsTraced >= 3x faster than this.
 void BM_EmulatorNativeMipsTracedInterp(benchmark::State& state) {
   Env env;
-  env.device.cpu.set_use_tb_cache(false);
+  env.device.cpu.set_engine(arm::Engine::kInterp);
   core::NDroid nd(env.device);
   const auto* w = env.bench.find("Native MIPS");
   for (auto _ : state) {
@@ -125,9 +111,9 @@ void BM_EmulatorNativeMipsTracedInterp(benchmark::State& state) {
 }
 BENCHMARK(BM_EmulatorNativeMipsTracedInterp);
 
-/// NDroid + TB engine with live register taint: the liveness gate cannot
-/// skip any in-scope block, so this measures per-instruction tracing cost
-/// (Table V classification + propagation) on the TB engine.
+/// NDroid + threaded tier with live register taint: the liveness gate
+/// cannot skip any in-scope block, so this measures per-instruction tracing
+/// cost (Table V classification + propagation) on the fused trace streams.
 void BM_EmulatorNativeMipsTracedTainted(benchmark::State& state) {
   Env env;
   core::NDroid nd(env.device);
@@ -152,7 +138,7 @@ BENCHMARK(BM_EmulatorNativeMipsTracedTainted);
 /// hooked dispatches that fell back to the threaded streams.
 void BM_JitTracedTainted(benchmark::State& state) {
   Env env;
-  env.device.cpu.set_jit_enabled(true);
+  env.device.cpu.set_engine(arm::Engine::kJit);
   core::NDroid nd(env.device);
   nd.taint_engine().set_reg(4, 0x2);
   const auto* w = env.bench.find("Native MIPS");
@@ -168,9 +154,9 @@ void BM_JitTracedTainted(benchmark::State& state) {
 }
 BENCHMARK(BM_JitTracedTainted);
 
-/// NDroid + TB engine with live register taint and NO gating at all
+/// NDroid + threaded tier with live register taint and NO gating at all
 /// (`taint_liveness_fastpath=false`, `static_summaries=false`): the seed
-/// full-trace configuration on the TB engine. Baseline for the gating trio
+/// full-trace configuration. Baseline for the gating trio
 /// recorded by scripts/bench.sh.
 void BM_EmulatorNativeMipsTracedTaintedFull(benchmark::State& state) {
   Env env;
@@ -205,23 +191,6 @@ void BM_EmulatorNativeMipsTracedTaintedSummary(benchmark::State& state) {
   report_native_mips(state, env.device.cpu);
 }
 BENCHMARK(BM_EmulatorNativeMipsTracedTaintedSummary);
-
-/// Live register taint on the PR-5 per-instruction engine: together with
-/// BM_EmulatorNativeMipsTracedTainted (threaded default) this isolates what
-/// fusing the Table V thunks into the micro-op stream buys on taint-live
-/// blocks.
-void BM_EmulatorNativeMipsTracedTaintedTbTlb(benchmark::State& state) {
-  Env env;
-  env.device.cpu.set_threaded_enabled(false);
-  core::NDroid nd(env.device);
-  nd.taint_engine().set_reg(4, 0x2);
-  const auto* w = env.bench.find("Native MIPS");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(env.bench.run(*w, 1000));
-  }
-  report_native_mips(state, env.device.cpu);
-}
-BENCHMARK(BM_EmulatorNativeMipsTracedTaintedTbTlb);
 
 /// Pure threaded-dispatch kernel: a register-only counted loop on a bare
 /// CPU — after the first iteration every block transition follows a patched
@@ -280,23 +249,6 @@ void BM_ThreadedDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ThreadedDispatch);
 
-/// The same kernel on the PR-5 per-instruction engine: the pair's ratio is
-/// the dispatch-loop speedup in isolation.
-void BM_ThreadedDispatchTbTlb(benchmark::State& state) {
-  mem::AddressSpace mem;
-  mem::MemoryMap map;
-  arm::Cpu cpu(mem, map);
-  cpu.set_threaded_enabled(false);
-  setup_dispatch_kernel(mem, map, cpu);
-  const u64 before = cpu.instructions_retired();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cpu.call_function(kDispatchCode,
-                                               {kDispatchIters}));
-  }
-  report_dispatch(state, cpu, cpu.instructions_retired() - before);
-}
-BENCHMARK(BM_ThreadedDispatchTbTlb);
-
 /// The same kernel with the template JIT on: after warmup every transition
 /// is a version-fenced host jump, so this is the floor of the dispatch
 /// ladder (on non-x86-64 hosts it degrades to BM_ThreadedDispatch).
@@ -304,7 +256,7 @@ void BM_JitDispatch(benchmark::State& state) {
   mem::AddressSpace mem;
   mem::MemoryMap map;
   arm::Cpu cpu(mem, map);
-  cpu.set_jit_enabled(true);
+  cpu.set_engine(arm::Engine::kJit);
   setup_dispatch_kernel(mem, map, cpu);
   const u64 before = cpu.instructions_retired();
   for (auto _ : state) {
@@ -367,7 +319,7 @@ BENCHMARK(BM_GuestMemcpyModeled);
 // >= 2x on BM_MemLoadStoreKernel, >= 4x on BM_MemTaintedMemcpy.
 
 /// Word-copy guest kernel: 1024 iterations of LDR/STR post-index over a
-/// 4 KiB buffer, TB engine, no analysis attached — pure executor + guest
+/// 4 KiB buffer, threaded tier, no analysis attached — pure executor + guest
 /// memory load/store cost (the softmmu fast path).
 void BM_MemLoadStoreKernel(benchmark::State& state) {
   mem::AddressSpace mem;

@@ -15,7 +15,7 @@
 #   build-dir        defaults to ./build-bench
 #   --engine TIER    CPU execution tier for the farm rows and the engine
 #                    stamp in every JSON:
-#                    interp | tb | tb+tlb | threaded | jit
+#                    interp | threaded | jit
 #                    (default threaded, the production tier; jit degrades
 #                    to threaded on hosts without host-code emission)
 #
@@ -28,8 +28,8 @@
 # Every JSON gets the producing git SHA stamped into its context.
 #
 # BENCH_micro.json records two acceptance ratios (compare items_per_second):
-#   * TB cache:     BM_EmulatorNativeMips vs BM_EmulatorNativeMipsInterp
-#                   (taint-free native loop, TB cache on vs seed interpreter,
+#   * Block tiers:  BM_EmulatorNativeMips vs BM_EmulatorNativeMipsInterp
+#                   (taint-free native loop, threaded tier vs interpreter,
 #                   target >= 3x).
 #   * Summary gate: the live-taint gating trio
 #                   BM_EmulatorNativeMipsTracedTaintedSummary (summary-gated)
@@ -38,12 +38,9 @@
 #                   Taint is live in r4, so liveness-only cannot skip and
 #                   lands within noise of full trace; summary-gated must
 #                   clearly beat both (~3-4x in EXPERIMENTS.md).
-#   * Threaded:     BM_EmulatorNativeMips (threaded default) vs
-#                   BM_EmulatorNativeMipsTbTlb (PR-5 per-instruction tier),
-#                   target >= 2x — and BM_EmulatorNativeMipsTraced must land
-#                   within noise of BM_EmulatorNativeMips (clean blocks pay
-#                   no taint cost). BM_ThreadedDispatch isolates the
-#                   dispatch loop itself against BM_ThreadedDispatchTbTlb.
+#   * Threaded:     BM_EmulatorNativeMipsTraced must land within noise of
+#                   BM_EmulatorNativeMips (clean blocks pay no taint cost).
+#                   BM_ThreadedDispatch isolates the dispatch loop itself.
 #   * Template JIT: BM_JitNativeMips (host x86-64 emission) vs
 #                   BM_EmulatorNativeMips (threaded tier), target >= 1.3x
 #                   on x86-64 hosts; BM_JitDispatch isolates the dispatch
@@ -76,9 +73,9 @@ while [[ $# -gt 0 ]]; do
   esac
 done
 case "$ENGINE" in
-  interp|tb|tb+tlb|threaded|jit) ;;
+  interp|threaded|jit) ;;
   *)
-    echo "unknown engine tier: $ENGINE (expected interp|tb|tb+tlb|threaded|jit)" >&2
+    echo "unknown engine tier: $ENGINE (expected interp|threaded|jit)" >&2
     exit 2
     ;;
 esac

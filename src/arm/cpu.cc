@@ -86,15 +86,11 @@ GuestAddr Cpu::register_helper_auto(Helper helper) {
   return addr;
 }
 
-void Cpu::set_use_tb_cache(bool on) {
-  if (use_tb_cache_ == on) return;
-  use_tb_cache_ = on;
-  flush_blocks();
-}
-
-void Cpu::set_threaded_enabled(bool on) {
-  if (threaded_enabled_ == on) return;
-  threaded_enabled_ = on;
+void Cpu::set_engine(Engine engine) {
+  if (engine == Engine::kJit && !jit_available()) engine = Engine::kThreaded;
+  memory_.set_tlb_enabled(engine != Engine::kInterp);
+  if (engine_ == engine) return;
+  engine_ = engine;
   flush_blocks();
 }
 
@@ -187,7 +183,6 @@ std::shared_ptr<TranslationBlock> Cpu::translate(GuestAddr pc, bool thumb) {
   tb->pc = pc;
   tb->thumb = thumb;
   GuestAddr cur = pc;
-  u32 it_left = 0;  // instructions still covered by a decoded IT
   while (tb->insns.size() < TbCache::kMaxBlockInsns) {
     // Never fall through into the helper window — or onto a helper that
     // shadows ordinary guest code: the run loop must regain control there
@@ -200,24 +195,14 @@ std::shared_ptr<TranslationBlock> Cpu::translate(GuestAddr pc, bool thumb) {
       const u32 len =
           4 - static_cast<u32>(std::countr_zero(insn.imm & 0xFu));
       // Never split an IT block across translation blocks: the covered
-      // instructions must live in the same block as the IT so their
-      // conditional (un-fusable) treatment below is always applied.
+      // instructions must live in the same block as the IT so emission
+      // sees their IT context and keeps them on the general path.
       if (tb->insns.size() + 1 + len > TbCache::kMaxBlockInsns) break;
-      it_left = len;
     }
     TbInsn ti;
     ti.insn = insn;
     ti.pc = cur;
     ti.taint_class = insn.taint_class();
-    if (it_left > 0 && insn.op != Op::kIt) {
-      // IT'd instructions execute conditionally and must suppress flag
-      // writes; only the general execute() path understands ITSTATE.
-      ti.fast = nullptr;
-      --it_left;
-    } else {
-      ti.fast = select_fast_exec(insn);
-      if (ti.fast == nullptr) ti.fast = select_fast_mem(insn);
-    }
     switch (ti.taint_class) {
       case TaintClass::kLoad:
       case TaintClass::kLdm:
@@ -237,17 +222,6 @@ std::shared_ptr<TranslationBlock> Cpu::translate(GuestAddr pc, bool thumb) {
     if (ends_block(insn)) break;
   }
   if (tb->insns.empty()) return nullptr;
-  if (tb->insns.size() >= 2) {
-    // Peephole: a block ending in an ALU + direct branch pair (`cmp …;
-    // b<cond>`, `subs …; bne`, `add …; b` — the loop idioms) replays the
-    // pair through one fused handler. Requiring both individual fast
-    // handlers keeps IT'd and odd-shaped pairs on per-insn dispatch.
-    const TbInsn& a = tb->insns[tb->insns.size() - 2];
-    const TbInsn& b = tb->insns.back();
-    if (a.fast != nullptr && b.fast != nullptr) {
-      tb->tail = select_fused_pair(a.insn, b.insn);
-    }
-  }
   return tb;
 }
 
@@ -274,150 +248,15 @@ bool Cpu::is_branch_quiet(TranslationBlock& tb, GuestAddr from, GuestAddr to) {
   return quiet;
 }
 
-u64 Cpu::exec_block(TranslationBlock& tb_entry, u64 budget) {
-  TranslationBlock* cur = &tb_entry;
-  u64 done = 0;
-chain:
-  TranslationBlock& tb = *cur;
-  // Instructions retired before this block started, for per-block fast-path
-  // accounting (gate decisions differ between chained blocks).
-  const u64 block_base = done;
-  // Hooks are resolved once per block: the gate may declare the whole block
-  // hook-free when every registered hook consented to gating.
-  bool fire = !insn_hooks_.empty();
-  bool gate_skip = false;
-  if (fire && block_gate_ &&
-      gated_hooks_ == static_cast<int>(insn_hooks_.size())) {
-    // Per-block memo, valid while the client's epoch counter stands still
-    // (the client bumps it whenever any gate input changes).
-    if (block_gate_epoch_ != nullptr && tb.gate_epoch == *block_gate_epoch_) {
-      fire = tb.gate_fire;
-    } else {
-      fire = block_gate_(*this, tb);
-      if (block_gate_epoch_ != nullptr) {
-        tb.gate_epoch = *block_gate_epoch_;
-        tb.gate_fire = fire;
-      }
-    }
-    gate_skip = !fire;
-  }
-
-  const std::size_t n = tb.insns.size();
-
-  if (!fire) {
-    // Hot replay: no instruction hooks fire, so the only per-instruction
-    // obligations are the executor itself. Non-last instructions are
-    // provably sequential (any instruction that may write the PC terminates
-    // its block at translation time), so PC checks happen once per block;
-    // tb.dead can only flip mid-block through this block's own stores.
-    const std::size_t last = n - 1;
-    // With a fused compare-and-branch tail the final two instructions run
-    // as one dispatch after the loop; otherwise only the final one does.
-    const std::size_t body = tb.tail != nullptr ? last - 1 : last;
-  hot_restart:
-    if (budget - done < n) goto careful;  // budget can't cover the block
-    ++tb.exec_count;
-    if (gate_skip) ++fastpath_blocks_;
-    if (!tb.has_stores) {
-      for (std::size_t i = 0; i < body; ++i) {
-        const TbInsn& ti = tb.insns[i];
-        if (ti.fast != nullptr) {
-          ti.fast(ti.insn, state_, memory_);
-        } else {
-          execute(ti.insn, state_, memory_);
-        }
-      }
-    } else {
-      for (std::size_t i = 0; i < body; ++i) {
-        const TbInsn& ti = tb.insns[i];
-        if (ti.fast != nullptr) {
-          ti.fast(ti.insn, state_, memory_);
-        } else {
-          execute(ti.insn, state_, memory_);
-        }
-        if (tb.dead) {
-          // The block overwrote its own upcoming instructions: stop
-          // replaying stale code and re-translate on re-entry.
-          retired_ += i + 1;
-          done += i + 1;
-          goto out;
-        }
-      }
-    }
-    retired_ += body;
-    done += body;
-    {
-      const TbInsn& ti = tb.insns[last];
-      if (tb.tail != nullptr) {
-        // CMP + B<cond> pair (never an SVC, never a store) in one call.
-        tb.tail(tb.insns[last - 1].insn, ti.insn, state_);
-        retired_ += 2;
-        done += 2;
-      } else {
-        if (ti.insn.op == Op::kSvc &&
-            condition_passed(effective_cond(ti.insn, state_), state_)) {
-          if (!svc_handler_) throw GuestFault("SVC with no kernel attached");
-          if (state_.thumb && state_.itstate != 0) advance_itstate(state_);
-          state_.set_pc(ti.pc + ti.insn.length);
-          ++retired_;
-          ++done;
-          svc_handler_(*this, ti.insn.imm);
-          goto out;
-        }
-        if (ti.fast != nullptr) {
-          ti.fast(ti.insn, state_, memory_);
-        } else {
-          execute(ti.insn, state_, memory_);
-        }
-        ++retired_;
-        ++done;
-      }
-      if (state_.pc() != ti.pc + ti.insn.length) {
-        const GuestAddr to = state_.pc();
-        if (!is_branch_quiet(tb, ti.pc, to)) {
-          fire_branch_hooks(ti.pc, to);
-          goto out;
-        }
-        // Quiet self-loop chaining: this iteration ran pure guest
-        // computation (no hooks, no SVC), so no analysis state can have
-        // changed and the gate decisions above still hold.
-        // Self-modification is the one escape hatch (the write watch
-        // flips tb.dead synchronously).
-        if (to == tb.pc && state_.thumb == tb.thumb && !tb.dead) {
-          goto hot_restart;
-        }
-        // Cross-block chaining: the branch was quiet, so the only work
-        // run_tb would do is re-dispatch — and when the target is an
-        // already-translated block (front-cache hit under the current
-        // cache version, outside the helper window, no live ITSTATE),
-        // that dispatch can happen right here without paying the
-        // call/return, exception frame, and graveyard checks per
-        // transition. Anything else (miss, helper, host return, mid-IT
-        // landing) surfaces to run_tb as before. The helper-window check
-        // also covers kHostReturnAddr, which lives above the window base.
-        if (state_.itstate == 0 && to < kHelperWindowBase &&
-            (!has_low_helpers_ || helpers_.count(to) == 0)) {
-          const u64 key = TbCache::key(to, state_.thumb);
-          TbFrontEntry& fe = tb_front_[static_cast<u32>(
-              (key * 0x9E3779B97F4A7C15ull) >> (64 - kTbFrontBits))];
-          if (fe.key == key && fe.version == tb_cache_.version()) {
-            tb_cache_.count_front_hit();
-            if (gate_skip) fastpath_insns_ += done - block_base;
-            cur = fe.tb;
-            goto chain;
-          }
-        }
-      }
-    }
-    goto out;
-  }
-
-careful:
-  // Hooked (or budget-constrained) replay: per-instruction hook dispatch,
-  // budget accounting, and self-modification checks.
+u64 Cpu::exec_block(TranslationBlock& tb, u64 budget) {
+  // Per-instruction hook dispatch, budget accounting, and self-modification
+  // checks, with hooks resolved once per block.
+  const bool fire = block_hooks_fire(tb);
+  const bool gate_skip = !fire && !insn_hooks_.empty();
   ++tb.exec_count;
   if (gate_skip) ++fastpath_blocks_;
-  for (std::size_t i = 0; i < n && done < budget; ++i) {
+  u64 done = 0;
+  for (std::size_t i = 0; i < tb.insns.size() && done < budget; ++i) {
     const TbInsn& ti = tb.insns[i];
     if (fire) {
       for (auto& h : insn_hooks_) h.fn(*this, ti.insn, ti.pc);
@@ -432,11 +271,7 @@ careful:
       svc_handler_(*this, ti.insn.imm);
       break;  // SVC always terminates a block
     }
-    if (ti.fast != nullptr) {
-      ti.fast(ti.insn, state_, memory_);
-    } else {
-      execute(ti.insn, state_, memory_);
-    }
+    execute(ti.insn, state_, memory_);
     ++retired_;
     ++done;
     if (state_.pc() != ti.pc + ti.insn.length) {
@@ -451,93 +286,63 @@ careful:
     // stop replaying stale instructions and re-translate on re-entry.
     if (tb.dead) break;
   }
-
-out:
-  if (gate_skip) fastpath_insns_ += done - block_base;
+  if (gate_skip) fastpath_insns_ += done;
   return done;
 }
 
-bool Cpu::run_interpretive(u64 max_steps) {
-  for (u64 i = 0; i < max_steps; ++i) {
-    if (state_.pc() == kHostReturnAddr) return true;
-    step();
-  }
-  return state_.pc() == kHostReturnAddr;
-}
-
-bool Cpu::run_tb(u64 max_steps) {
-  u64 done = 0;
-  while (done < max_steps) {
-    const GuestAddr pc = state_.pc();
-    if (pc == kHostReturnAddr) return true;
-    if (state_.itstate != 0) {
-      // Mid-IT continuation (a block ended inside an IT block, or a jump
-      // landed in one): blocks starting here were translated without IT
-      // context, so their fused handlers would ignore the live ITSTATE.
-      // Step interpretively until the IT block drains (at most 4 steps).
-      step();
-      ++done;
-      continue;
-    }
-    if (pc >= kHelperWindowBase ||
-        (has_low_helpers_ && helpers_.count(pc) != 0)) {
-      step();  // helper dispatch (or plain execution in the window)
-      ++done;
-      continue;
-    }
-    const u64 key = TbCache::key(pc, state_.thumb);
-    TbFrontEntry& fe = tb_front_[static_cast<u32>(
-        (key * 0x9E3779B97F4A7C15ull) >> (64 - kTbFrontBits))];
-    TranslationBlock* tb;
-    if (fe.key == key && fe.version == tb_cache_.version()) {
-      tb_cache_.count_front_hit();
-      tb = fe.tb;
-    } else {
-      std::shared_ptr<TranslationBlock> found =
-          tb_cache_.lookup(pc, state_.thumb);
-      if (found == nullptr) {
-        found = translate(pc, state_.thumb);
-        if (found == nullptr) {
-          step();  // undecodable head instruction: fault via the slow path
-          ++done;
-          continue;
-        }
-        tb_cache_.insert(found);
+const u8* Cpu::jit_entry(ThreadedBlock& blk) {
+  // Live instruction hooks ride the jit only in the fusable shape the
+  // traced streams were compiled for: a single fused-emitting hook behind
+  // the epoch-memoised block gate, with the taint view installed. Every
+  // other hook configuration rides the threaded tier (its gate/traced
+  // machinery is the semantic reference).
+  const bool hooks = !insn_hooks_.empty();
+  const u8* at = nullptr;
+  if (!hooks || (has_taint_jit_view() && trace_emitter_ &&
+                 insn_hooks_.size() == 1 && gated_hooks_ == 1 &&
+                 block_gate_)) {
+    const bool current =
+        blk.jit != nullptr && blk.jit->arena_gen == jit_engine_->generation;
+    // A current tombstone (block too large for the arena) has no code.
+    if (current || JitRun::compile(*this, blk)) at = blk.jit->code;
+    if (at != nullptr && hooks) {
+      if (block_hooks_fire(*blk.tb)) {
+        // Traced stream (the body counts its own entry); null means the
+        // traced emission bailed and this block falls back per dispatch.
+        at = blk.jit->traced_entry;
+      } else {
+        // Gate skip: the clean stream, with the threaded tier's fast-path
+        // accounting (per-crossing bookkeeping continues in resolve()).
+        ++fastpath_blocks_;
+        fastpath_insns_ += blk.n_insns;
       }
-      tb = found.get();  // owned by the cache (or its graveyard) from here
-      fe = {key, tb_cache_.version(), tb};
     }
-    ++exec_depth_;
-    try {
-      done += exec_block(*tb, max_steps - done);
-    } catch (...) {
-      --exec_depth_;
-      throw;
-    }
-    --exec_depth_;
-    // Between blocks at top level is a safe point for killed-block cleanup.
-    if (exec_depth_ == 0) tb_cache_.drain_graveyard();
   }
-  return state_.pc() == kHostReturnAddr;
+  if (hooks && at == nullptr) ++jit_fallback_blocks_;
+  return at;
 }
 
-bool Cpu::run_threaded(u64 max_steps) {
-  // run_tb's twin for the threaded tier: identical dispatch (host return,
-  // mid-IT stepping, helper window, front cache, translate-on-miss), but
-  // blocks execute as micro-op streams and quiet control transfers chain
-  // through direct links without re-entering this loop.
+bool Cpu::run_blocks(u64 max_steps) {
+  // Host code needs a code arena and entry glue; where neither can exist
+  // the jit tier degrades to threaded for good.
+  if (engine_ == Engine::kJit && !JitRun::ensure_engine(*this)) {
+    engine_ = Engine::kThreaded;
+  }
   u64 done = 0;
   while (done < max_steps) {
+    // Arena-exhaustion safe point: recycle the whole code arena.
+    if (engine_ == Engine::kJit && jit_engine_->flush_pending &&
+        exec_depth_ == 0 && !JitRun::arena_flush(*this)) {
+      engine_ = Engine::kThreaded;
+    }
     const GuestAddr pc = state_.pc();
     if (pc == kHostReturnAddr) return true;
-    if (state_.itstate != 0) {
-      step();  // mid-IT continuation (see run_tb)
-      ++done;
-      continue;
-    }
-    if (pc >= kHelperWindowBase ||
+    // Mid-IT continuation (a block ended inside an IT block, or a jump
+    // landed in one: blocks starting here were translated without IT
+    // context) and helper dispatch both take one careful step.
+    if (state_.itstate != 0 || pc >= kHelperWindowBase ||
         (has_low_helpers_ && helpers_.count(pc) != 0)) {
-      step();  // helper dispatch (or plain execution in the window)
+      step();
       ++done;
       continue;
     }
@@ -564,28 +369,22 @@ bool Cpu::run_threaded(u64 max_steps) {
       fe = {key, tb_cache_.version(), tb};
     }
     if (tb->threaded == nullptr) ThreadedRun::emit(*this, *tb);
+    ThreadedBlock& blk = *tb->threaded;
+    const u8* host = engine_ == Engine::kJit ? jit_entry(blk) : nullptr;
     ++exec_depth_;
-    u64 block_done = 0;
     try {
-      block_done = ThreadedRun::exec(*this, *tb->threaded, max_steps - done);
+      u64 block_done =
+          host != nullptr ? JitRun::exec(*this, blk, host, max_steps - done)
+                          : ThreadedRun::exec(*this, blk, max_steps - done);
+      // The remaining budget can't cover even this block's entry: partial
+      // replay through the careful per-instruction path.
+      if (block_done == 0) block_done = exec_block(*tb, max_steps - done);
+      done += block_done;
     } catch (...) {
       --exec_depth_;
       throw;
     }
     --exec_depth_;
-    done += block_done;
-    if (block_done == 0) {
-      // The remaining budget can't cover even this block's entry: partial
-      // replay through the careful per-instruction path.
-      ++exec_depth_;
-      try {
-        done += exec_block(*tb, max_steps - done);
-      } catch (...) {
-        --exec_depth_;
-        throw;
-      }
-      --exec_depth_;
-    }
     // Between blocks at top level is a safe point for killed-block cleanup.
     if (exec_depth_ == 0) tb_cache_.drain_graveyard();
   }
@@ -596,9 +395,11 @@ bool Cpu::run(u64 max_steps) {
   // Safe point: no translation block is mid-execution in any frame, so
   // blocks killed while executing can finally be destroyed.
   if (exec_depth_ == 0) tb_cache_.drain_graveyard();
-  if (!use_tb_cache_) return run_interpretive(max_steps);
-  if (!threaded_enabled_) return run_tb(max_steps);
-  return jit_enabled_ ? run_jit(max_steps) : run_threaded(max_steps);
+  if (engine_ != Engine::kInterp) return run_blocks(max_steps);
+  for (u64 i = 0; i < max_steps && state_.pc() != kHostReturnAddr; ++i) {
+    step();
+  }
+  return state_.pc() == kHostReturnAddr;
 }
 
 u32 Cpu::call_function(GuestAddr addr, const std::vector<u32>& args) {

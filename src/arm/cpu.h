@@ -15,15 +15,17 @@
 //    our fake libdvm/libc call them, keeping call chains visible as guest
 //    branches.
 //
-// Execution has two engines:
-//  * the interpretive path (`use_tb_cache=false`): fetch/decode/hook/execute
-//    one instruction at a time — the paper-faithful baseline the ablation
-//    benches measure;
-//  * the translation-block path (default): straight-line instruction runs
-//    are decoded once into a TranslationBlock (see arm/tb_cache.h) and
-//    replayed with hooks resolved once per block. A client-installed block
-//    gate may declare a whole block hook-free (NDroid's taint-liveness fast
-//    path), in which case only the executor runs.
+// Execution has three engines, picked with Cpu::set_engine():
+//  * kInterp: fetch/decode/hook/execute one instruction at a time, software
+//    TLB off — the paper-faithful oracle every other tier is diffed against;
+//  * kThreaded (default): straight-line instruction runs are decoded once
+//    into a TranslationBlock (arm/tb_cache.h) and lowered to a micro-op
+//    stream (arm/threaded.h) with hooks resolved once per block. A
+//    client-installed block gate may declare a whole block hook-free
+//    (NDroid's taint-liveness fast path), in which case only the clean
+//    stream runs;
+//  * kJit: the same streams compiled to x86-64 host code (arm/jit.h). Where
+//    host code cannot run it degrades to kThreaded.
 #pragma once
 
 #include <functional>
@@ -94,6 +96,9 @@ struct TaintJitView {
   u64* cache_ctr = nullptr;
   u64* prop_ctr = nullptr;
 };
+
+/// CPU execution tier (see the header comment). kThreaded is the default.
+enum class Engine { kInterp, kThreaded, kJit };
 
 /// Address the run loop treats as "return to host": calling convention glue
 /// sets LR to this before entering guest code.
@@ -179,12 +184,20 @@ class Cpu {
   /// Step budget used by call_function (guards against runaway guest code).
   void set_step_budget(u64 steps) { step_budget_ = steps; }
 
-  // --- Translation-block cache -----------------------------------------
+  // --- Engine selection ------------------------------------------------
 
-  /// Selects the execution engine. `false` restores the paper-faithful
-  /// interpretive path (ablation mode); toggling flushes cached blocks.
-  void set_use_tb_cache(bool on);
-  [[nodiscard]] bool use_tb_cache() const { return use_tb_cache_; }
+  /// Selects the execution tier. The address space's software TLB follows:
+  /// off for kInterp, on otherwise. kJit records kThreaded when
+  /// jit_available() is false (and the run loop degrades to kThreaded if
+  /// host code later fails to materialise). Changing the tier flushes
+  /// cached blocks so stale streams, links and host code cannot leak across.
+  void set_engine(Engine engine);
+  [[nodiscard]] Engine engine() const { return engine_; }
+
+  /// True when this build can emit host code (x86-64, not NDROID_NO_JIT).
+  [[nodiscard]] static bool jit_available();
+
+  // --- Translation-block cache -----------------------------------------
 
   /// Drops every cached block (explicit invalidation, e.g. after rewriting
   /// code wholesale). Writes into cached code pages invalidate
@@ -194,13 +207,6 @@ class Cpu {
   [[nodiscard]] const TbCache& tb_cache() const { return tb_cache_; }
 
   // --- Threaded-code tier ----------------------------------------------
-
-  /// Selects between the threaded micro-op tier (default) and the PR-5
-  /// fused-handler block replay (`false`, the TB+TLB ablation point).
-  /// Only meaningful while the TB cache is enabled; toggling flushes
-  /// cached blocks so stale streams and links cannot leak across modes.
-  void set_threaded_enabled(bool on);
-  [[nodiscard]] bool threaded_enabled() const { return threaded_enabled_; }
 
   /// Installs the per-instruction trace emitter the threaded tier uses to
   /// build fused analysis streams (see TraceEmitter in threaded.h). Pass
@@ -219,20 +225,6 @@ class Cpu {
   [[nodiscard]] u64 fastpath_insns() const { return fastpath_insns_; }
 
   // --- Template JIT tier ------------------------------------------------
-
-  /// Selects the host-code-emission tier layered over the threaded streams:
-  /// blocks additionally compile to x86-64 machine code and clean execution
-  /// (no live instruction hooks) dispatches into it; analysis-live blocks
-  /// keep riding the threaded/traced streams unchanged. Requires the TB
-  /// cache and the threaded tier; toggling flushes cached blocks so stale
-  /// host code cannot leak across modes. Off by default (`--engine jit`
-  /// opts in). A no-op when jit_available() is false — the threaded tier
-  /// (with superword fusion) stays in charge.
-  void set_jit_enabled(bool on);
-  [[nodiscard]] bool jit_enabled() const { return jit_enabled_; }
-
-  /// True when this build can emit host code (x86-64, not NDROID_NO_JIT).
-  [[nodiscard]] static bool jit_available();
 
   /// Test hook: code-arena capacity and write-protection discipline. `wx`
   /// selects strict W^X (arena RW only while compiling, RX while
@@ -270,7 +262,7 @@ class Cpu {
     return jit_fallback_blocks_;
   }
 
-  /// Decode-cache statistics (shared by both execution engines).
+  /// Decode-cache statistics (shared by every engine).
   [[nodiscard]] u64 decode_lookups() const { return decode_lookups_; }
   [[nodiscard]] u64 decode_hits() const { return decode_hits_; }
 
@@ -283,22 +275,37 @@ class Cpu {
   friend struct JitRun;
 
   void fire_branch_hooks(GuestAddr from, GuestAddr to);
-  bool run_interpretive(u64 max_steps);
-  bool run_tb(u64 max_steps);
-  /// run_tb's twin for the threaded tier: dispatches into micro-op streams
-  /// (emitting them on first execution) instead of exec_block.
-  bool run_threaded(u64 max_steps);
-  /// run_threaded's twin for the jit tier (defined in arm/jit.cc):
-  /// dispatches into compiled host code, falling back to the threaded
-  /// streams per block while instruction hooks are live or the arena is
-  /// exhausted.
-  bool run_jit(u64 max_steps);
+  /// The block-dispatch loop of the threaded and jit tiers: front cache,
+  /// translate-on-miss, then per block JitRun::exec or ThreadedRun::exec.
+  bool run_blocks(u64 max_steps);
+  /// Host-code entry for `blk` under the jit tier (compiling on demand), or
+  /// nullptr when this dispatch rides the threaded streams instead.
+  const u8* jit_entry(ThreadedBlock& blk);
+  /// True when the registered instruction hooks fire on `tb` this
+  /// execution: some hook is registered, and unless every hook is gated the
+  /// block gate cannot skip them. The gate's answer is memoised on `tb`
+  /// while the client's epoch counter stands still.
+  bool block_hooks_fire(TranslationBlock& tb) {
+    if (insn_hooks_.empty()) return false;
+    if (!block_gate_ || gated_hooks_ != static_cast<int>(insn_hooks_.size())) {
+      return true;
+    }
+    if (block_gate_epoch_ != nullptr && tb.gate_epoch == *block_gate_epoch_) {
+      return tb.gate_fire;
+    }
+    const bool fire = block_gate_(*this, tb);
+    if (block_gate_epoch_ != nullptr) {
+      tb.gate_epoch = *block_gate_epoch_;
+      tb.gate_fire = fire;
+    }
+    return fire;
+  }
   /// Runs a helper if one is registered at `pc`; returns false otherwise.
   bool run_helper(GuestAddr pc);
   std::shared_ptr<TranslationBlock> translate(GuestAddr pc, bool thumb);
-  /// Replays `tb` (and, after quiet taken branches, chains straight into
-  /// cached successor blocks) until the budget runs out or control leaves
-  /// the chainable fast path. Returns instructions retired.
+  /// Runs `tb` one instruction at a time with per-instruction hook
+  /// dispatch, stopping at `budget`: the fallback when the remaining budget
+  /// cannot cover a whole block. Returns instructions retired.
   u64 exec_block(TranslationBlock& tb, u64 budget);
   /// True when firing the branch hooks for this edge would provably no-op
   /// (all hooks gated, gate says uninteresting); memoises per block.
@@ -354,12 +361,10 @@ class Cpu {
   u64 step_budget_ = 1'000'000'000;
   int call_depth_ = 0;
 
-  bool use_tb_cache_ = true;
-  bool threaded_enabled_ = true;
+  Engine engine_ = Engine::kThreaded;
   TraceEmitter trace_emitter_;
   u64 threaded_links_ = 0;
   u64 threaded_patches_ = 0;
-  bool jit_enabled_ = false;
   std::size_t jit_arena_bytes_ = 4u << 20;
   bool jit_wx_ = false;
   u64 jit_links_ = 0;
@@ -387,7 +392,7 @@ class Cpu {
   static constexpr u32 kTbFrontBits = 10;
   std::vector<TbFrontEntry> tb_front_ =
       std::vector<TbFrontEntry>(1u << kTbFrontBits);
-  int exec_depth_ = 0;  // nested exec_block frames (call_function re-entry)
+  int exec_depth_ = 0;  // nested block-executor frames (call_function re-entry)
   u64 fastpath_blocks_ = 0;
   u64 fastpath_insns_ = 0;
   u64 decode_lookups_ = 0;

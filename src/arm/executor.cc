@@ -521,13 +521,6 @@ void execute(const Insn& insn, CPUState& state, mem::AddressSpace& memory) {
   execute_body(insn, state, memory, pc, next);
 }
 
-// --- Fused handlers ---------------------------------------------------------
-//
-// Each handler assumes the shape select_fast_exec() verified: cond == AL, no
-// PC operands, an unshifted register or plain immediate as operand 2. That
-// lets the whole generic scaffolding (condition dispatch, operand2 shifter,
-// 64-bit flag arithmetic, PC special cases) collapse to a few ALU ops.
-
 bool ends_block(const Insn& insn) {
   switch (insn.op) {
     case Op::kB:
@@ -549,413 +542,6 @@ bool ends_block(const Insn& insn) {
       return insn.writeback && insn.rn == kRegPC;
     default:
       return insn.rd == kRegPC || (insn.writeback && insn.rn == kRegPC);
-  }
-}
-
-namespace {
-
-/// Data processing, flags untouched, Rd written.
-template <Op OP, bool IMM>
-void fast_dp(const Insn& insn, CPUState& s, mem::AddressSpace&) {
-  s.regs[kRegPC] += insn.length;
-  const u32 b = IMM ? insn.imm : s.regs[insn.rm];
-  s.regs[insn.rd] = dp_compute<OP>(s.regs[insn.rn], b, s);
-}
-
-template <bool IMM>
-void fast_cmp(const Insn& insn, CPUState& s, mem::AddressSpace&) {
-  s.regs[kRegPC] += insn.length;
-  set_sub_flags(s, s.regs[insn.rn], IMM ? insn.imm : s.regs[insn.rm]);
-}
-
-/// CMP rN, #0 — the loop-guard shape: a - 0 never borrows or overflows, so
-/// the flag computation collapses to the sign and zero tests.
-void fast_cmp_imm0(const Insn& insn, CPUState& s, mem::AddressSpace&) {
-  s.regs[kRegPC] += insn.length;
-  const u32 a = s.regs[insn.rn];
-  s.n = (a >> 31) != 0;
-  s.z = a == 0;
-  s.c = true;
-  s.v = false;
-}
-
-template <bool IMM>
-void fast_cmn(const Insn& insn, CPUState& s, mem::AddressSpace&) {
-  s.regs[kRegPC] += insn.length;
-  set_add_flags(s, s.regs[insn.rn], IMM ? insn.imm : s.regs[insn.rm]);
-}
-
-template <bool IMM>
-void fast_subs(const Insn& insn, CPUState& s, mem::AddressSpace&) {
-  s.regs[kRegPC] += insn.length;
-  const u32 a = s.regs[insn.rn];
-  const u32 b = IMM ? insn.imm : s.regs[insn.rm];
-  set_sub_flags(s, a, b);
-  s.regs[insn.rd] = a - b;
-}
-
-template <bool IMM>
-void fast_adds(const Insn& insn, CPUState& s, mem::AddressSpace&) {
-  s.regs[kRegPC] += insn.length;
-  const u32 a = s.regs[insn.rn];
-  const u32 b = IMM ? insn.imm : s.regs[insn.rm];
-  set_add_flags(s, a, b);
-  s.regs[insn.rd] = a + b;
-}
-
-void fast_movw(const Insn& insn, CPUState& s, mem::AddressSpace&) {
-  s.regs[kRegPC] += insn.length;
-  s.regs[insn.rd] = insn.imm;
-}
-
-void fast_movt(const Insn& insn, CPUState& s, mem::AddressSpace&) {
-  s.regs[kRegPC] += insn.length;
-  s.regs[insn.rd] = (s.regs[insn.rd] & 0xFFFFu) | (insn.imm << 16);
-}
-
-void fast_mul(const Insn& insn, CPUState& s, mem::AddressSpace&) {
-  s.regs[kRegPC] += insn.length;
-  s.regs[insn.rd] = s.regs[insn.rn] * s.regs[insn.rm];
-}
-
-template <Op OP>
-void fast_ext(const Insn& insn, CPUState& s, mem::AddressSpace&) {
-  s.regs[kRegPC] += insn.length;
-  const u32 v = s.regs[insn.rm];
-  if constexpr (OP == Op::kSxtb) {
-    s.regs[insn.rd] = static_cast<u32>(static_cast<i32>(static_cast<i8>(v)));
-  }
-  if constexpr (OP == Op::kSxth) {
-    s.regs[insn.rd] = static_cast<u32>(static_cast<i32>(static_cast<i16>(v)));
-  }
-  if constexpr (OP == Op::kUxtb) s.regs[insn.rd] = v & 0xFF;
-  if constexpr (OP == Op::kUxth) s.regs[insn.rd] = v & 0xFFFF;
-}
-
-/// Single-register load/store with an immediate offset. The addressing-mode
-/// algebra (ADD = offset direction, PRE = indexed vs base address, WB =
-/// base-register update) mirrors mem_effective_address() + the writeback
-/// blocks in execute_body(). A load whose base equals its destination takes
-/// the same net effect either way — execute_body() skips the writeback,
-/// here the rd write lands last — so no rn==rd exclusion is needed.
-template <Op OP, bool ADD, bool PRE, bool WB>
-void fast_mem(const Insn& insn, CPUState& s, mem::AddressSpace& m) {
-  s.regs[kRegPC] += insn.length;
-  const u32 base = s.regs[insn.rn];
-  const u32 indexed = ADD ? base + insn.imm : base - insn.imm;
-  const GuestAddr addr = PRE ? indexed : base;
-  if constexpr (OP == Op::kStr || OP == Op::kStrb || OP == Op::kStrh) {
-    const u32 value = s.regs[insn.rd];
-    if constexpr (OP == Op::kStr) m.write32(addr, value);
-    if constexpr (OP == Op::kStrb) m.write8(addr, static_cast<u8>(value));
-    if constexpr (OP == Op::kStrh) m.write16(addr, static_cast<u16>(value));
-    if constexpr (WB) s.regs[insn.rn] = indexed;
-  } else {
-    u32 value = 0;
-    if constexpr (OP == Op::kLdr) value = m.read32(addr);
-    if constexpr (OP == Op::kLdrb) value = m.read8(addr);
-    if constexpr (OP == Op::kLdrh) value = m.read16(addr);
-    if constexpr (OP == Op::kLdrsb) {
-      value = static_cast<u32>(static_cast<i32>(static_cast<i8>(m.read8(addr))));
-    }
-    if constexpr (OP == Op::kLdrsh) {
-      value =
-          static_cast<u32>(static_cast<i32>(static_cast<i16>(m.read16(addr))));
-    }
-    if constexpr (WB) s.regs[insn.rn] = indexed;
-    s.regs[insn.rd] = value;
-  }
-}
-
-template <Op OP>
-FastExecFn pick_mem(const Insn& insn) {
-  if (insn.pre_index) {
-    if (insn.writeback) {
-      return insn.add_offset ? fast_mem<OP, true, true, true>
-                             : fast_mem<OP, false, true, true>;
-    }
-    return insn.add_offset ? fast_mem<OP, true, true, false>
-                           : fast_mem<OP, false, true, false>;
-  }
-  if (!insn.writeback) return nullptr;  // post-index always writes back
-  return insn.add_offset ? fast_mem<OP, true, false, true>
-                         : fast_mem<OP, false, false, true>;
-}
-
-/// Direct branch (B/BL): PC-relative target from the decoded offset; BL
-/// also writes the return address into LR. Branches terminate translation
-/// blocks, so every loop back-edge pays this handler once per iteration.
-template <bool LINK>
-void fast_branch(const Insn& insn, CPUState& s, mem::AddressSpace&) {
-  const u32 pc = s.regs[kRegPC];
-  if constexpr (LINK) {
-    const u32 next = pc + insn.length;
-    s.set_lr(s.thumb ? (next | 1u) : next);
-  }
-  s.regs[kRegPC] =
-      pc + (s.thumb ? 4u : 8u) + static_cast<u32>(insn.branch_offset);
-}
-
-/// Source of the ALU's second operand in a fused ALU-and-branch pair.
-enum class CmpSrc { kImm0, kImm, kReg };
-
-/// Shared tail of every fused pair: resolves the terminating direct branch
-/// against the (now up-to-date) flags. `s.pc()` still holds the ALU
-/// instruction's address; on exit it is the branch target or fall-through.
-inline void fused_branch_tail(const Insn& alu, const Insn& br, CPUState& s) {
-  const u32 br_pc = s.regs[kRegPC] + alu.length;
-  if (condition_passed(br.cond, s)) {
-    s.regs[kRegPC] =
-        br_pc + (s.thumb ? 4u : 8u) + static_cast<u32>(br.branch_offset);
-  } else {
-    s.regs[kRegPC] = br_pc + br.length;
-  }
-}
-
-/// Fused CMP + direct branch: one dispatch for the loop-guard idiom that
-/// terminates most hot blocks.
-template <CmpSrc SRC>
-void fused_cmp_branch(const Insn& cmp, const Insn& br, CPUState& s) {
-  const u32 a = s.regs[cmp.rn];
-  if constexpr (SRC == CmpSrc::kImm0) {
-    // a - 0 never borrows or overflows.
-    s.n = (a >> 31) != 0;
-    s.z = a == 0;
-    s.c = true;
-    s.v = false;
-  } else {
-    set_sub_flags(s, a, SRC == CmpSrc::kImm ? cmp.imm : s.regs[cmp.rm]);
-  }
-  fused_branch_tail(cmp, br, s);
-}
-
-/// Fused flagless data-processing op + direct branch (`add r, r, #1; b loop`
-/// and friends). The flags stay untouched, so a conditional branch still
-/// reads the older flags — exactly as sequential execution would.
-template <Op OP, bool IMM>
-void fused_dp_branch(const Insn& alu, const Insn& br, CPUState& s) {
-  const u32 b = IMM ? alu.imm : s.regs[alu.rm];
-  s.regs[alu.rd] = dp_compute<OP>(s.regs[alu.rn], b, s);
-  fused_branch_tail(alu, br, s);
-}
-
-/// Fused SUBS/ADDS + direct branch (`subs r, r, #1; bne loop`).
-template <bool IMM, bool SUB>
-void fused_arith_flags_branch(const Insn& alu, const Insn& br, CPUState& s) {
-  const u32 a = s.regs[alu.rn];
-  const u32 b = IMM ? alu.imm : s.regs[alu.rm];
-  if constexpr (SUB) {
-    set_sub_flags(s, a, b);
-    s.regs[alu.rd] = a - b;
-  } else {
-    set_add_flags(s, a, b);
-    s.regs[alu.rd] = a + b;
-  }
-  fused_branch_tail(alu, br, s);
-}
-
-/// Conditional direct branch (B<cond>): the one conditional shape worth a
-/// fast handler — loop exits and guards run it every iteration. Safe
-/// outside IT blocks only (translation never fuses IT'd instructions, and
-/// the run loop drains live ITSTATE interpretively), so insn.cond is the
-/// effective condition here.
-void fast_branch_cond(const Insn& insn, CPUState& s, mem::AddressSpace&) {
-  const u32 pc = s.regs[kRegPC];
-  if (condition_passed(insn.cond, s)) {
-    s.regs[kRegPC] =
-        pc + (s.thumb ? 4u : 8u) + static_cast<u32>(insn.branch_offset);
-  } else {
-    s.regs[kRegPC] = pc + insn.length;
-  }
-}
-
-template <Op OP>
-FastExecFn pick_dp(const Insn& insn) {
-  if (insn.set_flags) {
-    // Only the pure-arithmetic flag shapes are fused; logical flag setters
-    // need the shifter carry-out, which stays on the general path.
-    if constexpr (OP == Op::kCmp) {
-      if (insn.imm_operand && insn.imm == 0) return fast_cmp_imm0;
-      return insn.imm_operand ? fast_cmp<true> : fast_cmp<false>;
-    }
-    if constexpr (OP == Op::kCmn) {
-      return insn.imm_operand ? fast_cmn<true> : fast_cmn<false>;
-    }
-    if (insn.rd == kRegPC) return nullptr;
-    if constexpr (OP == Op::kSub) {
-      return insn.imm_operand ? fast_subs<true> : fast_subs<false>;
-    }
-    if constexpr (OP == Op::kAdd) {
-      return insn.imm_operand ? fast_adds<true> : fast_adds<false>;
-    }
-    return nullptr;
-  }
-  if constexpr (OP == Op::kCmp || OP == Op::kCmn || OP == Op::kTst ||
-                OP == Op::kTeq) {
-    return nullptr;  // compare ops without flags never occur
-  } else {
-    if (insn.rd == kRegPC) return nullptr;
-    return insn.imm_operand ? fast_dp<OP, true> : fast_dp<OP, false>;
-  }
-}
-
-}  // namespace
-
-FastExecFn select_fast_exec(const Insn& insn) {
-  if (insn.op == Op::kB || insn.op == Op::kBl) {
-    if (insn.link) {
-      return insn.cond == Cond::kAL ? fast_branch<true> : nullptr;
-    }
-    return insn.cond == Cond::kAL ? fast_branch<false> : fast_branch_cond;
-  }
-  if (insn.cond != Cond::kAL) return nullptr;
-  switch (insn.op) {
-    case Op::kAnd:
-    case Op::kEor:
-    case Op::kSub:
-    case Op::kRsb:
-    case Op::kAdd:
-    case Op::kAdc:
-    case Op::kSbc:
-    case Op::kRsc:
-    case Op::kCmp:
-    case Op::kCmn:
-    case Op::kOrr:
-    case Op::kMov:
-    case Op::kBic:
-    case Op::kMvn: {
-      if (insn.rn == kRegPC) return nullptr;
-      if (!insn.imm_operand &&
-          (insn.rm == kRegPC || insn.shift_by_reg ||
-           insn.shift != ShiftType::kLSL || insn.shift_amount != 0)) {
-        return nullptr;
-      }
-      switch (insn.op) {
-        case Op::kAnd: return pick_dp<Op::kAnd>(insn);
-        case Op::kEor: return pick_dp<Op::kEor>(insn);
-        case Op::kSub: return pick_dp<Op::kSub>(insn);
-        case Op::kRsb: return pick_dp<Op::kRsb>(insn);
-        case Op::kAdd: return pick_dp<Op::kAdd>(insn);
-        case Op::kAdc: return pick_dp<Op::kAdc>(insn);
-        case Op::kSbc: return pick_dp<Op::kSbc>(insn);
-        case Op::kRsc: return pick_dp<Op::kRsc>(insn);
-        case Op::kCmp: return pick_dp<Op::kCmp>(insn);
-        case Op::kCmn: return pick_dp<Op::kCmn>(insn);
-        case Op::kOrr: return pick_dp<Op::kOrr>(insn);
-        case Op::kMov: return pick_dp<Op::kMov>(insn);
-        case Op::kBic: return pick_dp<Op::kBic>(insn);
-        case Op::kMvn: return pick_dp<Op::kMvn>(insn);
-        default: return nullptr;
-      }
-    }
-    case Op::kMovw:
-      return insn.rd == kRegPC ? nullptr : fast_movw;
-    case Op::kMovt:
-      return insn.rd == kRegPC ? nullptr : fast_movt;
-    case Op::kMul:
-      if (insn.set_flags || insn.rd == kRegPC) return nullptr;
-      return fast_mul;
-    case Op::kSxtb:
-      return insn.rd == kRegPC || insn.rm == kRegPC ? nullptr
-                                                    : fast_ext<Op::kSxtb>;
-    case Op::kSxth:
-      return insn.rd == kRegPC || insn.rm == kRegPC ? nullptr
-                                                    : fast_ext<Op::kSxth>;
-    case Op::kUxtb:
-      return insn.rd == kRegPC || insn.rm == kRegPC ? nullptr
-                                                    : fast_ext<Op::kUxtb>;
-    case Op::kUxth:
-      return insn.rd == kRegPC || insn.rm == kRegPC ? nullptr
-                                                    : fast_ext<Op::kUxth>;
-    default:
-      return nullptr;
-  }
-}
-
-FastExecFn select_fast_mem(const Insn& insn) {
-  if (insn.cond != Cond::kAL || insn.reg_offset) return nullptr;
-  if (insn.rn == kRegPC || insn.rd == kRegPC) return nullptr;
-  switch (insn.op) {
-    case Op::kLdr: return pick_mem<Op::kLdr>(insn);
-    case Op::kLdrb: return pick_mem<Op::kLdrb>(insn);
-    case Op::kLdrh: return pick_mem<Op::kLdrh>(insn);
-    case Op::kLdrsb: return pick_mem<Op::kLdrsb>(insn);
-    case Op::kLdrsh: return pick_mem<Op::kLdrsh>(insn);
-    case Op::kStr: return pick_mem<Op::kStr>(insn);
-    case Op::kStrb: return pick_mem<Op::kStrb>(insn);
-    case Op::kStrh: return pick_mem<Op::kStrh>(insn);
-    default: return nullptr;
-  }
-}
-
-FusedPairFn select_fused_pair(const Insn& alu, const Insn& br) {
-  if (br.op != Op::kB || br.link) return nullptr;
-  if (alu.cond != Cond::kAL || alu.rn == kRegPC) return nullptr;
-  if (!alu.imm_operand &&
-      (alu.rm == kRegPC || alu.shift_by_reg ||
-       alu.shift != ShiftType::kLSL || alu.shift_amount != 0)) {
-    return nullptr;
-  }
-  if (alu.op == Op::kCmp) {
-    if (alu.imm_operand) {
-      return alu.imm == 0 ? fused_cmp_branch<CmpSrc::kImm0>
-                          : fused_cmp_branch<CmpSrc::kImm>;
-    }
-    return fused_cmp_branch<CmpSrc::kReg>;
-  }
-  if (alu.rd == kRegPC) return nullptr;
-  if (alu.set_flags) {
-    // Only the pure-arithmetic flag shapes are fused (same rule as
-    // pick_dp); logical flag setters need the shifter carry-out.
-    if (alu.op == Op::kSub) {
-      return alu.imm_operand ? fused_arith_flags_branch<true, true>
-                             : fused_arith_flags_branch<false, true>;
-    }
-    if (alu.op == Op::kAdd) {
-      return alu.imm_operand ? fused_arith_flags_branch<true, false>
-                             : fused_arith_flags_branch<false, false>;
-    }
-    return nullptr;
-  }
-  switch (alu.op) {
-    case Op::kAnd:
-      return alu.imm_operand ? fused_dp_branch<Op::kAnd, true>
-                             : fused_dp_branch<Op::kAnd, false>;
-    case Op::kEor:
-      return alu.imm_operand ? fused_dp_branch<Op::kEor, true>
-                             : fused_dp_branch<Op::kEor, false>;
-    case Op::kSub:
-      return alu.imm_operand ? fused_dp_branch<Op::kSub, true>
-                             : fused_dp_branch<Op::kSub, false>;
-    case Op::kRsb:
-      return alu.imm_operand ? fused_dp_branch<Op::kRsb, true>
-                             : fused_dp_branch<Op::kRsb, false>;
-    case Op::kAdd:
-      return alu.imm_operand ? fused_dp_branch<Op::kAdd, true>
-                             : fused_dp_branch<Op::kAdd, false>;
-    case Op::kAdc:
-      return alu.imm_operand ? fused_dp_branch<Op::kAdc, true>
-                             : fused_dp_branch<Op::kAdc, false>;
-    case Op::kSbc:
-      return alu.imm_operand ? fused_dp_branch<Op::kSbc, true>
-                             : fused_dp_branch<Op::kSbc, false>;
-    case Op::kRsc:
-      return alu.imm_operand ? fused_dp_branch<Op::kRsc, true>
-                             : fused_dp_branch<Op::kRsc, false>;
-    case Op::kOrr:
-      return alu.imm_operand ? fused_dp_branch<Op::kOrr, true>
-                             : fused_dp_branch<Op::kOrr, false>;
-    case Op::kMov:
-      return alu.imm_operand ? fused_dp_branch<Op::kMov, true>
-                             : fused_dp_branch<Op::kMov, false>;
-    case Op::kBic:
-      return alu.imm_operand ? fused_dp_branch<Op::kBic, true>
-                             : fused_dp_branch<Op::kBic, false>;
-    case Op::kMvn:
-      return alu.imm_operand ? fused_dp_branch<Op::kMvn, true>
-                             : fused_dp_branch<Op::kMvn, false>;
-    default:
-      return nullptr;
   }
 }
 

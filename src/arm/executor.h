@@ -82,9 +82,10 @@ void execute(const Insn& insn, CPUState& state, mem::AddressSpace& memory);
 
 // --- Shared flag/ALU kernels ------------------------------------------------
 //
-// The exact NZCV formulas the fused handlers use, exposed so the threaded
-// micro-op bodies compute bit-identical flags without a second copy of the
-// arithmetic (a divergence here would split the golden-log quadruple).
+// The NZCV formulas of the dense ADD/SUB/CMP/CMN shapes, used by the
+// threaded micro-op bodies (threaded.cc); the jit's host templates mirror
+// them with host flags (jit.cc). A divergence here would split the golden
+// logs.
 
 inline void set_sub_flags(CPUState& s, u32 a, u32 b) {
   const u32 r = a - b;
@@ -102,8 +103,8 @@ inline void set_add_flags(CPUState& s, u32 a, u32 b) {
   s.v = (((a ^ r) & (b ^ r)) >> 31) != 0;
 }
 
-/// Flagless data-processing result for the fused/threaded fast shapes
-/// (operand 2 already resolved to a plain value by the caller).
+/// Flagless data-processing result for the dense threaded shapes (operand 2
+/// already resolved to a plain value by the caller).
 template <Op OP>
 inline u32 dp_compute(u32 a, u32 b, [[maybe_unused]] const CPUState& s) {
   if constexpr (OP == Op::kAnd) return a & b;
@@ -120,49 +121,5 @@ inline u32 dp_compute(u32 a, u32 b, [[maybe_unused]] const CPUState& s) {
   if constexpr (OP == Op::kRsc) return b - a - (s.c ? 0 : 1);
   return 0;
 }
-
-/// A fused handler for one common instruction shape: semantically identical
-/// to execute() for that shape, but with condition, operand form, flag
-/// behaviour, and (for loads/stores) addressing mode resolved at selection
-/// time instead of per execution. All fused handlers share one signature so
-/// a translation block stores a single pointer and the replay loop pays a
-/// single dispatch branch; ALU/branch handlers simply ignore the memory
-/// argument. Direct branches may rewrite the PC; every other fused shape
-/// advances it sequentially (and branches always terminate their block, so
-/// replay loops still treat non-last instructions as sequential).
-using FastExecFn = void (*)(const Insn&, CPUState&, mem::AddressSpace&);
-
-/// Picks the fused ALU/branch handler for `insn`, or nullptr when the
-/// instruction needs the general execute() path (conditional execution
-/// outside direct branches, PC operands, shifted operands, flag shapes
-/// outside ADD/SUB/CMP/CMN). Called once per instruction at block
-/// translation time.
-[[nodiscard]] FastExecFn select_fast_exec(const Insn& insn);
-
-/// Picks the fused load/store handler for `insn` (LDR/LDRB/LDRH/LDRSB/
-/// LDRSH/STR/STRB/STRH; offset, pre-index writeback, or post-index forms),
-/// or nullptr when it needs the general path (conditional execution,
-/// register offsets, PC as base or data register). The memory access goes
-/// through AddressSpace's inline software-TLB fast path, so a hit is a tag
-/// compare plus a host access. Called once per instruction at block
-/// translation time.
-[[nodiscard]] FastExecFn select_fast_mem(const Insn& insn);
-
-/// A fused ALU-and-branch pair: executes the ALU instruction (CMP, a
-/// flag-setting SUBS/ADDS, or a flagless data-processing op) followed by
-/// the direct branch that terminates the block, in one call. Loop idioms
-/// (`cmp …; b<cond>`, `subs …; bne`, `add …; b`) end nearly every hot
-/// block, and fusing the pair drops one full handler dispatch per replay.
-/// On exit the PC holds the branch target or the fall-through address, and
-/// the flags are architecturally up to date (later code may read them; a
-/// flagless op leaves them untouched, so a conditional branch after one
-/// still reads the older flags — same as sequential execution).
-using FusedPairFn = void (*)(const Insn& alu, const Insn& br, CPUState&);
-
-/// Picks the fused pair handler for a block-terminating ALU + direct-branch
-/// sequence, or nullptr when the ALU op is outside the fused shapes (PC or
-/// shifted operands, conditional execution, unsupported flag shapes) or
-/// the branch links. Called once per block at translation time.
-[[nodiscard]] FusedPairFn select_fused_pair(const Insn& alu, const Insn& br);
 
 }  // namespace ndroid::arm

@@ -1,8 +1,7 @@
 // Template JIT implementation. See jit.h for the architecture overview.
 //
 // Semantics contract: every template below is a transliteration of the
-// corresponding computed-goto label in threaded.cc (which is itself the
-// transliteration of the fused handlers in executor.cc), and every shape
+// corresponding computed-goto label in threaded.cc, and every shape
 // without a dense template calls out into C++ code that *is* the threaded
 // body. Flag materialisation uses the host's arithmetic flags: after a host
 // `sub`/`cmp a,b`, ARM N==SF, Z==ZF, C==!CF, V==OF; after a host `add`,
@@ -91,13 +90,6 @@ bool Cpu::jit_available() {
 #endif
 }
 
-void Cpu::set_jit_enabled(bool on) {
-  on = on && jit_available();
-  if (jit_enabled_ == on) return;
-  jit_enabled_ = on;
-  flush_blocks();
-}
-
 void Cpu::set_jit_config(std::size_t arena_bytes, bool wx) {
   jit_arena_bytes_ = arena_bytes;
   jit_wx_ = wx;
@@ -107,28 +99,6 @@ void Cpu::set_jit_config(std::size_t arena_bytes, bool wx) {
   // flushed and the graveyard drained (no guest frame is live per the
   // documented precondition), nothing can reach them — the mapping can go.
   jit_engine_.reset();
-}
-
-// The threaded L_enter gate transliterated (threaded.cc keeps the
-// reference copy): hooks fire unless every hook is gated and the
-// epoch-memoised block gate declares the block hook-free. Shared by both
-// build flavours so tests can probe the memo protocol without a jit.
-bool JitRun::gate_fire(Cpu& cpu, TranslationBlock& tb) {
-  bool fire = !cpu.insn_hooks_.empty();
-  if (fire && cpu.block_gate_ &&
-      cpu.gated_hooks_ == static_cast<int>(cpu.insn_hooks_.size())) {
-    if (cpu.block_gate_epoch_ != nullptr &&
-        tb.gate_epoch == *cpu.block_gate_epoch_) {
-      fire = tb.gate_fire;
-    } else {
-      fire = cpu.block_gate_(cpu, tb);
-      if (cpu.block_gate_epoch_ != nullptr) {
-        tb.gate_epoch = *cpu.block_gate_epoch_;
-        tb.gate_fire = fire;
-      }
-    }
-  }
-  return fire;
 }
 
 #ifdef NDROID_JIT_X64
@@ -475,7 +445,7 @@ const void* JitRun::resolve(void* ctx_, void* jb_, u32 slot_idx, u32 from,
         fe.tb->threaded->jit->code != nullptr &&
         fe.tb->threaded->jit->arena_gen == eng.generation) {
       ThreadedBlock& sb = *fe.tb->threaded;
-      if (gate_fire(cpu, *fe.tb)) {
+      if (cpu.block_hooks_fire(*fe.tb)) {
         if (sb.jit->traced_entry != nullptr) {
           ++cpu.jit_links_;
           return sb.jit->traced_entry;
@@ -2007,133 +1977,10 @@ bool JitRun::arena_flush(Cpu& cpu) {
   return emit_stubs(cpu, eng);
 }
 
-// --- Trampoline ---------------------------------------------------------
-
-bool Cpu::run_jit(u64 max_steps) {
-  // run_threaded's twin for the jit tier: identical dispatch, but clean
-  // blocks (no live instruction hooks) execute as host code. Hooked
-  // execution and uncompiled blocks ride the threaded streams — the
-  // semantic reference — per dispatch.
-  if (!JitRun::ensure_engine(*this)) {
-    jit_enabled_ = false;  // host code cannot run here; degrade for good
-    return run_threaded(max_steps);
-  }
-  JitEngine& eng = *jit_engine_;
-  u64 done = 0;
-  while (done < max_steps) {
-    if (eng.flush_pending && exec_depth_ == 0) {
-      // Arena-exhaustion safe point: recycle the whole code arena.
-      if (!JitRun::arena_flush(*this)) {
-        jit_enabled_ = false;
-        return run_threaded(max_steps - done);
-      }
-    }
-    const GuestAddr pc = state_.pc();
-    if (pc == kHostReturnAddr) return true;
-    if (state_.itstate != 0) {
-      // Mid-IT-block landing: step carefully until the IT run drains.
-      step();
-      ++done;
-      continue;
-    }
-    if (pc >= kHelperWindowBase ||
-        (has_low_helpers_ && helpers_.count(pc) != 0)) {
-      step();  // helper dispatch
-      ++done;
-      continue;
-    }
-    const u64 key = TbCache::key(pc, state_.thumb);
-    TbFrontEntry& fe = tb_front_[static_cast<u32>(
-        (key * 0x9E3779B97F4A7C15ull) >> (64 - kTbFrontBits))];
-    TranslationBlock* tb;
-    if (fe.key == key && fe.version == tb_cache_.version()) {
-      tb_cache_.count_front_hit();
-      tb = fe.tb;
-    } else {
-      std::shared_ptr<TranslationBlock> found =
-          tb_cache_.lookup(pc, state_.thumb);
-      if (found == nullptr) {
-        found = translate(pc, state_.thumb);
-        if (found == nullptr) {
-          // Undecodable head instruction: let step() raise the fault.
-          step();
-          ++done;
-          continue;
-        }
-        tb_cache_.insert(found);
-      }
-      tb = found.get();  // owned by the cache (or its graveyard) from here
-      fe = {key, tb_cache_.version(), tb};
-    }
-    if (tb->threaded == nullptr) ThreadedRun::emit(*this, *tb);
-    ThreadedBlock& blk = *tb->threaded;
-    // Live instruction hooks ride the jit only in the fusable shape the
-    // traced streams were compiled for: a single fused-emitting hook behind
-    // the epoch-memoised block gate, with the taint view installed. Every
-    // other hook configuration rides the threaded tier (its gate/traced
-    // machinery is the semantic reference).
-    const bool hooks = !insn_hooks_.empty();
-    bool use_jit =
-        !hooks ||
-        (has_taint_jit_view() && trace_emitter_ && insn_hooks_.size() == 1 &&
-         gated_hooks_ == static_cast<int>(insn_hooks_.size()) && block_gate_);
-    if (use_jit &&
-        (blk.jit == nullptr || blk.jit->arena_gen != eng.generation)) {
-      use_jit = JitRun::compile(*this, blk);
-    }
-    if (use_jit) use_jit = blk.jit != nullptr && blk.jit->code != nullptr;
-    const u8* at = use_jit ? blk.jit->code : nullptr;
-    if (use_jit && hooks) {
-      if (JitRun::gate_fire(*this, *tb)) {
-        // Traced stream (the body counts its own entry); null means the
-        // traced emission bailed and this block falls back per dispatch.
-        at = blk.jit->traced_entry;
-        use_jit = at != nullptr;
-      } else {
-        // Gate skip: the clean stream, with the threaded tier's fast-path
-        // accounting (per-crossing bookkeeping continues in resolve()).
-        ++fastpath_blocks_;
-        fastpath_insns_ += blk.n_insns;
-      }
-    }
-    if (hooks && !use_jit) ++jit_fallback_blocks_;
-    ++exec_depth_;
-    u64 block_done = 0;
-    try {
-      block_done = use_jit
-                       ? JitRun::exec(*this, blk, at, max_steps - done)
-                       : ThreadedRun::exec(*this, blk, max_steps - done);
-    } catch (...) {
-      --exec_depth_;
-      throw;
-    }
-    --exec_depth_;
-    done += block_done;
-    if (block_done == 0) {
-      // The remaining budget can't cover even this block: partial replay
-      // through the careful per-instruction path.
-      ++exec_depth_;
-      try {
-        done += exec_block(*tb, max_steps - done);
-      } catch (...) {
-        --exec_depth_;
-        throw;
-      }
-      --exec_depth_;
-    }
-    // Between blocks at top level is a safe point for killed-block cleanup.
-    if (exec_depth_ == 0) tb_cache_.drain_graveyard();
-  }
-  return state_.pc() == kHostReturnAddr;
-}
-
 #else  // !NDROID_JIT_X64
 
-// Stub backend: `--engine jit` degrades to the threaded tier with superword
-// fusion. set_jit_enabled already refuses to arm the flag (jit_available()
-// is false), so run_jit is only a defensive forward.
-
-bool Cpu::run_jit(u64 max_steps) { return run_threaded(max_steps); }
+// Stub backend: Cpu::set_engine never records the jit tier here
+// (jit_available() is false), so none of these is reached at run time.
 
 bool JitRun::compile(Cpu&, ThreadedBlock&) { return false; }
 u64 JitRun::exec(Cpu&, ThreadedBlock&, const u8*, u64) { return 0; }

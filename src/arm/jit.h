@@ -26,9 +26,10 @@
 //
 // Arena lifecycle: bump allocation, no per-block free. Killed blocks keep
 // their (now unreachable) code until the arena fills; exhaustion sets a
-// flush request that the run_jit trampoline honours at the next safe point
-// (exec_depth_ == 0): flush all blocks, drain the graveyard, reset the
-// arena, bump the arena generation, and recompile on demand.
+// flush request that the block-dispatch loop (Cpu::run_blocks) honours at
+// the next safe point (exec_depth_ == 0): flush all blocks, drain the
+// graveyard, reset the arena, bump the arena generation, and recompile on
+// demand.
 //
 // Taint-fused traced stream: when the analysis client installs a
 // Cpu::TaintJitView (single fused instruction hook + block gate), compile
@@ -42,14 +43,14 @@
 // (TaintEngine::jit_resync) at every exit. Instructions the emitter could
 // not prove inlineable call out per instruction instead of abandoning the
 // whole block. Stream selection replays the threaded tier's epoch-memoised
-// gate in C++ (resolve / run_jit) with every inter-block edge forced
+// gate in C++ (resolve / Cpu::jit_entry) with every inter-block edge forced
 // through the slow resolver while instruction hooks are live, so taint
 // liveness flipping re-routes edges between the two streams without
 // re-emission — the same version-fenced link protocol either way.
 //
 // `NDROID_NO_JIT` (or a non-x86-64 host) compiles the backend down to
-// stubs: jit_available() is false, set_jit_enabled is a no-op, and
-// `--engine jit` degrades to the threaded tier with superword fusion.
+// stubs: jit_available() is false, Cpu::set_engine(Engine::kJit) records
+// Engine::kThreaded, and `--engine jit` runs the threaded tier.
 #pragma once
 
 #include <cstddef>
@@ -133,8 +134,9 @@ struct JitEngine {
 
   CodeArena arena;
   u64 generation = 1;
-  /// Set when the arena could not hold a block; run_jit honours it at the
-  /// next exec_depth_==0 safe point (flush + drain + reset + ++generation).
+  /// Set when the arena could not hold a block; Cpu::run_blocks honours it
+  /// at the next exec_depth_==0 safe point (flush + drain + reset +
+  /// ++generation).
   bool flush_pending = false;
 
   /// Prologue glue: saves callee-saved registers, pins the state/ctx/TLB
@@ -198,13 +200,6 @@ struct JitRun {
   static void co_taint_sync(void* ctx, u32 written);
   static u32 co_shadow_read(void* ctx, u32 addr, u32 len);
   static void co_shadow_write(void* ctx, u32 addr, u32 len, u32 taint);
-
-  /// The threaded L_enter gate, replicated for host-code dispatch: decides
-  /// (with the same epoch memoisation on `tb`) whether the registered
-  /// instruction hooks fire on this block. run_jit consults it for the
-  /// entry block and resolve() per inter-block crossing, selecting the
-  /// traced or clean host stream.
-  static bool gate_fire(Cpu& cpu, TranslationBlock& tb);
 };
 
 }  // namespace ndroid::arm

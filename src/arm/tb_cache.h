@@ -25,13 +25,8 @@
 
 #include "arm/insn.h"
 
-namespace ndroid::mem {
-class AddressSpace;
-}  // namespace ndroid::mem
-
 namespace ndroid::arm {
 
-struct CPUState;
 struct ThreadedBlock;  // arm/threaded.h
 
 /// One decoded instruction inside a block, with its pre-classified taint
@@ -40,13 +35,6 @@ struct TbInsn {
   Insn insn;
   GuestAddr pc = 0;
   TaintClass taint_class = TaintClass::kNone;
-  /// Fused handler (see executor.h select_fast_exec / select_fast_mem),
-  /// nullptr when the instruction takes the general execute() path.
-  /// Selected at translation time, so condition/operand/flag/addressing
-  /// dispatch never happens per execution; loads and stores route through
-  /// the address space's inline software-TLB probe. One slot for every
-  /// fused shape keeps replay at a single dispatch branch.
-  void (*fast)(const Insn&, CPUState&, mem::AddressSpace&) = nullptr;
 };
 
 struct TranslationBlock {
@@ -60,15 +48,8 @@ struct TranslationBlock {
   bool has_svc = false;     // ends in (or contains) an SVC
 
   /// Set by invalidation while the block may still be executing; the block
-  /// executor checks it after stores and abandons the remaining instructions.
+  /// executors check it after stores and abandon the remaining instructions.
   bool dead = false;
-
-  /// Fused compare-and-branch tail (executor.h select_fused_cmp_branch):
-  /// when set, hot replay runs the final CMP + B<cond> pair through this
-  /// single handler instead of two dispatches. The hooked/budgeted careful
-  /// path ignores it and keeps per-instruction dispatch (both instructions
-  /// retain their individual `fast` handlers).
-  void (*tail)(const Insn& cmp, const Insn& br, CPUState&) = nullptr;
 
   /// Client-managed scope memo (0 = unknown, 1 = in scope, 2 = out of
   /// scope). Reset whenever the block gate changes (set_block_gate flushes).
@@ -89,8 +70,8 @@ struct TranslationBlock {
   u64 exec_count = 0;
   std::vector<TbInsn> insns;
 
-  /// Threaded-code lowering of this block (arm/threaded.h), built lazily by
-  /// the threaded execution tier. Owned here so the stream dies with the
+  /// Threaded-code lowering of this block (arm/threaded.h), built lazily on
+  /// its first block dispatch. Owned here so the stream dies with the
   /// block — but never reset by kill_block: the threaded inner loop runs on
   /// raw pointers into it, and a block can kill *itself* through a store, so
   /// the stream must stay alive until the graveyard drains. Stale direct
@@ -126,8 +107,7 @@ class TbCache {
   /// Kills every cached block intersecting [addr, addr+len).
   void invalidate_range(GuestAddr addr, u32 len);
 
-  /// Drops every cached block (helper registration, hook-topology changes,
-  /// explicit ablation resets).
+  /// Drops every cached block (hook-topology changes, engine switches).
   void flush();
 
   [[nodiscard]] std::size_t size() const { return blocks_.size(); }

@@ -1,16 +1,15 @@
 // Threaded-code tier implementation: micro-op emission (lowering a
 // TranslationBlock's decoded instructions into pre-resolved Uop records)
 // and the computed-goto inner loop that executes the streams, follows
-// direct block links, and escapes to the trampoline (Cpu::run_threaded)
-// only on the slow events listed in threaded.h.
+// direct block links, and escapes to the block-dispatch loop
+// (Cpu::run_blocks) only on the slow events listed in threaded.h.
 //
-// Semantics contract: every micro-op body below is a transliteration of the
-// corresponding fused handler in executor.cc (fast_dp / fast_cmp / fast_mem
-// / fast_branch / ...) minus the per-instruction PC increment — the clean
-// stream keeps the PC *lazy* and materialises it only where it is
-// observable (generic execute() micro-ops, SVC, and every loop exit). Flag
-// arithmetic comes from the shared set_sub_flags/set_add_flags/dp_compute
-// kernels, so the golden-log ablation quadruple stays bit-for-bit.
+// Semantics contract: every micro-op body below is execute() specialised to
+// one dense shape (dense_shape() below) minus the per-instruction PC
+// increment — the clean stream keeps the PC *lazy* and materialises it only
+// where it is observable (generic execute() micro-ops, SVC, and every loop
+// exit). Flag arithmetic comes from the shared set_sub_flags/set_add_flags/
+// dp_compute kernels, so the golden logs stay bit-for-bit across tiers.
 #include "arm/threaded.h"
 
 #include <bit>
@@ -80,7 +79,7 @@ u64 ThreadedRun::exec_impl(Cpu* cpu_p, ThreadedBlock* entry, u64 budget,
 
 // Dense load micro-op triple (offset / pre-index / post-index). Writeback
 // lands before the rd write so rn==rd takes the same net effect as
-// execute_body (rd wins), matching fast_mem.
+// execute_body (rd wins).
 #define LD_TRIPLE(name, LDFN)                       \
   L_##name##_off : {                                \
     const GuestAddr addr = r[op->b] + op->imm;      \
@@ -103,7 +102,7 @@ u64 ThreadedRun::exec_impl(Cpu* cpu_p, ThreadedBlock* entry, u64 budget,
   }
 
 // Dense store micro-op triple. The value is read before the writeback
-// (fast_mem stores the pre-writeback rd), and a slow-path store re-checks
+// (execute_body stores the pre-writeback rd), and a slow-path store re-checks
 // tb.dead: the block may have just overwritten its own code, in which case
 // the remaining stream is stale and we leave with the PC at the next
 // instruction (op->x), insn fully retired.
@@ -148,8 +147,8 @@ u64 ThreadedRun::exec_impl(Cpu* cpu_p, ThreadedBlock* entry, u64 budget,
     TranslationBlock& tb = *b->tb;
     const std::size_t n = b->n_insns;
     if (budget - done < n) [[unlikely]] {
-      // Budget can't cover whole-block replay; surface to the trampoline,
-      // which falls back to the careful per-instruction path.
+      // Budget can't cover whole-block replay; surface to the dispatch
+      // loop, which falls back to Cpu::exec_block.
       s.thumb = tb.thumb;
       s.set_pc(tb.pc);
       goto out_done;
@@ -158,23 +157,7 @@ u64 ThreadedRun::exec_impl(Cpu* cpu_p, ThreadedBlock* entry, u64 budget,
     // may declare the block hook-free (taint-liveness fast path) — that
     // memo, not re-emission, is what keeps the clean stream valid across
     // taint-liveness flips.
-    bool fire = !cpu.insn_hooks_.empty();
-    bool skip = false;
-    if (fire && cpu.block_gate_ &&
-        cpu.gated_hooks_ == static_cast<int>(cpu.insn_hooks_.size())) {
-      if (cpu.block_gate_epoch_ != nullptr &&
-          tb.gate_epoch == *cpu.block_gate_epoch_) {
-        fire = tb.gate_fire;
-      } else {
-        fire = cpu.block_gate_(cpu, tb);
-        if (cpu.block_gate_epoch_ != nullptr) {
-          tb.gate_epoch = *cpu.block_gate_epoch_;
-          tb.gate_fire = fire;
-        }
-      }
-      skip = !fire;
-    }
-    if (fire) [[unlikely]] {
+    if (cpu.block_hooks_fire(tb)) [[unlikely]] {
       // Analysis event: run this block through the fused trace stream and
       // surface (hooks may have moved anything, including the hook list).
       s.thumb = tb.thumb;
@@ -185,8 +168,8 @@ u64 ThreadedRun::exec_impl(Cpu* cpu_p, ThreadedBlock* entry, u64 budget,
       goto out_done;
     }
     ++tb.exec_count;
-    if (skip) ++cpu.fastpath_blocks_;
-    gate_skip = skip;
+    gate_skip = !cpu.insn_hooks_.empty();  // hooks live, but gated off
+    if (gate_skip) ++cpu.fastpath_blocks_;
     blk = b;
     block_base = done;
     ++op;
@@ -394,9 +377,8 @@ u64 ThreadedRun::exec_impl(Cpu* cpu_p, ThreadedBlock* entry, u64 budget,
     goto* op->label;
   }
 
-  // Fused compare-and-conditional-branch terminals — the threaded twin of
-  // the TB tier's select_fused_pair tail. One dispatch sets the flags
-  // architecturally (later blocks and surfaced exits may read them) and
+  // Fused compare-and-conditional-branch terminals. One dispatch sets the
+  // flags architecturally (later blocks and surfaced exits may read them) and
   // takes the branch; the uop retires two instructions. `p` is the branch
   // TbInsn for the imm0/reg shapes; the immediate shapes point at the ALU
   // TbInsn (its insn.imm is the compare operand) and derive the branch pc
@@ -604,7 +586,7 @@ u64 ThreadedRun::exec_impl(Cpu* cpu_p, ThreadedBlock* entry, u64 budget,
         goto* op->label;
       }
     }
-    // Untranslated (or un-emitted) successor: surface to the trampoline.
+    // Untranslated (or un-emitted) successor: surface to the dispatch loop.
     s.set_pc(edge_to);
     CLOSE_BLOCK();
     goto out_done;
@@ -668,7 +650,7 @@ void ThreadedRun::build_traced(Cpu& cpu, ThreadedBlock& blk) {
 }
 
 // Gated execution of one block: the pre-resolved trace step, then the
-// instruction — a transliteration of Cpu::exec_block's careful path (same
+// instruction — Cpu::exec_block with the hook dispatch pre-resolved (same
 // budget, SVC, branch-quiet, and dead-mark behaviour, same counters).
 u64 ThreadedRun::exec_traced_impl(Cpu& cpu, ThreadedBlock& blk, u64 budget) {
   if (!blk.traced_ready) build_traced(cpu, blk);
@@ -696,11 +678,7 @@ u64 ThreadedRun::exec_traced_impl(Cpu& cpu, ThreadedBlock& blk, u64 budget) {
       cpu.svc_handler_(cpu, ti.insn.imm);
       break;  // SVC always terminates a block
     }
-    if (ti.fast != nullptr) {
-      ti.fast(ti.insn, s, m);
-    } else {
-      execute(ti.insn, s, m);
-    }
+    execute(ti.insn, s, m);
     ++cpu.retired_;
     ++done;
     if (s.pc() != ti.pc + ti.insn.length) {
@@ -729,14 +707,74 @@ Uop make_generic(const TbInsn& ti, void* const* L) {
   return u;
 }
 
-// Maps a fused-handler-eligible instruction (ti.fast != nullptr, so every
-// select_fast_exec/select_fast_mem precondition holds: cond == AL, no PC
-// operands, plain operands) onto its dense micro-op, or falls back to the
-// generic one for fused shapes without a dense twin. Two fused-ineligible
-// shapes that dominate real hot loops — shift-by-immediate MOVs and long
-// multiplies — also get dense twins here; their guards re-derive by hand
-// the preconditions ti.fast would otherwise imply (unconditional, no PC
-// operands, no flags, outside any IT block).
+// True when `in` has a dense micro-op or dense branch terminal: outside any
+// IT block, unconditional (a direct branch may be conditional unless it
+// links), no PC operands, a plain register or immediate operand 2, flag
+// setting only in the ADD/SUB/CMP/CMN arithmetic shapes (logical flag
+// setters need the shifter carry-out), and immediate-offset memory forms.
+bool dense_shape(const Insn& in, bool in_it) {
+  if (in_it) return false;
+  if (in.op == Op::kB || in.op == Op::kBl) {
+    return !in.link || in.cond == Cond::kAL;
+  }
+  if (in.cond != Cond::kAL) return false;
+  switch (in.op) {
+    case Op::kAnd:
+    case Op::kEor:
+    case Op::kSub:
+    case Op::kRsb:
+    case Op::kAdd:
+    case Op::kAdc:
+    case Op::kSbc:
+    case Op::kRsc:
+    case Op::kCmp:
+    case Op::kCmn:
+    case Op::kOrr:
+    case Op::kMov:
+    case Op::kBic:
+    case Op::kMvn:
+      if (in.rn == kRegPC) return false;
+      if (!in.imm_operand &&
+          (in.rm == kRegPC || in.shift_by_reg ||
+           in.shift != ShiftType::kLSL || in.shift_amount != 0)) {
+        return false;
+      }
+      if (in.op == Op::kCmp || in.op == Op::kCmn) return in.set_flags;
+      if (in.rd == kRegPC) return false;
+      return !in.set_flags || in.op == Op::kSub || in.op == Op::kAdd;
+    case Op::kMovw:
+    case Op::kMovt:
+      return in.rd != kRegPC;
+    case Op::kMul:
+      return !in.set_flags && in.rd != kRegPC;
+    case Op::kSxtb:
+    case Op::kSxth:
+    case Op::kUxtb:
+    case Op::kUxth:
+      return in.rd != kRegPC && in.rm != kRegPC;
+    case Op::kLdr:
+    case Op::kLdrb:
+    case Op::kLdrh:
+    case Op::kLdrsb:
+    case Op::kLdrsh:
+    case Op::kStr:
+    case Op::kStrb:
+    case Op::kStrh:
+      // Offset, pre-index writeback, or post-index (which always writes
+      // back) forms with an immediate offset.
+      return !in.reg_offset && in.rn != kRegPC && in.rd != kRegPC &&
+             (in.pre_index || in.writeback);
+    default:
+      return false;
+  }
+}
+
+// Maps a dense-shaped instruction onto its dense micro-op, or falls back to
+// the generic one. Two shapes outside dense_shape that dominate real hot
+// loops — shift-by-immediate MOVs and long multiplies — also get dense
+// micro-ops here, as do LDM/STM without PC; their guards spell out the
+// same preconditions (unconditional, no PC operands, no flags, outside any
+// IT block).
 Uop make_body(const TbInsn& ti, bool in_it, void* const* L) {
   const Insn& in = ti.insn;
   Uop u;
@@ -778,7 +816,7 @@ Uop make_body(const TbInsn& ti, bool in_it, void* const* L) {
       return u;
     }
   }
-  if (ti.fast == nullptr) return make_generic(ti, L);
+  if (!dense_shape(in, in_it)) return make_generic(ti, L);
   switch (in.op) {
     case Op::kAnd:
     case Op::kEor:
@@ -818,7 +856,7 @@ Uop make_body(const TbInsn& ti, bool in_it, void* const* L) {
             u.label = in.imm_operand ? lab(UK::k_adds_i) : lab(UK::k_adds_r);
             return u;
           default:
-            return make_generic(ti, L);  // unreachable given ti.fast
+            return make_generic(ti, L);  // unreachable given dense_shape
         }
       }
       static constexpr struct {
@@ -912,10 +950,8 @@ Uop make_body(const TbInsn& ti, bool in_it, void* const* L) {
 }
 
 // Lowers the block-terminating instruction. `in_it` reflects whether the
-// instruction sits inside a Thumb IT block (emission tracks IT coverage
-// exactly like Cpu::translate), which forces the general path for the
-// register-branch shapes that have no fused handler to inherit the
-// exclusion from.
+// instruction sits inside a Thumb IT block, which forces the general path
+// for IT'd branches.
 Uop make_terminal(const TranslationBlock& tb, const TbInsn& ti, bool in_it,
                   void* const* L) {
   const Insn& in = ti.insn;
@@ -929,9 +965,9 @@ Uop make_terminal(const TranslationBlock& tb, const TbInsn& ti, bool in_it,
     u.label = lab(UK::k_svc_term);
     return u;
   }
-  if ((in.op == Op::kB || in.op == Op::kBl) && ti.fast != nullptr) {
-    // Direct branch with a fused handler: cond == AL when linking, any
-    // condition otherwise; target resolved at emission time.
+  if ((in.op == Op::kB || in.op == Op::kBl) && dense_shape(in, in_it)) {
+    // Direct branch: cond == AL when linking, any condition otherwise;
+    // target resolved at emission time.
     const GuestAddr target =
         ti.pc + (tb.thumb ? 4u : 8u) + static_cast<u32>(in.branch_offset);
     u.imm = target;
@@ -964,16 +1000,15 @@ Uop make_terminal(const TranslationBlock& tb, const TbInsn& ti, bool in_it,
 
 // Tries to fuse the block's last two instructions — a flag-setting compare
 // (or subs) and the conditional direct branch consuming it — into a single
-// terminal uop, mirroring select_fused_pair's cmp/subs shapes. Caller
-// guarantees `alu` is outside any IT block (which also covers the branch:
-// `alu` is not an IT instruction, so the branch cannot open one's scope).
+// terminal uop. Caller guarantees `alu` is outside any IT block (which also
+// covers the branch: `alu` is not an IT instruction, so the branch cannot
+// open one's scope), so a non-linking B is always dense.
 std::optional<Uop> make_fused_terminal(const TranslationBlock& tb,
                                        const TbInsn& alu_ti,
                                        const TbInsn& br_ti, void* const* L) {
   const Insn& alu = alu_ti.insn;
   const Insn& br = br_ti.insn;
-  if (br.op != Op::kB || br.link || br.cond == Cond::kAL ||
-      br_ti.fast == nullptr) {
+  if (br.op != Op::kB || br.link || br.cond == Cond::kAL) {
     return std::nullopt;
   }
   if (alu.cond != Cond::kAL || alu.rn == kRegPC) return std::nullopt;
@@ -1019,27 +1054,24 @@ std::optional<Uop> make_fused_terminal(const TranslationBlock& tb,
 // Superword pair fusion over the straight-line body (the ROADMAP
 // dispatch-density plan): movw+movt (a 32-bit constant load) and the
 // ldr+add#imm load-then-advance loop idiom collapse into one micro-op that
-// retires two instructions. Both halves must be dense-eligible
-// (ti.fast != nullptr carries the cond==AL / no-PC / plain-operand
-// guarantees) and the caller ensures both sit outside IT blocks.
+// retires two instructions. Both halves must be dense-shaped (cond==AL,
+// no PC, plain operands); the caller ensures both sit outside IT blocks.
 std::optional<Uop> make_fused_pair(const TbInsn& a_ti, const TbInsn& b_ti,
                                    void* const* L) {
   const Insn& a = a_ti.insn;
   const Insn& b = b_ti.insn;
   Uop u;
   auto lab = [&](UK k) { return L[static_cast<u32>(k)]; };
-  if (a.op == Op::kMovw && b.op == Op::kMovt && a.rd == b.rd &&
-      a_ti.fast != nullptr && b_ti.fast != nullptr) {
+  if (!dense_shape(a, false) || !dense_shape(b, false)) return std::nullopt;
+  if (a.op == Op::kMovw && b.op == Op::kMovt && a.rd == b.rd) {
     u.a = a.rd;
     u.imm = (a.imm & 0xFFFFu) | (b.imm << 16);
     u.p = &a_ti;
     u.label = lab(UK::k_movw_movt);
     return u;
   }
-  if (a.op == Op::kLdr && a_ti.fast != nullptr && a.pre_index &&
-      !a.writeback && !a.reg_offset && b.op == Op::kAdd && b.imm_operand &&
-      !b.set_flags && b.rd == b.rn && b.rd != kRegPC &&
-      b_ti.fast != nullptr) {
+  if (a.op == Op::kLdr && a.pre_index && !a.writeback && b.op == Op::kAdd &&
+      b.imm_operand && !b.set_flags && b.rd == b.rn) {
     u.a = a.rd;
     u.b = a.rn;
     u.imm = a.add_offset ? a.imm : 0u - a.imm;
@@ -1122,10 +1154,6 @@ void ThreadedRun::emit(Cpu&, TranslationBlock& tb) {
 
 u64 ThreadedRun::exec(Cpu& cpu, ThreadedBlock& entry, u64 budget) {
   return exec_impl(&cpu, &entry, budget, nullptr);
-}
-
-u64 ThreadedRun::exec_traced(Cpu& cpu, ThreadedBlock& blk, u64 budget) {
-  return exec_traced_impl(cpu, blk, budget);
 }
 
 }  // namespace ndroid::arm

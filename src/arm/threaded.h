@@ -1,6 +1,5 @@
 // Threaded-code execution tier: per-block micro-op streams with direct
-// block linking (the QEMU-TCG analogue one tier above tb_cache's
-// fused-handler replay).
+// block linking (the QEMU-TCG analogue over tb_cache's decoded blocks).
 //
 // At emission time (ThreadedRun::emit) each TranslationBlock is lowered into
 // a flat array of Uop records. Every record carries a computed-goto label
@@ -29,9 +28,9 @@
 // tagged with the TbCache version; kill_block/flush bump the version, so
 // every patched edge across the whole cache is void the instant any block
 // dies — the same fencing protocol as the Cpu's front cache, with no edge
-// bookkeeping on invalidation. The loop exits to the run_tb-style trampoline
-// only on a link miss, a budget boundary, live ITSTATE, the helper window,
-// a self-modification dead mark, or an analysis event.
+// bookkeeping on invalidation. The loop exits to the block-dispatch loop
+// (Cpu::run_blocks) only on a link miss, a budget boundary, live ITSTATE,
+// the helper window, a self-modification dead mark, or an analysis event.
 #pragma once
 
 #include <functional>
@@ -169,13 +168,8 @@ struct ThreadedRun {
   /// links across blocks, for at most `budget` instructions. On return the
   /// PC is architecturally correct. Returns instructions retired; 0 means
   /// the budget could not cover even the entry block (caller falls back to
-  /// the careful per-instruction path).
+  /// Cpu::exec_block).
   static u64 exec(Cpu& cpu, ThreadedBlock& entry, u64 budget);
-
-  /// Runs one block with per-instruction trace dispatch (gate fired):
-  /// the fused-or-generic TraceStep stream followed by the instruction,
-  /// mirroring Cpu::exec_block's careful path bit for bit.
-  static u64 exec_traced(Cpu& cpu, ThreadedBlock& blk, u64 budget);
 
   /// Computed-goto label table indexed by UK; jit.cc reverse-maps
   /// Uop::label through this to recover each op's kind.
@@ -192,6 +186,9 @@ struct ThreadedRun {
   // ThreadedRun covers the inner loop's access to the engine state.
   static u64 exec_impl(Cpu* cpu, ThreadedBlock* entry, u64 budget,
                        void* const** table_out);
+  /// Runs one block with per-instruction trace dispatch (gate fired): the
+  /// fused-or-generic TraceStep stream followed by the instruction,
+  /// mirroring Cpu::exec_block bit for bit.
   static u64 exec_traced_impl(Cpu& cpu, ThreadedBlock& blk, u64 budget);
 };
 

@@ -113,4 +113,15 @@ class InstructionTracer {
   u64 cache_hits_ = 0;
 };
 
+/// Installs the taint-fused JIT view (arm::TaintJitView) over `engine`'s
+/// register label file and shadow memory and `tracer`'s counter slots, so
+/// the jit tier compiles traced host streams that propagate taint inline.
+/// Both must stay alive until detach_taint_jit(cpu).
+void attach_taint_jit(arm::Cpu& cpu, TaintEngine& engine,
+                      InstructionTracer& tracer);
+
+/// Clears the view attach_taint_jit installed (flushing cached blocks, whose
+/// host code bakes the view's pointers in).
+void detach_taint_jit(arm::Cpu& cpu);
+
 }  // namespace ndroid::core

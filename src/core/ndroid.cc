@@ -203,28 +203,7 @@ NDroid::NDroid(android::Device& device, NDroidConfig config)
   // disassembly — inline transfers cannot reproduce the per-instruction
   // log, so those runs ride the threaded traced streams instead.
   if (config_.instruction_tracer && !config_.trace_disassembly) {
-    arm::TaintJitView view;
-    view.reg_labels = engine_.jit_reg_labels();
-    view.sync = [](void* ctx, u32 written) {
-      static_cast<TaintEngine*>(ctx)->jit_resync(static_cast<u16>(written));
-    };
-    view.sync_ctx = &engine_;
-    view.shadow_tlb = engine_.map().jit_tlb_base();
-    view.shadow_tlb_slots = mem::ShadowMemory::kJitTlbSlots;
-    view.shadow_read = [](void* ctx, u32 addr, u32 len) -> u32 {
-      auto* m = static_cast<mem::ShadowMemory*>(ctx);
-      m->jit_fill(addr);  // next access to this page hits inline
-      return m->get_range(addr, len);
-    };
-    view.shadow_write = [](void* ctx, u32 addr, u32 len, u32 taint) {
-      static_cast<mem::ShadowMemory*>(ctx)->set_range(addr, len, taint);
-    };
-    view.mem_ctx = &engine_.map();
-    view.traced_ctr = tracer_->traced_slot();
-    view.cache_ctr =
-        tracer_->cache_enabled() ? tracer_->cache_hits_slot() : nullptr;
-    view.prop_ctr = &engine_.propagations;
-    device_.cpu.set_taint_jit_view(&view);
+    attach_taint_jit(device_.cpu, engine_, *tracer_);
   }
 }
 
@@ -324,7 +303,7 @@ const SummaryGate* NDroid::attach_static_analysis() {
 }
 
 NDroid::~NDroid() {
-  device_.cpu.set_taint_jit_view(nullptr);
+  detach_taint_jit(device_.cpu);
   device_.cpu.set_trace_emitter(nullptr);
   device_.cpu.remove_branch_hook(branch_hook_id_);
   device_.cpu.remove_insn_hook(insn_hook_id_);

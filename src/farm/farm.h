@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "arm/cpu.h"
 #include "core/report.h"
 #include "farm/job.h"
 #include "static/summary_cache.h"
@@ -38,19 +39,17 @@ class Device;
 
 namespace ndroid::farm {
 
-/// CPU execution tier every job's Device runs on. The tiers stack (each is
-/// the previous plus one mechanism), so sweeping them isolates the
-/// contribution of the TB cache, the software TLB, and the threaded
-/// micro-op tier. `kThreaded` is the production default.
-enum class EngineTier { kInterp, kTb, kTbTlb, kThreaded, kJit };
+/// CPU execution tier every job's Device runs on (arm::Cpu::set_engine):
+/// the interpreter oracle, the threaded production default, or the jit.
+using EngineTier = arm::Engine;
 
-/// Parses "interp" | "tb" | "tb+tlb" | "threaded" | "jit"; throws
-/// std::invalid_argument on anything else. "jit" degrades to the threaded
-/// tier on hosts without host-code emission (Cpu::jit_available() false).
+/// Parses "interp" | "threaded" | "jit"; throws std::invalid_argument on
+/// anything else. "jit" degrades to the threaded tier on hosts without
+/// host-code emission (Cpu::jit_available() false).
 EngineTier parse_engine(const std::string& name);
 const char* to_string(EngineTier tier);
 
-/// Applies the tier's CPU/memory toggles to a freshly built Device.
+/// Puts a freshly built Device's CPU on `tier`.
 void apply_engine(ndroid::android::Device& device, EngineTier tier);
 
 struct FarmOptions {

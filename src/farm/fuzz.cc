@@ -171,8 +171,6 @@ Program generate(u64 seed) {
 
 enum class Tier {
   kInterp,
-  kTb,
-  kTbTlb,
   kThreaded,
   kThreadedFused,
   kJit,
@@ -186,14 +184,26 @@ enum class Tier {
 const char* tier_name(Tier t) {
   switch (t) {
     case Tier::kInterp: return "interp";
-    case Tier::kTb: return "tb";
-    case Tier::kTbTlb: return "tb+tlb";
     case Tier::kThreaded: return "threaded";
     case Tier::kThreadedFused: return "threaded+fused";
     case Tier::kJit: return "jit";
     case Tier::kJitTraced: return "jit+traced";
   }
   return "?";
+}
+
+/// The CPU engine under a tier; the fused/traced variants differ from
+/// their base tier only in the analysis wiring. Without host emission kJit
+/// runs threaded.
+arm::Engine engine_of(Tier t) {
+  switch (t) {
+    case Tier::kInterp: return arm::Engine::kInterp;
+    case Tier::kThreaded:
+    case Tier::kThreadedFused: return arm::Engine::kThreaded;
+    case Tier::kJit:
+    case Tier::kJitTraced: return arm::Engine::kJit;
+  }
+  return arm::Engine::kThreaded;
 }
 
 struct TierResult {
@@ -218,15 +228,7 @@ TierResult run_tier(const Program& prog, Tier tier, bool taint, u64 seed) {
   map.add("[stack]", 0x70000, 0x10000, mem::kRW);
   arm::Cpu cpu(mem, map);
   cpu.set_initial_sp(0x80000);
-  cpu.set_use_tb_cache(tier != Tier::kInterp);
-  cpu.set_threaded_enabled(tier == Tier::kThreaded ||
-                           tier == Tier::kThreadedFused ||
-                           tier == Tier::kJit || tier == Tier::kJitTraced);
-  mem.set_tlb_enabled(tier == Tier::kTbTlb || tier == Tier::kThreaded ||
-                      tier == Tier::kThreadedFused || tier == Tier::kJit ||
-                      tier == Tier::kJitTraced);
-  // No-op without host emission.
-  cpu.set_jit_enabled(tier == Tier::kJit || tier == Tier::kJitTraced);
+  cpu.set_engine(engine_of(tier));
   mem.write_bytes(kCode, prog.arm_code);
   mem.write_bytes(kThumb, prog.thumb_code);
 
@@ -257,29 +259,7 @@ TierResult run_tier(const Program& prog, Tier tier, bool taint, u64 seed) {
       cpu.set_block_gate([](arm::Cpu&, arm::TranslationBlock&) {
         return true;
       });
-      arm::TaintJitView view;
-      view.reg_labels = taint_engine.jit_reg_labels();
-      view.sync = [](void* ctx, u32 written) {
-        static_cast<core::TaintEngine*>(ctx)->jit_resync(
-            static_cast<u16>(written));
-      };
-      view.sync_ctx = &taint_engine;
-      view.shadow_tlb = taint_engine.map().jit_tlb_base();
-      view.shadow_tlb_slots = mem::ShadowMemory::kJitTlbSlots;
-      view.shadow_read = [](void* ctx, u32 addr, u32 len) -> u32 {
-        auto* m = static_cast<mem::ShadowMemory*>(ctx);
-        m->jit_fill(addr);
-        return m->get_range(addr, len);
-      };
-      view.shadow_write = [](void* ctx, u32 addr, u32 len, u32 t) {
-        static_cast<mem::ShadowMemory*>(ctx)->set_range(addr, len, t);
-      };
-      view.mem_ctx = &taint_engine.map();
-      view.traced_ctr = tracer->traced_slot();
-      view.cache_ctr =
-          tracer->cache_enabled() ? tracer->cache_hits_slot() : nullptr;
-      view.prop_ctr = &taint_engine.propagations;
-      cpu.set_taint_jit_view(&view);
+      core::attach_taint_jit(cpu, taint_engine, *tracer);
     }
   }
 
@@ -299,8 +279,8 @@ TierResult run_tier(const Program& prog, Tier tier, bool taint, u64 seed) {
       sh = fold(sh, taint_engine.map().get_range(addr, 4));
     }
     res.shadow_digest = sh;
-    cpu.set_taint_jit_view(nullptr);  // view points into tracer/engine state
-    cpu.set_trace_emitter(nullptr);   // tracer dies before the cpu
+    core::detach_taint_jit(cpu);     // view points into tracer/engine state
+    cpu.set_trace_emitter(nullptr);  // tracer dies before the cpu
   }
   return res;
 }
@@ -320,8 +300,7 @@ Outcome run_differential(u64 seed) {
   h = fold(h, base.shadow_digest);
   out.checksum = static_cast<u32>(h ^ (h >> 32));
 
-  for (const Tier tier : {Tier::kTb, Tier::kTbTlb, Tier::kThreaded,
-                          Tier::kThreadedFused, Tier::kJit,
+  for (const Tier tier : {Tier::kThreaded, Tier::kThreadedFused, Tier::kJit,
                           Tier::kJitTraced}) {
     const TierResult got = run_tier(prog, tier, true, seed);
     if (got.r0 != base.r0) {
@@ -343,8 +322,7 @@ Outcome run_differential(u64 seed) {
   }
 
   // Taint tracking must be a pure observer of architectural state.
-  for (const Tier tier : {Tier::kInterp, Tier::kTb, Tier::kTbTlb,
-                          Tier::kThreaded, Tier::kJit}) {
+  for (const Tier tier : {Tier::kInterp, Tier::kThreaded, Tier::kJit}) {
     const TierResult got = run_tier(prog, tier, false, seed);
     if (got.r0 != base.r0 || got.mem_digest != base.mem_digest) {
       out.error =

@@ -17,19 +17,15 @@ namespace ndroid::farm {
 
 EngineTier parse_engine(const std::string& name) {
   if (name == "interp") return EngineTier::kInterp;
-  if (name == "tb") return EngineTier::kTb;
-  if (name == "tb+tlb") return EngineTier::kTbTlb;
   if (name == "threaded") return EngineTier::kThreaded;
   if (name == "jit") return EngineTier::kJit;
   throw std::invalid_argument("unknown engine tier: " + name +
-                              " (expected interp|tb|tb+tlb|threaded|jit)");
+                              " (expected interp|threaded|jit)");
 }
 
 const char* to_string(EngineTier tier) {
   switch (tier) {
     case EngineTier::kInterp: return "interp";
-    case EngineTier::kTb: return "tb";
-    case EngineTier::kTbTlb: return "tb+tlb";
     case EngineTier::kThreaded: return "threaded";
     case EngineTier::kJit: return "jit";
   }
@@ -37,15 +33,7 @@ const char* to_string(EngineTier tier) {
 }
 
 void apply_engine(android::Device& device, EngineTier tier) {
-  device.cpu.set_use_tb_cache(tier != EngineTier::kInterp);
-  device.cpu.set_threaded_enabled(tier == EngineTier::kThreaded ||
-                                  tier == EngineTier::kJit);
-  device.memory.set_tlb_enabled(tier == EngineTier::kTbTlb ||
-                                tier == EngineTier::kThreaded ||
-                                tier == EngineTier::kJit);
-  // No-op on hosts without host-code emission: the job rides the threaded
-  // tier (with superword fusion) instead.
-  device.cpu.set_jit_enabled(tier == EngineTier::kJit);
+  device.cpu.set_engine(tier);
 }
 
 namespace {

@@ -197,9 +197,9 @@ class AddressSpace {
     tlb_flush_write();
   }
 
-  /// Ablation switch: disabling empties both TLBs and stops refills, so
-  /// every access walks the page directory (the pre-TLB configuration the
-  /// golden-log ablation compares against). Enabled by default.
+  /// Disabling empties both TLBs and stops refills, so every access walks
+  /// the page directory (the pre-TLB configuration the interpreter oracle
+  /// runs on; Cpu::set_engine drives this). Enabled by default.
   void set_tlb_enabled(bool on) {
     tlb_enabled_ = on;
     tlb_flush();

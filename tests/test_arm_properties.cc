@@ -276,15 +276,15 @@ TEST(Extend, ArmModeExtendInstructions) {
 //
 // Seeded random ARM programs (a bounded loop of ALU / memory / conditional
 // instructions that calls a random Thumb leaf) are executed under every
-// engine configuration — interpreter, TB cache, TB + software TLB, the
-// threaded micro-op tier (generic and fused taint emission), and the
-// template JIT (clean host streams, and the taint-fused traced host
-// streams with the full TaintJitView wired) — with taint tracking off and
-// on. Final r0, a digest of guest memory, the tracer's
-// instruction count, and a digest of the full shadow state (register taints
-// plus the data-region taint map, the inputs every leak report is computed
-// from) must agree bit-for-bit with the interpreter baseline. Leak *events*
-// themselves are diffed separately by the golden-log quadruple test.
+// engine configuration — interpreter, the threaded micro-op tier (generic
+// and fused taint emission), and the template JIT (clean host streams, and
+// the taint-fused traced host streams with the full TaintJitView wired) —
+// with taint tracking off and on. Final r0, a digest of guest memory, the
+// tracer's instruction count, and a digest of the full shadow state
+// (register taints plus the data-region taint map, the inputs every leak
+// report is computed from) must agree bit-for-bit with the interpreter
+// baseline. Leak *events* themselves are diffed separately by the golden
+// logs.
 
 constexpr GuestAddr kFuzzCode = 0x10000;
 constexpr GuestAddr kFuzzThumb = 0x14000;
@@ -387,8 +387,6 @@ FuzzProgram generate_program(u32 seed) {
 
 enum class FuzzEngine {
   kInterp,
-  kTb,
-  kTbTlb,
   kThreaded,
   kThreadedFused,
   kJit,  // host-code emission; threaded with fusion on non-x86-64 hosts
@@ -398,6 +396,19 @@ enum class FuzzEngine {
   /// threaded trace loop. Degrades to kThreadedFused without host emission.
   kJitTraced,
 };
+
+/// The CPU engine under a fuzz configuration; the fused/traced variants
+/// differ from their base tier only in the analysis wiring.
+arm::Engine cpu_engine(FuzzEngine e) {
+  switch (e) {
+    case FuzzEngine::kInterp: return arm::Engine::kInterp;
+    case FuzzEngine::kThreaded:
+    case FuzzEngine::kThreadedFused: return arm::Engine::kThreaded;
+    case FuzzEngine::kJit:
+    case FuzzEngine::kJitTraced: return arm::Engine::kJit;
+  }
+  return arm::Engine::kThreaded;
+}
 
 struct FuzzResult {
   u32 r0 = 0;
@@ -423,18 +434,7 @@ FuzzResult run_fuzz(const FuzzProgram& prog, FuzzEngine engine, bool taint,
   map.add("[stack]", 0x70000, 0x10000, mem::kRW);
   Cpu cpu(mem, map);
   cpu.set_initial_sp(0x80000);
-  cpu.set_use_tb_cache(engine != FuzzEngine::kInterp);
-  cpu.set_threaded_enabled(engine == FuzzEngine::kThreaded ||
-                           engine == FuzzEngine::kThreadedFused ||
-                           engine == FuzzEngine::kJit ||
-                           engine == FuzzEngine::kJitTraced);
-  mem.set_tlb_enabled(engine == FuzzEngine::kTbTlb ||
-                      engine == FuzzEngine::kThreaded ||
-                      engine == FuzzEngine::kThreadedFused ||
-                      engine == FuzzEngine::kJit ||
-                      engine == FuzzEngine::kJitTraced);
-  cpu.set_jit_enabled(engine == FuzzEngine::kJit ||
-                      engine == FuzzEngine::kJitTraced);
+  cpu.set_engine(cpu_engine(engine));
   mem.write_bytes(kFuzzCode, prog.arm_code);
   mem.write_bytes(kFuzzThumb, prog.thumb_code);
 
@@ -471,29 +471,7 @@ FuzzResult run_fuzz(const FuzzProgram& prog, FuzzEngine engine, bool taint,
       // equivalent where emission bailed) — maximum traced coverage for
       // the differential check.
       cpu.set_block_gate([](Cpu&, TranslationBlock&) { return true; });
-      TaintJitView view;
-      view.reg_labels = taint_engine.jit_reg_labels();
-      view.sync = [](void* ctx, u32 written) {
-        static_cast<core::TaintEngine*>(ctx)->jit_resync(
-            static_cast<u16>(written));
-      };
-      view.sync_ctx = &taint_engine;
-      view.shadow_tlb = taint_engine.map().jit_tlb_base();
-      view.shadow_tlb_slots = mem::ShadowMemory::kJitTlbSlots;
-      view.shadow_read = [](void* ctx, u32 addr, u32 len) -> u32 {
-        auto* m = static_cast<mem::ShadowMemory*>(ctx);
-        m->jit_fill(addr);
-        return m->get_range(addr, len);
-      };
-      view.shadow_write = [](void* ctx, u32 addr, u32 len, u32 t) {
-        static_cast<mem::ShadowMemory*>(ctx)->set_range(addr, len, t);
-      };
-      view.mem_ctx = &taint_engine.map();
-      view.traced_ctr = tracer->traced_slot();
-      view.cache_ctr =
-          tracer->cache_enabled() ? tracer->cache_hits_slot() : nullptr;
-      view.prop_ctr = &taint_engine.propagations;
-      cpu.set_taint_jit_view(&view);
+      core::attach_taint_jit(cpu, taint_engine, *tracer);
     }
   }
 
@@ -516,8 +494,8 @@ FuzzResult run_fuzz(const FuzzProgram& prog, FuzzEngine engine, bool taint,
     }
     res.shadow_digest = sh;
     res.jit_traced_blocks = cpu.jit_traced_blocks();
-    cpu.set_taint_jit_view(nullptr);  // view points into tracer/engine state
-    cpu.set_trace_emitter(nullptr);   // tracer dies before the cpu
+    core::detach_taint_jit(cpu);     // view points into tracer/engine state
+    cpu.set_trace_emitter(nullptr);  // tracer dies before the cpu
   }
   return res;
 }
@@ -535,8 +513,6 @@ TEST_P(DifferentialFuzz, EnginesAgreeOnStateAndShadow) {
     FuzzEngine engine;
     const char* name;
   } tiers[] = {
-      {FuzzEngine::kTb, "tb"},
-      {FuzzEngine::kTbTlb, "tb+tlb"},
       {FuzzEngine::kThreaded, "threaded"},
       {FuzzEngine::kThreadedFused, "threaded+fused"},
       {FuzzEngine::kJit, "jit"},
@@ -562,15 +538,14 @@ TEST_P(DifferentialFuzz, EnginesAgreeOnStateAndShadow) {
   // its clean streams — the jit actually executing host code here) the
   // architectural results are unchanged.
   for (const FuzzEngine engine :
-       {FuzzEngine::kInterp, FuzzEngine::kTb, FuzzEngine::kTbTlb,
-        FuzzEngine::kThreaded, FuzzEngine::kJit}) {
+        {FuzzEngine::kInterp, FuzzEngine::kThreaded, FuzzEngine::kJit}) {
     const FuzzResult got = run_fuzz(prog, engine, false, seed);
     EXPECT_EQ(got.r0, base.r0) << "taint-off seed " << seed;
     EXPECT_EQ(got.mem_digest, base.mem_digest) << "taint-off seed " << seed;
   }
 }
 
-// Bounded for CI: 12 seeds x 12 engine configurations, each a few thousand
+// Bounded for CI: 12 seeds x 8 engine configurations, each a few thousand
 // guest instructions.
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialFuzz, ::testing::Range(1u, 13u));
 
@@ -673,8 +648,6 @@ TEST_P(DispatchTableFuzz, EnginesAgreeOnDispatchHeavyPrograms) {
     FuzzEngine engine;
     const char* name;
   } tiers[] = {
-      {FuzzEngine::kTb, "tb"},
-      {FuzzEngine::kTbTlb, "tb+tlb"},
       {FuzzEngine::kThreaded, "threaded"},
       {FuzzEngine::kThreadedFused, "threaded+fused"},
       {FuzzEngine::kJit, "jit"},

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -244,6 +245,17 @@ TEST(Farm, GeneratedMarketLibrariesArePositionIndependent) {
   for (std::size_t i = 0; i < fns_low.size(); ++i) {
     EXPECT_EQ(fns_low[i] - 0x10000, fns_high[i] - 0x24000);
   }
+}
+
+TEST(Farm, EngineNamesAreTheThreeTiers) {
+  for (const farm::EngineTier tier :
+       {farm::EngineTier::kInterp, farm::EngineTier::kThreaded,
+        farm::EngineTier::kJit}) {
+    EXPECT_EQ(farm::parse_engine(farm::to_string(tier)), tier);
+  }
+  // The translation-block tiers are gone; their names must not parse.
+  EXPECT_THROW(farm::parse_engine("tb"), std::invalid_argument);
+  EXPECT_THROW(farm::parse_engine("tb+tlb"), std::invalid_argument);
 }
 
 }  // namespace

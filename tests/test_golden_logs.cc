@@ -112,29 +112,23 @@ TEST(GoldenLogs, Fig9PocCase3Sequence) {
 }
 
 TEST(GoldenLogs, InterpretiveAblationIsBitForBitIdentical) {
-  // Six engine configurations must produce the same full analysis log of
+  // Every engine configuration must produce the same full analysis log of
   // a case study line for line — not just the same milestones:
-  //   * the seed interpretive engine (`use_tb_cache=false`, TLB off),
-  //   * the TB-cache engine with the software TLB disabled,
-  //   * the TB-cache engine with the software TLB enabled,
-  //   * the threaded micro-op tier on top of both (production default),
-  //   * the template JIT on top of everything — on x86-64 the case study's
-  //     taint-live blocks run the taint-fused *traced* host stream (Table V
-  //     transfers inlined over the raw label file), which the counter check
-  //     below proves actually executed,
+  //   * the interpreter (the paper-faithful oracle, software TLB off),
+  //   * the threaded micro-op tier (production default),
+  //   * the template JIT — on x86-64 the case study's taint-live blocks run
+  //     the taint-fused *traced* host stream (Table V transfers inlined over
+  //     the raw label file), which the counter check below proves actually
+  //     executed,
   //   * the same JIT in strict W^X mode (dual-stream arena under the
   //     RW<->RX rewrite protocol).
   struct CaseRun {
     std::vector<std::string> lines;
     u64 jit_traced_blocks = 0;
   };
-  auto run_case = [](bool use_tb, bool use_tlb, bool use_threaded,
-                     bool use_jit, bool wx = false) {
+  auto run_case = [](arm::Engine engine, bool wx = false) {
     Device device;
-    device.cpu.set_use_tb_cache(use_tb);
-    device.cpu.set_threaded_enabled(use_threaded);
-    device.memory.set_tlb_enabled(use_tlb);
-    device.cpu.set_jit_enabled(use_jit);
+    device.cpu.set_engine(engine);
     if (wx) device.cpu.set_jit_config(1u << 20, /*wx=*/true);
     NDroid nd(device);
     const auto app = apps::build_case2(device);
@@ -142,35 +136,27 @@ TEST(GoldenLogs, InterpretiveAblationIsBitForBitIdentical) {
     return CaseRun{nd.log().lines(), device.cpu.jit_traced_blocks()};
   };
   const std::vector<std::string> interp_log =
-      run_case(false, false, false, false).lines;
+      run_case(arm::Engine::kInterp).lines;
   ASSERT_FALSE(interp_log.empty());
   struct Tier {
-    bool use_tlb;
-    bool use_threaded;
-    bool use_jit;
+    arm::Engine engine;
     bool wx;
+    const char* name;
   };
-  for (const Tier tier :
-       {Tier{false, false, false, false}, Tier{true, false, false, false},
-        Tier{true, true, false, false}, Tier{true, true, true, false},
-        Tier{true, true, true, true}}) {
-    const CaseRun run =
-        run_case(true, tier.use_tlb, tier.use_threaded, tier.use_jit,
-                 tier.wx);
-    ASSERT_EQ(run.lines.size(), interp_log.size())
-        << "tlb=" << tier.use_tlb << " threaded=" << tier.use_threaded
-        << " jit=" << tier.use_jit << " wx=" << tier.wx;
+  for (const Tier tier : {Tier{arm::Engine::kThreaded, false, "threaded"},
+                          Tier{arm::Engine::kJit, false, "jit"},
+                          Tier{arm::Engine::kJit, true, "jit W^X"}}) {
+    const CaseRun run = run_case(tier.engine, tier.wx);
+    ASSERT_EQ(run.lines.size(), interp_log.size()) << tier.name;
     for (std::size_t i = 0; i < run.lines.size(); ++i) {
       EXPECT_EQ(run.lines[i], interp_log[i])
-          << "tlb=" << tier.use_tlb << " threaded=" << tier.use_threaded
-          << " jit=" << tier.use_jit << " wx=" << tier.wx
-          << ", first divergence at line " << i;
+          << tier.name << ", first divergence at line " << i;
     }
     // Identical logs only attest the traced JIT when it actually ran:
     // taint-live stretches of the case study must have executed the
     // taint-fused host stream, not fallen back wholesale.
-    if (tier.use_jit && arm::Cpu::jit_available()) {
-      EXPECT_GT(run.jit_traced_blocks, 0u) << "wx=" << tier.wx;
+    if (tier.engine == arm::Engine::kJit && arm::Cpu::jit_available()) {
+      EXPECT_GT(run.jit_traced_blocks, 0u) << tier.name;
     }
   }
 }

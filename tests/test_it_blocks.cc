@@ -1,8 +1,8 @@
 // Thumb IT-block semantics: decode, ITSTATE advance, flag suppression, and
 // — the regression this file exists for — a conditional branch *inside* an
 // IT block, where the unconditional branch encoding executes conditionally.
-// Every behavioural case runs on both execution engines (interpretive and
-// translation-block) and must agree bit for bit; the static CFG lifter's
+// Every behavioural case runs on both the interpreter and the threaded
+// tier and must agree bit for bit; the static CFG lifter's
 // successor semantics for IT'd branches are cross-checked in
 // test_static_cfg.cc against the same executor.
 #include <gtest/gtest.h>
@@ -59,7 +59,7 @@ class ItFixture : public ::testing::TestWithParam<bool> {
     map_.add("code", kCode, 0x4000, mem::kRX);
     map_.add("[stack]", 0x70000, 0x10000, mem::kRW);
     cpu_.set_initial_sp(0x80000);
-    cpu_.set_use_tb_cache(GetParam());
+    cpu_.set_engine(GetParam() ? Engine::kThreaded : Engine::kInterp);
   }
 
   u32 run(ThumbAssembler& a, const std::vector<u32>& args = {}) {
@@ -194,10 +194,10 @@ TEST_P(ItFixture, MixedThenElseArithmetic) {
 
 INSTANTIATE_TEST_SUITE_P(Engines, ItFixture, ::testing::Values(false, true),
                          [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "TbCache" : "Interpretive";
+                           return info.param ? "Threaded" : "Interpretive";
                          });
 
-/// Both engines must retire identical architectural state for an IT-heavy
+/// Both tiers must retire identical architectural state for an IT-heavy
 /// function — the same bit-for-bit contract the golden-log tests pin for
 /// the tracer.
 TEST(ItEngineAgreement, RegisterFileMatches) {
@@ -211,7 +211,7 @@ TEST(ItEngineAgreement, RegisterFileMatches) {
       map.add("code", 0x10000, 0x4000, mem::kRX);
       map.add("[stack]", 0x70000, 0x10000, mem::kRW);
       cpu.set_initial_sp(0x80000);
-      cpu.set_use_tb_cache(engine == 1);
+      cpu.set_engine(engine == 1 ? Engine::kThreaded : Engine::kInterp);
       ThumbAssembler a(0x10000);
       ThumbLabel odd, join;
       a.push({R(4), LR});

@@ -2,9 +2,9 @@
 // (compile + link + patch counters), the stale-chain hazard under emitted
 // code (a self-modifying store into a *linked successor* must void the
 // patched host edge), code-arena exhaustion (flush-and-recompile at the
-// trampoline safe point), strict W^X mode, and ablation parity with the
-// threaded tier. Hosts without host-code emission exercise the degrade
-// path: set_jit_enabled is a no-op and everything rides the threaded tier.
+// dispatch-loop safe point), strict W^X mode, and parity with the threaded
+// tier. Hosts without host-code emission exercise the degrade path:
+// set_engine(kJit) records kThreaded and everything rides the threaded tier.
 #include <gtest/gtest.h>
 
 #include "arm/assembler.h"
@@ -34,8 +34,7 @@ class JitFixture : public ::testing::Test {
     map_.add("data", 0x20000, 0x8000, mem::kRW);
     map_.add("[stack]", 0x70000, 0x10000, mem::kRW);
     cpu_.set_initial_sp(0x80000);
-    mem_.set_tlb_enabled(true);
-    cpu_.set_jit_enabled(true);
+    cpu_.set_engine(arm::Engine::kJit);
   }
 
   u32 run(Assembler& a, const std::vector<u32>& args = {}) {
@@ -81,17 +80,31 @@ class JitFixture : public ::testing::Test {
 };
 
 TEST_F(JitFixture, UnavailableHostDegradesToThreaded) {
-  // Meaningful on NDROID_NO_JIT / non-x86-64 builds, a tautology otherwise:
-  // the enable flag only ever arms when host code can actually run.
+  // The jit tier is only ever recorded where host code can actually run;
+  // NDROID_NO_JIT / non-x86-64 builds get the threaded tier instead.
   if (!Cpu::jit_available()) {
-    EXPECT_FALSE(cpu_.jit_enabled());
+    EXPECT_EQ(cpu_.engine(), arm::Engine::kThreaded);
     Assembler a(kCode);
     emit_workload(a);
     EXPECT_EQ(run(a, {100}), 800u);
     EXPECT_EQ(core::collect_perf(cpu_).jit_blocks, 0u);
   } else {
-    EXPECT_TRUE(cpu_.jit_enabled());
+    EXPECT_EQ(cpu_.engine(), arm::Engine::kJit);
   }
+}
+
+TEST(Engine, SetEngineRecordsTierAndCouplesTlb) {
+  mem::AddressSpace mem;
+  mem::MemoryMap map;
+  Cpu cpu(mem, map);
+  EXPECT_EQ(cpu.engine(), arm::Engine::kThreaded);  // production default
+  cpu.set_engine(arm::Engine::kInterp);
+  EXPECT_EQ(cpu.engine(), arm::Engine::kInterp);
+  EXPECT_FALSE(mem.tlb_enabled());  // the oracle walks the page directory
+  cpu.set_engine(arm::Engine::kJit);
+  EXPECT_EQ(cpu.engine(), Cpu::jit_available() ? arm::Engine::kJit
+                                               : arm::Engine::kThreaded);
+  EXPECT_TRUE(mem.tlb_enabled());
 }
 
 TEST_F(JitFixture, HotLoopCompilesAndFollowsHostLinks) {
@@ -180,25 +193,25 @@ TEST_F(JitFixture, StrictWxModeExecutes) {
   EXPECT_GT(core::collect_perf(cpu_).jit_blocks, 0u);
 }
 
-TEST_F(JitFixture, AblationMatchesThreadedTier) {
+TEST_F(JitFixture, ThreadedTierMatchesJit) {
   Assembler a(kCode);
   emit_workload(a);
   const u32 jit_result = run(a, {123});
 
-  cpu_.set_jit_enabled(false);
+  cpu_.set_engine(arm::Engine::kThreaded);
   const u64 links_before = core::collect_perf(cpu_).jit_links;
   const u32 threaded_result = cpu_.call_function(kCode, {123});
   EXPECT_EQ(threaded_result, jit_result);
-  // The disabled tier must not touch the host-linking machinery at all.
+  // The threaded tier must not touch the host-linking machinery at all.
   EXPECT_EQ(core::collect_perf(cpu_).jit_links, links_before);
 
-  cpu_.set_jit_enabled(true);
+  cpu_.set_engine(arm::Engine::kJit);
   EXPECT_EQ(cpu_.call_function(kCode, {123}), jit_result);
 }
 
 TEST_F(JitFixture, UnfusedHooksFallBackToThreadedAndFireExactly) {
   // A raw (un-fused) instruction hook has no TraceEmitter or TaintJitView
-  // behind it, so emitted code cannot reproduce it: the trampoline must
+  // behind it, so emitted code cannot reproduce it: the dispatch loop must
   // route every hooked dispatch off the jit tier to the threaded streams
   // (per-instruction semantics), recording the detour in the fallback
   // counter. Only the fused single-hook analysis shape (below) earns the
@@ -238,7 +251,7 @@ struct TaintRun {
 TaintRun run_tainted_copy(bool jit, u32 n, std::size_t arena_bytes = 0,
                           u32 pad = 0) {
   android::Device device("jit-traced-test");
-  device.cpu.set_jit_enabled(jit);
+  device.cpu.set_engine(jit ? arm::Engine::kJit : arm::Engine::kThreaded);
   if (arena_bytes != 0) {
     device.cpu.set_jit_config(arena_bytes, /*wx=*/false);
   }

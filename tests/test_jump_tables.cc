@@ -38,7 +38,7 @@ class JumpTableFixture : public ::testing::TestWithParam<bool> {
     map_.add("code", kCode, kCodeSize, mem::kRX);
     map_.add("[stack]", 0x70000, 0x10000, mem::kRW);
     cpu_.set_initial_sp(0x80000);
-    cpu_.set_use_tb_cache(GetParam());
+    cpu_.set_engine(GetParam() ? arm::Engine::kThreaded : arm::Engine::kInterp);
   }
 
   sa::Program lift(const std::vector<u8>& image,
@@ -264,7 +264,7 @@ TEST_P(JumpTableFixture, BlxThroughRegisterBecomesCallEdge) {
 INSTANTIATE_TEST_SUITE_P(Engines, JumpTableFixture,
                          ::testing::Values(false, true),
                          [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "TbCache" : "Interpretive";
+                           return info.param ? "Threaded" : "Interpretive";
                          });
 
 }  // namespace

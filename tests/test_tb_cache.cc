@@ -1,6 +1,6 @@
 // Translation-block cache: invalidation (self-modifying code, explicit
-// flush, helper registration), engine equivalence (TB vs. the seed
-// interpretive path, including the fused handlers), the Thumb decode-cache
+// flush, helper registration), engine equivalence (block tiers vs. the
+// interpreter, including the dense micro-op shapes), the Thumb decode-cache
 // key, and the taint-liveness fast path (skip while clean, resume the first
 // instruction after taint appears, counters exposed via core/report).
 #include <gtest/gtest.h>
@@ -179,8 +179,9 @@ TEST_F(TbCacheFixture, RegisterHelperInvalidatesCoveredBlock) {
 }
 
 TEST_F(TbCacheFixture, InterpretiveAblationMatchesTbEngine) {
-  // One program, both engines, bit-identical outputs — covers the fused
-  // handlers (add/sub/cmp/mov/flag shapes) against the general executor.
+  // One program, both engines, bit-identical outputs — covers the dense
+  // micro-op shapes (add/sub/cmp/mov/flag shapes) against the general
+  // executor.
   auto program = [](Assembler& a) {
     Label loop, done, skip;
     a.mov_imm(R(1), 0);
@@ -191,9 +192,9 @@ TEST_F(TbCacheFixture, InterpretiveAblationMatchesTbEngine) {
     a.add(R(1), R(1), R(0));
     a.eor(R(1), R(1), R(2));
     a.sub_imm(R(2), R(2), 7);
-    a.add(R(3), R(1), R(2), /*s=*/true);  // fused flag-setting add
+    a.add(R(3), R(1), R(2), /*s=*/true);  // dense flag-setting add
     a.b(skip, Cond::kVS);
-    a.sub(R(3), R(3), R(1), /*s=*/true);  // fused flag-setting sub
+    a.sub(R(3), R(3), R(1), /*s=*/true);  // dense flag-setting sub
     a.bind(skip);
     a.orr(R(1), R(1), R(3));
     a.sub_imm(R(0), R(0), 1);
@@ -213,7 +214,7 @@ TEST_F(TbCacheFixture, InterpretiveAblationMatchesTbEngine) {
   map2.add("code", kCode, 0x4000, mem::kRWX);
   map2.add("[stack]", 0x70000, 0x10000, mem::kRW);
   interp.set_initial_sp(0x80000);
-  interp.set_use_tb_cache(false);
+  interp.set_engine(arm::Engine::kInterp);
   Assembler b(kCode);
   program(b);
   mem2.write_bytes(kCode, b.finish());
@@ -300,12 +301,13 @@ TEST(TbCacheLiveness, PropagationResumesFirstInstructionAfterTaint) {
 }
 
 TEST(TbCacheLiveness, TaintedResultMatchesInterpretiveEngine) {
-  // Propagation through the TB engine (fused handlers + per-block hook
-  // resolution) must match the seed interpretive engine exactly.
+  // Propagation through the threaded tier (fused trace streams + per-block
+  // hook resolution) must match the interpreter exactly.
   auto run_once = [](bool use_tb) {
     android::Device device("tb-eq");
     apps::CfBenchApp bench(device);
-    device.cpu.set_use_tb_cache(use_tb);
+    device.cpu.set_engine(use_tb ? arm::Engine::kThreaded
+                                 : arm::Engine::kInterp);
     core::NDroid nd(device);
     nd.taint_engine().set_reg(4, 0x2);
     const auto* w = bench.find("Native MIPS");

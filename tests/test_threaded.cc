@@ -1,8 +1,8 @@
 // Threaded-code execution tier: direct block linking (patch + follow
 // counters), the stale-chain hazard (a self-modifying store into a *linked
-// successor* must void the patched edge, not just the block), ablation
-// parity with the per-instruction TB path, and gate interaction (clean
-// blocks keep the zero-hook fast path inside the threaded loop).
+// successor* must void the patched edge, not just the block), parity with
+// the interpreter oracle, and gate interaction (clean blocks keep the
+// zero-hook fast path inside the threaded loop).
 #include <gtest/gtest.h>
 
 #include "arm/assembler.h"
@@ -54,7 +54,7 @@ class ThreadedFixture : public ::testing::Test {
 };
 
 TEST_F(ThreadedFixture, HotLoopPatchesAndFollowsDirectLinks) {
-  ASSERT_TRUE(cpu_.threaded_enabled());  // production default
+  ASSERT_EQ(cpu_.engine(), arm::Engine::kThreaded);  // production default
   Assembler a(kCode);
   Label loop, done;
   a.mov_imm(R(1), 0);
@@ -146,7 +146,7 @@ TEST_F(ThreadedFixture, FlushBlocksTearsDownPatchedEdges) {
   EXPECT_GT(perf.tb_flushes, 0u);
 }
 
-TEST_F(ThreadedFixture, AblationMatchesPerInstructionTbTier) {
+TEST_F(ThreadedFixture, InterpreterMatchesThreadedTier) {
   Assembler a(kCode);
   Label loop, done;
   a.mov_imm(R(1), 7);
@@ -164,21 +164,20 @@ TEST_F(ThreadedFixture, AblationMatchesPerInstructionTbTier) {
   a.ret();
   const u32 threaded_result = run(a, {37});
 
-  cpu_.set_threaded_enabled(false);  // PR-5 tier for ablation
+  cpu_.set_engine(arm::Engine::kInterp);
   const u64 links_before = core::collect_perf(cpu_).threaded_links;
-  const u32 tb_result = cpu_.call_function(kCode, {37});
-  EXPECT_EQ(tb_result, threaded_result);
-  // The disabled tier must not touch the linking machinery at all.
+  EXPECT_EQ(cpu_.call_function(kCode, {37}), threaded_result);
+  // The interpreter must not touch the linking machinery at all.
   EXPECT_EQ(core::collect_perf(cpu_).threaded_links, links_before);
 
-  cpu_.set_threaded_enabled(true);
+  cpu_.set_engine(arm::Engine::kThreaded);
   EXPECT_EQ(cpu_.call_function(kCode, {37}), threaded_result);
 }
 
 TEST_F(ThreadedFixture, GatedHooksStayFastpathInsideThreadedLoop) {
   // A gated hook with an always-false block gate: the threaded loop must
   // keep executing the clean (hook-free) uop streams and account the
-  // skipped blocks, exactly like exec_block's fast path.
+  // skipped blocks.
   u64 fired = 0;
   cpu_.add_insn_hook(
       [&fired](Cpu&, const arm::Insn&, GuestAddr) { ++fired; },

@@ -5,12 +5,10 @@ namespace ndroid::android {
 Device::Device(std::string app_name, taintdroid::DeviceIdentity identity)
     : cpu(memory, memmap),
       kernel(memory, memmap),
-      dvm(cpu, Layout::kLibdvm, Layout::kLibdvmSize, Layout::kDalvikHeap,
-          Layout::kDalvikHeapSize, Layout::kDalvikStack,
-          Layout::kDalvikStackSize),
+      dvm(cpu, Layout::kDalvikHeap, Layout::kDalvikHeapSize,
+          Layout::kDalvikStack, Layout::kDalvikStackSize),
       jni(dvm, kernel),
-      libc(cpu, kernel, Layout::kLibc, Layout::kLibcSize, Layout::kLibm,
-           Layout::kLibmSize),
+      libc(cpu, kernel),
       framework(dvm, kernel, std::move(identity)) {
   memmap.add("[native-stack]", Layout::kNativeStack, Layout::kNativeStackSize,
              mem::kRW);

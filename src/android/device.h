@@ -27,12 +27,13 @@ struct Layout {
   static constexpr u32 kDalvikHeapSize = 0x01000000;
   static constexpr GuestAddr kDalvikStack = 0x38000000;
   static constexpr u32 kDalvikStackSize = 0x00100000;
-  static constexpr GuestAddr kLibdvm = 0x40000000;
-  static constexpr u32 kLibdvmSize = 0x00040000;
-  static constexpr GuestAddr kLibc = 0x40100000;
-  static constexpr u32 kLibcSize = 0x00020000;
-  static constexpr GuestAddr kLibm = 0x40200000;
-  static constexpr u32 kLibmSize = 0x00010000;
+  // System libraries: fixed by their once-per-process images.
+  static constexpr GuestAddr kLibdvm = dvm::kLibdvmBase;
+  static constexpr u32 kLibdvmSize = dvm::kLibdvmSize;
+  static constexpr GuestAddr kLibc = libc::kLibcBase;
+  static constexpr u32 kLibcSize = libc::kLibcSize;
+  static constexpr GuestAddr kLibm = libc::kLibmBase;
+  static constexpr u32 kLibmSize = libc::kLibmSize;
   static constexpr GuestAddr kNativeStack = 0xBE000000;
   static constexpr u32 kNativeStackSize = 0x00100000;
 };

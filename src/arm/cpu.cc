@@ -7,21 +7,34 @@
 
 namespace ndroid::arm {
 
+namespace {
+
+/// Decode cache, keyed by instruction word + mode and never the address:
+/// decoding is a pure function of (word, mode), so the cache is safe under
+/// self-modifying code and shared by every Cpu on a host thread. 16-bit
+/// Thumb encodings key on their own halfword alone; only 32-bit Thumb-2
+/// encodings include the second halfword.
+struct DecodeEntry {
+  u64 key = ~0ull;
+  Insn insn;
+};
+constexpr u32 kDecodeCacheBits = 14;
+/// Allocated on the thread's first decode, so a Device that never runs
+/// guest code on a thread costs that thread nothing.
+thread_local std::unique_ptr<DecodeEntry[]> t_decode_cache;
+
+}  // namespace
+
 Cpu::Cpu(mem::AddressSpace& memory, mem::MemoryMap& memmap)
     : memory_(memory), memmap_(memmap) {
   // Self-modifying-code safety: any write into a page holding cached code
   // (guest store or host-side image load) kills the blocks it intersects.
+  // The TB cache watches exactly the pages its blocks cover.
   memory_.set_write_watch(
-      tb_cache_.code_page_bitmap(),
       [this](GuestAddr addr, u32 len) { tb_cache_.invalidate_range(addr, len); });
-  // And the TLB half of that contract: when cached code first lands on a
-  // page, any write-TLB entry cached while the page was unwatched must go,
-  // or stores through it would bypass the watch (see address_space.h).
-  tb_cache_.set_watch_armed_notifier(
-      [this](u32 page) { memory_.tlb_invalidate_write_page(page); });
 }
 
-Cpu::~Cpu() { memory_.set_write_watch(nullptr, {}); }
+Cpu::~Cpu() { memory_.set_write_watch({}); }
 
 int Cpu::add_insn_hook(InsnHook hook, bool gated) {
   const int id = next_hook_id_++;
@@ -107,10 +120,13 @@ void Cpu::fire_branch_hooks(GuestAddr from, GuestAddr to) {
 
 const Insn& Cpu::decode_cached(u64 key, u32 word, u16 hw2) {
   ++decode_lookups_;
+  if (t_decode_cache == nullptr) [[unlikely]] {
+    t_decode_cache = std::make_unique<DecodeEntry[]>(1u << kDecodeCacheBits);
+  }
   const u32 index =
       static_cast<u32>((key * 0x9E3779B97F4A7C15ull) >>
                        (64 - kDecodeCacheBits));
-  DecodeEntry& entry = decode_cache_[index];
+  DecodeEntry& entry = t_decode_cache[index];
   if (entry.key != key) {
     entry.insn = (key >> 62) == 2 ? decode_thumb(static_cast<u16>(word), hw2)
                                   : decode_arm(word);
@@ -158,7 +174,9 @@ void Cpu::step() {
   // for ordinary guest code unless a helper shadows a low address.
   if ((pc >= kHelperWindowBase || has_low_helpers_) && run_helper(pc)) return;
 
-  const Insn& insn = fetch_decode(pc, state_.thumb);
+  // A copy: a hook may run guest code (on any Cpu of this thread) that
+  // evicts the thread's decode-cache entry.
+  const Insn insn = fetch_decode(pc, state_.thumb);
 
   for (auto& h : insn_hooks_) h.fn(*this, insn, pc);
 

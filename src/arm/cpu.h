@@ -156,8 +156,12 @@ class Cpu {
   void register_helper(GuestAddr addr, Helper helper);
 
   /// Registers a helper at the next free address in the helper window
-  /// (0xF0000000+) and returns that address.
+  /// (0xF0000000+, 4 bytes apart in registration order) and returns that
+  /// address.
   GuestAddr register_helper_auto(Helper helper);
+
+  /// The address the next register_helper_auto call will return.
+  [[nodiscard]] GuestAddr next_helper_addr() const { return next_helper_addr_; }
 
   void set_svc_handler(SvcHandler handler) { svc_handler_ = std::move(handler); }
 
@@ -262,7 +266,9 @@ class Cpu {
     return jit_fallback_blocks_;
   }
 
-  /// Decode-cache statistics (shared by every engine).
+  /// Decode-cache statistics of this Cpu's lookups (shared by every
+  /// engine). The cache itself is per host thread, so a hit may reuse a
+  /// decode another Cpu on the same thread made.
   [[nodiscard]] u64 decode_lookups() const { return decode_lookups_; }
   [[nodiscard]] u64 decode_hits() const { return decode_hits_; }
 
@@ -326,21 +332,11 @@ class Cpu {
   mem::MemoryMap& memmap_;
   CPUState state_{};
 
-  /// Decode cache (keyed by instruction word + mode, never the address:
-  /// decoding is address-independent, so the cache is safe under
-  /// self-modifying code). 16-bit Thumb encodings key on their own halfword
-  /// alone; only 32-bit Thumb-2 encodings include the second halfword.
-  struct DecodeEntry {
-    u64 key = ~0ull;
-    Insn insn;
-  };
-  static constexpr u32 kDecodeCacheBits = 14;
+  /// Decodes through the calling thread's decode cache (cpu.cc). The
+  /// returned reference is valid until the thread's next decode.
   const Insn& decode_cached(u64 key, u32 word, u16 hw2);
   /// Fetches and decodes the instruction at `pc` in the current mode.
   const Insn& fetch_decode(GuestAddr pc, bool thumb);
-
-  std::vector<DecodeEntry> decode_cache_ =
-      std::vector<DecodeEntry>(1u << kDecodeCacheBits);
 
   std::vector<HookEntry> insn_hooks_;
   int gated_hooks_ = 0;
@@ -378,7 +374,7 @@ class Cpu {
   /// Lazily created on the first jit dispatch; owns the code arena. Lives
   /// behind a pointer so non-jit configurations pay nothing.
   std::unique_ptr<JitEngine> jit_engine_;
-  TbCache tb_cache_;
+  TbCache tb_cache_{memory_};
   /// Direct-mapped raw-pointer front over the TB cache: a hit costs one
   /// probe and no shared_ptr refcount traffic. Entries are tagged with the
   /// cache version so every invalidation voids them wholesale; pointers stay

@@ -4,8 +4,6 @@
 
 namespace ndroid::arm {
 
-TbCache::TbCache() : code_pages_(1u << (32 - kPageShift), 0) {}
-
 std::shared_ptr<TranslationBlock> TbCache::lookup(GuestAddr pc, bool thumb) {
   ++lookups_;
   auto it = blocks_.find(key(pc, thumb));
@@ -21,13 +19,11 @@ void TbCache::insert(std::shared_ptr<TranslationBlock> tb) {
       (tb->pc + (tb->byte_length == 0 ? 0 : tb->byte_length - 1)) >>
       kPageShift;
   for (u32 page = first_page; page <= last_page; ++page) {
-    page_blocks_[page].push_back(tb.get());
-    if (code_pages_[page] == 0) {
-      code_pages_[page] = 1;
-      // The page just became write-watched; any write-TLB entry cached for
-      // it while unwatched must be dropped (see set_watch_armed_notifier).
-      if (watch_armed_) watch_armed_(page);
-    }
+    std::vector<TranslationBlock*>& list = page_blocks_[page];
+    list.push_back(tb.get());
+    // First block on the page: watch it (which also drops any write-TLB
+    // entry cached while the page was unwatched).
+    if (list.size() == 1) memory_.set_page_watched(page, true);
   }
   blocks_[key(tb->pc, tb->thumb)] = std::move(tb);
 }
@@ -55,7 +51,7 @@ void TbCache::kill_block(TranslationBlock* tb) {
     std::erase(pit->second, tb);
     if (pit->second.empty()) {
       page_blocks_.erase(pit);
-      code_pages_[page] = 0;
+      memory_.set_page_watched(page, false);
     }
   }
 }
@@ -88,7 +84,13 @@ void TbCache::flush() {
     graveyard_.push_back(std::move(tb));
   }
   blocks_.clear();
-  for (auto& [page, list] : page_blocks_) code_pages_[page] = 0;
+  unwatch_all();
+}
+
+void TbCache::unwatch_all() {
+  for (const auto& [page, list] : page_blocks_) {
+    memory_.set_page_watched(page, false);
+  }
   page_blocks_.clear();
 }
 

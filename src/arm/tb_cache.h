@@ -10,20 +10,22 @@
 // (the taint-liveness fast path).
 //
 // Invalidation rules (self-modifying code, dlopen, register_helper):
-//  * every page covered by a cached block is marked in a code-page bitmap;
-//  * the guest address space consults the bitmap on writes and reports hits
-//    back (see AddressSpace::set_write_watch), which kills every block
-//    intersecting the written range — including a block that rewrites
-//    itself mid-execution (`dead` is checked by the block executor);
+//  * a page is write-watched in the guest address space while at least one
+//    cached block covers it (AddressSpace::set_page_watched: armed when the
+//    first block lands there, disarmed when the last one dies);
+//  * the address space reports writes to watched pages back (see
+//    AddressSpace::set_write_watch), which kills every block intersecting
+//    the written range — including a block that rewrites itself
+//    mid-execution (`dead` is checked by the block executor);
 //  * flush() drops everything (used when hook topology changes).
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "arm/insn.h"
+#include "mem/address_space.h"
 
 namespace ndroid::arm {
 
@@ -94,14 +96,16 @@ class TbCache {
     return static_cast<u64>(pc) | (static_cast<u64>(thumb) << 32);
   }
 
-  TbCache();
+  /// Blocks are translated from (and their pages watched in) `memory`.
+  explicit TbCache(mem::AddressSpace& memory) : memory_(memory) {}
+  ~TbCache() { unwatch_all(); }
   TbCache(const TbCache&) = delete;
   TbCache& operator=(const TbCache&) = delete;
 
   [[nodiscard]] std::shared_ptr<TranslationBlock> lookup(GuestAddr pc,
                                                          bool thumb);
 
-  /// Registers a freshly translated block and marks its code pages.
+  /// Registers a freshly translated block and watches its code pages.
   void insert(std::shared_ptr<TranslationBlock> tb);
 
   /// Kills every cached block intersecting [addr, addr+len).
@@ -141,23 +145,6 @@ class TbCache {
     hits_ += n;
   }
 
-  /// Page-granular bitmap of pages holding cached code; the address space
-  /// checks it on every write (one byte per 4 KiB page over 4 GiB).
-  [[nodiscard]] const u8* code_page_bitmap() const {
-    return code_pages_.data();
-  }
-
-  /// Called with the page number whenever a code-page bit arms (0 -> 1) —
-  /// i.e. the first time cached code lands on a page. The Cpu routes this
-  /// to AddressSpace::tlb_invalidate_write_page: a store entry cached while
-  /// the page was unwatched must not keep bypassing the write watch, or
-  /// self-modifying-code invalidation would silently stop firing for that
-  /// page. Clearing a bit needs no notification (the slow path just
-  /// re-checks the bitmap; a stale "uncached" entry only costs a refill).
-  void set_watch_armed_notifier(std::function<void(u32 page)> notifier) {
-    watch_armed_ = std::move(notifier);
-  }
-
   // --- Statistics ------------------------------------------------------
   [[nodiscard]] u64 lookups() const { return lookups_; }
   [[nodiscard]] u64 hits() const { return hits_; }
@@ -172,14 +159,17 @@ class TbCache {
 
  private:
   void kill_block(TranslationBlock* tb);
+  /// Disarms every watched code page and forgets the page lists.
+  void unwatch_all();
 
+  mem::AddressSpace& memory_;
   std::unordered_map<u64, std::shared_ptr<TranslationBlock>> blocks_;
+  /// Live blocks per code page; a page is watched exactly while it has an
+  /// entry here.
   std::unordered_map<u32, std::vector<TranslationBlock*>> page_blocks_;
-  std::vector<u8> code_pages_;
   /// Killed blocks parked until the executor is provably outside them.
   std::vector<std::shared_ptr<TranslationBlock>> graveyard_;
   u64 version_ = 0;
-  std::function<void(u32 page)> watch_armed_;
 
   u64 lookups_ = 0;
   u64 hits_ = 0;

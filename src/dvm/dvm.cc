@@ -1,5 +1,7 @@
 #include "dvm/dvm.h"
 
+#include <stdexcept>
+
 #include "arm/assembler.h"
 
 namespace ndroid::dvm {
@@ -13,19 +15,20 @@ constexpr u32 kFidStatic = 12;
 constexpr u32 kFidSize = 16;
 }  // namespace
 
-Dvm::Dvm(arm::Cpu& cpu, GuestAddr libdvm_base, u32 libdvm_size,
-         GuestAddr heap_base, u32 heap_size, GuestAddr stack_base,
-         u32 stack_size)
+Dvm::Dvm(arm::Cpu& cpu, GuestAddr heap_base, u32 heap_size,
+         GuestAddr stack_base, u32 stack_size)
     : cpu_(cpu),
       heap_(cpu.memory(), heap_base, heap_size),
       stack_(cpu.memory(), stack_base, stack_size) {
-  cpu_.memmap().add("libdvm.so", libdvm_base, libdvm_size, mem::kRWX);
+  cpu_.memmap().add("libdvm.so", kLibdvmBase, kLibdvmSize, mem::kRWX);
   cpu_.memmap().add("[dalvik-heap]", heap_base, heap_size, mem::kRW);
   cpu_.memmap().add("[dalvik-stack]", stack_base, stack_size, mem::kRW);
 
-  build_stubs(libdvm_base, libdvm_size);
-  thread_self_addr_ = data_alloc(32);
-  string_class_ = define_class("Ljava/lang/String;");
+  const DvmImage& img = image();
+  load_image(img.libdvm);
+  bind_helpers();
+  thread_self_addr_ = img.thread_self;
+  string_class_ = add_class("Ljava/lang/String;", img.string_mirror);
 }
 
 // ---------------------------------------------------------------------------
@@ -34,27 +37,131 @@ Dvm::Dvm(arm::Cpu& cpu, GuestAddr libdvm_base, u32 libdvm_size,
 // multilevel hooking sees the full branch chain (paper Fig. 5).
 // ---------------------------------------------------------------------------
 
-void Dvm::build_stubs(GuestAddr base, u32 size) {
-  stub_bump_ = base;
-  stub_end_ = base + 0x8000;
-  data_bump_ = base + 0x8000;
-  data_end_ = base + size;
+GuestAddr LibdvmArena::stub(mem::AddressSpace& memory,
+                            std::span<const u8> code) {
+  const GuestAddr addr = stub_bump;
+  if (addr + code.size() > stub_end) {
+    throw GuestFault("libdvm stub space exhausted");
+  }
+  memory.write_bytes(addr, code);
+  stub_bump += (static_cast<u32>(code.size()) + 3) & ~3u;
+  return addr;
+}
 
-  const GuestAddr h_jni = cpu_.register_helper_auto(
-      [this](arm::Cpu& c) { helper_call_jni_method(c); });
-  const GuestAddr h_prep_v = cpu_.register_helper_auto(
-      [this](arm::Cpu& c) { helper_call_method_prepare(c, 'V'); });
-  const GuestAddr h_prep_a = cpu_.register_helper_auto(
-      [this](arm::Cpu& c) { helper_call_method_prepare(c, 'A'); });
-  const GuestAddr h_interp = cpu_.register_helper_auto(
-      [this](arm::Cpu& c) { helper_interpret(c); });
-  const GuestAddr h_finish = cpu_.register_helper_auto(
-      [this](arm::Cpu& c) { helper_call_method_finish(c); });
+GuestAddr LibdvmArena::data(u32 size) {
+  const GuestAddr addr = data_bump;
+  data_bump += (size + 3) & ~3u;
+  if (data_bump > data_end) throw GuestFault("libdvm data space exhausted");
+  return addr;
+}
 
-  auto simple_stub = [&](const std::string& name, GuestAddr helper) {
+GuestAddr LibdvmArena::cstr(mem::AddressSpace& memory, std::string_view s) {
+  const GuestAddr addr = data(static_cast<u32>(s.size()) + 1);
+  memory.write_cstr(addr, s);
+  return addr;
+}
+
+GuestAddr LibdvmArena::class_mirror(mem::AddressSpace& memory,
+                                    std::string_view descriptor) {
+  const GuestAddr mirror = data(8);
+  memory.write32(mirror, cstr(memory, descriptor));
+  memory.write32(mirror + 4, 0);
+  return mirror;
+}
+
+const DvmImage& Dvm::image() {
+  static const DvmImage image = emit_image();
+  return image;
+}
+
+void Dvm::load_image(const LibdvmImage& image) {
+  if (image_ != nullptr && arena_ != image_->arena) {
+    throw std::logic_error("libdvm.so was extended since its image loaded");
+  }
+  image.pages.stamp(cpu_.memory());
+  arena_ = image.arena;
+  image_ = &image;
+}
+
+// Registers the helper closures in the order emit_image() reserved them.
+void Dvm::bind_helpers() {
+  const arm::HelperTable& t = image().helpers;
+  auto bind = [&](std::string_view name, arm::Helper h) {
+    arm::bind_helper(cpu_, t, name, std::move(h));
+  };
+  bind("dvmCallJNIMethod",
+       [this](arm::Cpu& c) { helper_call_jni_method(c); });
+  bind("dvmCallMethodV.prepare",
+       [this](arm::Cpu& c) { helper_call_method_prepare(c, 'V'); });
+  bind("dvmCallMethodA.prepare",
+       [this](arm::Cpu& c) { helper_call_method_prepare(c, 'A'); });
+  bind("dvmInterpret", [this](arm::Cpu& c) { helper_interpret(c); });
+  bind("dvmCallMethod.finish",
+       [this](arm::Cpu& c) { helper_call_method_finish(c); });
+
+  // Memory allocation functions (MAF, Table III).
+  bind("dvmAllocObject", [this](arm::Cpu& c) {
+    ClassObject* cls = class_at(c.state().regs[0]);
+    Object* obj = heap_.new_instance(cls);
+    c.state().regs[0] = obj->addr();
+  });
+  bind("dvmCreateStringFromCstr", [this](arm::Cpu& c) {
+    const std::string s = c.memory().read_cstr(c.state().regs[0]);
+    Object* obj = heap_.new_string(string_class_, s);
+    c.state().regs[0] = obj->addr();
+  });
+  bind("dvmCreateStringFromUnicode", [this](arm::Cpu& c) {
+    const GuestAddr chars = c.state().regs[0];
+    const u32 len = c.state().regs[1];
+    std::string s;
+    s.reserve(len);
+    for (u32 i = 0; i < len; ++i) {
+      s.push_back(static_cast<char>(c.memory().read16(chars + 2 * i)));
+    }
+    Object* obj = heap_.new_string(string_class_, std::move(s));
+    c.state().regs[0] = obj->addr();
+  });
+  bind("dvmAllocArrayByClass", [this](arm::Cpu& c) {
+    ClassObject* cls = class_at(c.state().regs[0]);
+    Object* obj = heap_.new_array(cls, c.state().regs[1], 4, true);
+    c.state().regs[0] = obj->addr();
+  });
+  bind("dvmAllocPrimitiveArray", [this](arm::Cpu& c) {
+    const u32 elem_size = c.state().regs[0];
+    const u32 len = c.state().regs[1];
+    Object* obj = heap_.new_array(nullptr, len, elem_size, false);
+    c.state().regs[0] = obj->addr();
+  });
+  bind("dvmDecodeIndirectRef", [this](arm::Cpu& c) {
+    const u32 ref = c.state().regs[0];
+    c.state().regs[0] = ref == 0 ? 0 : irt_.decode(ref)->addr();
+  });
+}
+
+DvmImage Dvm::emit_image() {
+  arm::ImageBuilder b;
+  mem::AddressSpace& memory = b.memory();
+  DvmImage img;
+  LibdvmArena& arena = img.libdvm.arena;
+  auto helper = [&](const char* name) {
+    return b.reserve_helper(img.helpers, name);
+  };
+  auto stub_alloc = [&](const std::string& name, std::span<const u8> code) {
+    const GuestAddr addr = arena.stub(memory, code);
+    img.libdvm.symbols[name] = addr;
+    return addr;
+  };
+
+  const GuestAddr h_jni = helper("dvmCallJNIMethod");
+  const GuestAddr h_prep_v = helper("dvmCallMethodV.prepare");
+  const GuestAddr h_prep_a = helper("dvmCallMethodA.prepare");
+  const GuestAddr h_interp = helper("dvmInterpret");
+  const GuestAddr h_finish = helper("dvmCallMethod.finish");
+
+  auto simple_stub = [&](const std::string& name, GuestAddr target) {
     arm::Assembler a(0);
     a.push({arm::LR});
-    a.call(helper);
+    a.call(target);
     a.pop({arm::PC});
     const auto code = a.finish();
     return stub_alloc(name, code);
@@ -82,85 +189,40 @@ void Dvm::build_stubs(GuestAddr base, u32 size) {
   call_method_stub_body("dvmCallMethodA", h_prep_a);
 
   // Memory allocation functions (MAF, Table III).
-  const GuestAddr h_alloc_object =
-      cpu_.register_helper_auto([this](arm::Cpu& c) {
-        ClassObject* cls = class_at(c.state().regs[0]);
-        Object* obj = heap_.new_instance(cls);
-        c.state().regs[0] = obj->addr();
-      });
-  const GuestAddr h_string_cstr =
-      cpu_.register_helper_auto([this](arm::Cpu& c) {
-        const std::string s = c.memory().read_cstr(c.state().regs[0]);
-        Object* obj = heap_.new_string(string_class_, s);
-        c.state().regs[0] = obj->addr();
-      });
-  const GuestAddr h_string_unicode =
-      cpu_.register_helper_auto([this](arm::Cpu& c) {
-        const GuestAddr chars = c.state().regs[0];
-        const u32 len = c.state().regs[1];
-        std::string s;
-        s.reserve(len);
-        for (u32 i = 0; i < len; ++i) {
-          s.push_back(static_cast<char>(c.memory().read16(chars + 2 * i)));
-        }
-        Object* obj = heap_.new_string(string_class_, std::move(s));
-        c.state().regs[0] = obj->addr();
-      });
-  const GuestAddr h_alloc_array_class =
-      cpu_.register_helper_auto([this](arm::Cpu& c) {
-        ClassObject* cls = class_at(c.state().regs[0]);
-        Object* obj = heap_.new_array(cls, c.state().regs[1], 4, true);
-        c.state().regs[0] = obj->addr();
-      });
-  const GuestAddr h_alloc_prim_array =
-      cpu_.register_helper_auto([this](arm::Cpu& c) {
-        const u32 elem_size = c.state().regs[0];
-        const u32 len = c.state().regs[1];
-        Object* obj = heap_.new_array(nullptr, len, elem_size, false);
-        c.state().regs[0] = obj->addr();
-      });
-  const GuestAddr h_decode_iref =
-      cpu_.register_helper_auto([this](arm::Cpu& c) {
-        const u32 ref = c.state().regs[0];
-        c.state().regs[0] = ref == 0 ? 0 : irt_.decode(ref)->addr();
-      });
+  for (const char* maf :
+       {"dvmAllocObject", "dvmCreateStringFromCstr",
+        "dvmCreateStringFromUnicode", "dvmAllocArrayByClass",
+        "dvmAllocPrimitiveArray", "dvmDecodeIndirectRef"}) {
+    simple_stub(maf, helper(maf));
+  }
 
-  simple_stub("dvmAllocObject", h_alloc_object);
-  simple_stub("dvmCreateStringFromCstr", h_string_cstr);
-  simple_stub("dvmCreateStringFromUnicode", h_string_unicode);
-  simple_stub("dvmAllocArrayByClass", h_alloc_array_class);
-  simple_stub("dvmAllocPrimitiveArray", h_alloc_prim_array);
-  simple_stub("dvmDecodeIndirectRef", h_decode_iref);
+  // The main thread and java.lang.String exist from the start.
+  img.thread_self = arena.data(32);
+  img.string_mirror = arena.class_mirror(memory, "Ljava/lang/String;");
+  img.helper_end = b.next_helper();
+  img.libdvm.pages = b.capture(kLibdvmBase, kLibdvmSize);
+  return img;
 }
 
 GuestAddr Dvm::stub_alloc(const std::string& name,
                           std::span<const u8> code) {
-  const GuestAddr addr = stub_bump_;
-  if (addr + code.size() > stub_end_) {
-    throw GuestFault("libdvm stub space exhausted");
-  }
-  cpu_.memory().write_bytes(addr, code);
-  stub_bump_ += (static_cast<u32>(code.size()) + 3) & ~3u;
-  symbols_[name] = addr;
+  const GuestAddr addr = arena_.stub(cpu_.memory(), code);
+  local_symbols_[name] = addr;
   return addr;
 }
 
-GuestAddr Dvm::data_alloc(u32 size) {
-  const GuestAddr addr = data_bump_;
-  data_bump_ += (size + 3) & ~3u;
-  if (data_bump_ > data_end_) throw GuestFault("libdvm data space exhausted");
-  return addr;
-}
+GuestAddr Dvm::data_alloc(u32 size) { return arena_.data(size); }
 
 GuestAddr Dvm::data_cstr(std::string_view s) {
-  const GuestAddr addr = data_alloc(static_cast<u32>(s.size()) + 1);
-  cpu_.memory().write_cstr(addr, s);
-  return addr;
+  return arena_.cstr(cpu_.memory(), s);
 }
 
 GuestAddr Dvm::sym(const std::string& name) const {
-  auto it = symbols_.find(name);
-  if (it == symbols_.end()) throw GuestFault("no libdvm symbol: " + name);
+  if (auto it = image_->symbols.find(name); it != image_->symbols.end()) {
+    return it->second;
+  }
+  auto it = local_symbols_.find(name);
+  if (it == local_symbols_.end()) throw GuestFault("no libdvm symbol: " + name);
   return it->second;
 }
 
@@ -175,13 +237,13 @@ GuestAddr Dvm::call_method_stub(char kind) const {
 ClassObject* Dvm::define_class(const std::string& descriptor) {
   auto it = classes_.find(descriptor);
   if (it != classes_.end()) return it->second.get();
+  return add_class(descriptor, arena_.class_mirror(cpu_.memory(), descriptor));
+}
+
+ClassObject* Dvm::add_class(const std::string& descriptor, GuestAddr mirror) {
   auto cls = std::make_unique<ClassObject>(descriptor);
   ClassObject* raw = cls.get();
   classes_[descriptor] = std::move(cls);
-
-  const GuestAddr mirror = data_alloc(8);
-  cpu_.memory().write32(mirror, data_cstr(descriptor));
-  cpu_.memory().write32(mirror + 4, 0);
   class_by_mirror_[mirror] = raw;
   mirror_by_class_[raw] = mirror;
   return raw;

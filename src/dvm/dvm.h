@@ -19,6 +19,10 @@
 //
 // Method structs are materialised in guest memory so hook engines can read
 // name/shorty/class/flags the way NDroid reads them out of a real libdvm.
+//
+// The guest stubs are the same bytes in every Device, so they are emitted
+// once per process (Dvm::image(), arm/guest_image.h); each Dvm copies the
+// image's pages and registers its helper closures.
 #pragma once
 
 #include <map>
@@ -28,11 +32,53 @@
 #include <vector>
 
 #include "arm/cpu.h"
+#include "arm/guest_image.h"
 #include "dvm/heap.h"
 #include "dvm/method.h"
 #include "dvm/stack.h"
 
 namespace ndroid::dvm {
+
+/// libdvm.so's place in the guest layout.
+inline constexpr GuestAddr kLibdvmBase = 0x40000000;
+inline constexpr u32 kLibdvmSize = 0x00040000;
+
+/// Bump cursors over libdvm.so: guest stubs in the first 32 KiB, the data
+/// area (strings, class mirrors, Method structs, the JNI table) after it.
+struct LibdvmArena {
+  GuestAddr stub_bump = kLibdvmBase;
+  GuestAddr stub_end = kLibdvmBase + 0x8000;
+  GuestAddr data_bump = kLibdvmBase + 0x8000;
+  GuestAddr data_end = kLibdvmBase + kLibdvmSize;
+
+  bool operator==(const LibdvmArena&) const = default;
+
+  /// Writes `code` at the next (word-aligned) stub slot; returns its address.
+  GuestAddr stub(mem::AddressSpace& memory, std::span<const u8> code);
+  GuestAddr data(u32 size);
+  GuestAddr cstr(mem::AddressSpace& memory, std::string_view s);
+  /// Allocates a class mirror {char* descriptor, 0} plus its string.
+  GuestAddr class_mirror(mem::AddressSpace& memory,
+                         std::string_view descriptor);
+};
+
+/// A state of the libdvm.so region emitted once per process: its resident
+/// pages, the arena cursors after the emitted stubs and data, and the
+/// symbols it exports.
+struct LibdvmImage {
+  arm::ImagePages pages;
+  LibdvmArena arena;
+  std::map<std::string, GuestAddr> symbols;
+};
+
+/// The Dvm's own part of libdvm.so (Dvm::image()).
+struct DvmImage {
+  LibdvmImage libdvm;
+  arm::HelperTable helpers;
+  GuestAddr helper_end = 0;  // first helper address after these
+  GuestAddr thread_self = 0;
+  GuestAddr string_mirror = 0;
+};
 
 /// TaintDroid behaviour toggles (all on = TaintDroid as shipped; all off =
 /// vanilla Android, the overhead baseline for Fig. 10).
@@ -66,12 +112,22 @@ struct GuestMethodLayout {
 
 class Dvm {
  public:
-  Dvm(arm::Cpu& cpu, GuestAddr libdvm_base, u32 libdvm_size,
-      GuestAddr heap_base, u32 heap_size, GuestAddr stack_base,
+  /// Loads libdvm.so from image() and registers its helpers; `cpu` must not
+  /// have registered any helper yet.
+  Dvm(arm::Cpu& cpu, GuestAddr heap_base, u32 heap_size, GuestAddr stack_base,
       u32 stack_size);
 
   Dvm(const Dvm&) = delete;
   Dvm& operator=(const Dvm&) = delete;
+
+  /// libdvm.so's guest stubs, emitted once per process (thread-safe).
+  static const DvmImage& image();
+
+  /// Copies `image` into libdvm.so and adopts its arena and symbols. The
+  /// image must extend the one loaded last (JniEnv layers the JNI functions
+  /// on top of image() this way); throws std::logic_error if anything was
+  /// allocated in libdvm.so since that load.
+  void load_image(const LibdvmImage& image);
 
   // --- Class and method definition (our "dex loading") -------------------
   ClassObject* define_class(const std::string& descriptor);
@@ -135,18 +191,19 @@ class Dvm {
   [[nodiscard]] GuestAddr call_method_stub(char kind) const;
 
   // --- Symbols (libdvm exports, for hook engines) --------------------------
+  /// Looks up the image's exports, then stubs added with stub_alloc.
   [[nodiscard]] GuestAddr sym(const std::string& name) const;
+  /// The loaded image's exports: one table shared by every Device.
   [[nodiscard]] const std::map<std::string, GuestAddr>& symbols() const {
-    return symbols_;
+    return image_->symbols;
   }
 
   // --- Guest data area (strings, scratch, JValues) -------------------------
   GuestAddr data_alloc(u32 size);
   GuestAddr data_cstr(std::string_view s);
 
-  /// Code space inside the libdvm.so region for additional guest stubs (the
-  /// JNIEnv function table in src/jni assembles into this — those functions
-  /// are part of libdvm on real Android). Registers `name` as a symbol.
+  /// Code space inside the libdvm.so region for guest stubs added at run
+  /// time. Registers `name` as a symbol of this Dvm only.
   GuestAddr stub_alloc(const std::string& name, std::span<const u8> code);
 
   /// Guest address the JNI functions pass as JNIEnv* (set by jni module).
@@ -168,7 +225,10 @@ class Dvm {
  private:
   friend class Interpreter;
 
-  void build_stubs(GuestAddr base, u32 size);
+  static DvmImage emit_image();
+  void bind_helpers();
+  /// Host side of a class whose guest mirror already exists.
+  ClassObject* add_class(const std::string& descriptor, GuestAddr mirror);
   GuestAddr materialise_method(Method& m);
   void register_method(ClassObject* cls, std::unique_ptr<Method> m);
 
@@ -201,11 +261,9 @@ class Dvm {
   std::map<GuestAddr, FieldRef> field_ids_;
   std::map<std::string, GuestAddr> field_id_cache_;
 
-  std::map<std::string, GuestAddr> symbols_;
-  GuestAddr stub_bump_ = 0;
-  GuestAddr stub_end_ = 0;
-  GuestAddr data_bump_ = 0;
-  GuestAddr data_end_ = 0;
+  const LibdvmImage* image_ = nullptr;  // loaded last (load_image)
+  std::map<std::string, GuestAddr> local_symbols_;  // stub_alloc'd
+  LibdvmArena arena_;
   GuestAddr jnienv_addr_ = 0;
   GuestAddr thread_self_addr_ = 0;
   GuestAddr jvalue_scratch_ = 0;

@@ -1,6 +1,8 @@
 #include "jni/jnienv.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <tuple>
 
 #include "arm/assembler.h"
 
@@ -12,48 +14,78 @@ using arm::PC;
 using arm::R;
 using dvm::Object;
 
-JniEnv::JniEnv(dvm::Dvm& dvm, os::Kernel& kernel)
-    : dvm_(dvm), kernel_(kernel) {
-  // JNIEnv* -> table pointer -> function pointers.
-  table_addr_ = dvm_.data_alloc(4 * static_cast<u32>(JniFn::kCount));
-  env_addr_ = dvm_.data_alloc(4);
-  dvm_.memory().write32(env_addr_, table_addr_);
-  build();
-  dvm_.set_jnienv_addr(env_addr_);
-}
-
-GuestAddr JniEnv::fn(const std::string& name) const {
-  auto it = symbols_.find(name);
-  if (it == symbols_.end()) throw GuestFault("no JNI function: " + name);
-  return it->second;
-}
-
-GuestAddr JniEnv::fn(JniFn index) const {
-  return dvm_.memory().read32(table_addr_ + 4 * static_cast<u32>(index));
-}
-
-void JniEnv::publish(const std::string& name, JniFn index, GuestAddr addr) {
-  symbols_[name] = addr;
-  dvm_.memory().write32(table_addr_ + 4 * static_cast<u32>(index), addr);
-}
-
-GuestAddr JniEnv::add_helper_fn(const std::string& name, JniFn index,
-                                arm::Helper helper) {
-  // Helper-backed functions still get a one-instruction guest landing pad
-  // inside libdvm.so so their addresses look like library code; the pad
-  // tail-calls the helper.
-  const GuestAddr haddr = dvm_.cpu().register_helper_auto(std::move(helper));
-  Assembler a(0);
-  a.push({LR});
-  a.call(haddr);
-  a.pop({PC});
-  const auto code = a.finish();
-  const GuestAddr addr = dvm_.stub_alloc(name, code);
-  publish(name, index, addr);
-  return addr;
-}
-
 namespace {
+
+/// A helper-backed JNI function. Most get a one-instruction guest landing
+/// pad inside libdvm.so so their addresses look like library code; the pad
+/// tail-calls the helper. `direct` ones publish the helper address itself:
+/// the 5-argument region functions, whose helper must see the caller's SP
+/// unmodified to read the stacked argument.
+struct HelperFn {
+  const char* name;
+  JniFn index;
+  bool direct = false;
+};
+
+/// In helper-registration order (emit_image reserves, bind_helpers binds).
+constexpr HelperFn kHelperFns[] = {
+    // Class / method / field resolution.
+    {"FindClass", JniFn::kFindClass},
+    {"GetMethodID", JniFn::kGetMethodID},
+    {"GetStaticMethodID", JniFn::kGetStaticMethodID},
+    {"GetFieldID", JniFn::kGetFieldID},
+    {"GetStaticFieldID", JniFn::kGetStaticFieldID},
+    // Strings and arrays.
+    {"GetStringLength", JniFn::kGetStringLength},
+    {"GetStringUTFChars", JniFn::kGetStringUTFChars},
+    {"ReleaseStringUTFChars", JniFn::kReleaseStringUTFChars},
+    {"GetArrayLength", JniFn::kGetArrayLength},
+    {"GetIntArrayElements", JniFn::kGetIntArrayElements},
+    {"GetByteArrayElements", JniFn::kGetByteArrayElements},
+    {"ReleaseIntArrayElements", JniFn::kReleaseIntArrayElements},
+    {"ReleaseByteArrayElements", JniFn::kReleaseByteArrayElements},
+    {"GetIntArrayRegion", JniFn::kGetIntArrayRegion, true},
+    {"SetIntArrayRegion", JniFn::kSetIntArrayRegion, true},
+    {"GetByteArrayRegion", JniFn::kGetByteArrayRegion, true},
+    {"SetByteArrayRegion", JniFn::kSetByteArrayRegion, true},
+    {"GetObjectArrayElement", JniFn::kGetObjectArrayElement},
+    {"SetObjectArrayElement", JniFn::kSetObjectArrayElement},
+    // Field access (Table IV).
+    {"GetObjectField", JniFn::kGetObjectField},
+    {"GetIntField", JniFn::kGetIntField},
+    {"GetBooleanField", JniFn::kGetBooleanField},
+    {"GetByteField", JniFn::kGetByteField},
+    {"GetCharField", JniFn::kGetCharField},
+    {"GetShortField", JniFn::kGetShortField},
+    {"GetFloatField", JniFn::kGetFloatField},
+    {"SetObjectField", JniFn::kSetObjectField},
+    {"SetIntField", JniFn::kSetIntField},
+    {"SetBooleanField", JniFn::kSetBooleanField},
+    {"SetByteField", JniFn::kSetByteField},
+    {"SetCharField", JniFn::kSetCharField},
+    {"SetShortField", JniFn::kSetShortField},
+    {"SetFloatField", JniFn::kSetFloatField},
+    {"GetStaticObjectField", JniFn::kGetStaticObjectField},
+    {"GetStaticIntField", JniFn::kGetStaticIntField},
+    {"SetStaticObjectField", JniFn::kSetStaticObjectField},
+    {"SetStaticIntField", JniFn::kSetStaticIntField},
+    // References / exceptions.
+    {"ExceptionOccurred", JniFn::kExceptionOccurred},
+    {"ExceptionClear", JniFn::kExceptionClear},
+    {"DeleteLocalRef", JniFn::kDeleteLocalRef},
+    {"NewGlobalRef", JniFn::kNewGlobalRef},
+    {"GetObjectClass", JniFn::kGetObjectClass},
+    {"PushLocalFrame", JniFn::kPushLocalFrame},
+    {"PopLocalFrame", JniFn::kPopLocalFrame},
+    {"IsSameObject", JniFn::kIsSameObject},
+};
+
+// Helpers the guest stubs call internally, registered after kHelperFns in
+// this order. The object-creation and Call*Method stubs each have their own
+// local-ref helper.
+constexpr const char* kNewObjectToRef = "NewObject:to_local_ref";
+constexpr const char* kCallMethodToRef = "CallMethod:to_local_ref";
+constexpr const char* kInitException = "initException:build";
 
 Object* decode_or_null(dvm::Dvm& dvm, u32 iref) {
   return iref == 0 ? nullptr : dvm.irt().decode(iref);
@@ -68,56 +100,107 @@ u32 to_local_ref(dvm::Dvm& dvm, u32 real_addr) {
 
 }  // namespace
 
-void JniEnv::build() {
+JniEnv::JniEnv(dvm::Dvm& dvm, os::Kernel& kernel)
+    : dvm_(dvm), kernel_(kernel) {
+  const JniImage& img = image();
+  dvm_.load_image(img.libdvm);
+  bind_helpers();
+  dvm_.set_jnienv_addr(img.env_addr);
+}
+
+const JniImage& JniEnv::image() {
+  static const JniImage image = emit_image();
+  return image;
+}
+
+GuestAddr JniEnv::fn(const std::string& name) const {
+  const auto& symbols = image().symbols;
+  auto it = symbols.find(name);
+  if (it == symbols.end()) throw GuestFault("no JNI function: " + name);
+  return it->second;
+}
+
+GuestAddr JniEnv::fn(JniFn index) const {
+  return dvm_.memory().read32(image().table_addr +
+                              4 * static_cast<u32>(index));
+}
+
+// ---------------------------------------------------------------------------
+// Helper bodies (per JniEnv)
+// ---------------------------------------------------------------------------
+
+void JniEnv::bind_helpers() {
+  const arm::HelperTable& t = image().helpers;
+  arm::Cpu& cpu = dvm_.cpu();
+  for (const HelperFn& f : kHelperFns) {
+    arm::bind_helper(cpu, t, f.name, helper_for(f.index));
+  }
   auto& dvm = dvm_;
-
-  // --- Class / method / field resolution ---------------------------------
-  add_helper_fn("FindClass", JniFn::kFindClass, [&dvm](arm::Cpu& c) {
-    const std::string desc = c.memory().read_cstr(c.state().regs[1]);
-    // JNI accepts both "java/lang/String" and "Ljava/lang/String;".
-    std::string norm = desc;
-    if (!norm.empty() && norm.front() != 'L' && norm.front() != '[') {
-      norm = "L" + norm + ";";
-    }
-    dvm::ClassObject* cls = dvm.find_class(norm);
-    c.state().regs[0] = cls ? dvm.class_mirror(cls) : 0;
-  });
-
-  auto method_id_helper = [&dvm](arm::Cpu& c) {
-    dvm::ClassObject* cls = dvm.class_at(c.state().regs[1]);
-    const std::string name = c.memory().read_cstr(c.state().regs[2]);
-    dvm::Method* m = cls->find_method(name);
-    c.state().regs[0] = m ? m->guest_addr : 0;
+  auto to_ref = [&dvm](arm::Cpu& c) {
+    c.state().regs[0] = to_local_ref(dvm, c.state().regs[0]);
   };
-  add_helper_fn("GetMethodID", JniFn::kGetMethodID, method_id_helper);
-  add_helper_fn("GetStaticMethodID", JniFn::kGetStaticMethodID,
-                method_id_helper);
+  arm::bind_helper(cpu, t, kNewObjectToRef, to_ref);
+  arm::bind_helper(cpu, t, kCallMethodToRef, to_ref);
 
-  add_helper_fn("GetFieldID", JniFn::kGetFieldID, [&dvm](arm::Cpu& c) {
-    dvm::ClassObject* cls = dvm.class_at(c.state().regs[1]);
-    const std::string name = c.memory().read_cstr(c.state().regs[2]);
-    c.state().regs[0] = dvm.field_id(cls, name, /*is_static=*/false);
+  // initException(jclass, msg_string_real_addr): builds the exception object
+  // around the already-created message string and sets it pending.
+  arm::bind_helper(cpu, t, kInitException, [&dvm](arm::Cpu& c) {
+    dvm::ClassObject* cls = dvm.class_at(c.state().regs[0]);
+    Object* msg = dvm.heap().object_at(c.state().regs[1]);
+    if (cls->find_instance_field("message") == nullptr) {
+      cls->add_instance_field("message", 'L');
+    }
+    Object* exc = dvm.heap().new_instance(cls);
+    const dvm::Field* f = cls->find_instance_field("message");
+    exc->fields().at(f->index).value = msg ? msg->addr() : 0;
+    dvm.heap().sync_payload(*exc);
+    dvm.pending_exception = exc;
+    c.state().regs[0] = exc->addr();
   });
-  add_helper_fn("GetStaticFieldID", JniFn::kGetStaticFieldID,
-                [&dvm](arm::Cpu& c) {
-                  dvm::ClassObject* cls = dvm.class_at(c.state().regs[1]);
-                  const std::string name =
-                      c.memory().read_cstr(c.state().regs[2]);
-                  c.state().regs[0] = dvm.field_id(cls, name, true);
-                });
+}
 
-  // --- Strings and arrays (helper-backed accessors) ----------------------
-  add_helper_fn("GetStringLength", JniFn::kGetStringLength,
-                [&dvm](arm::Cpu& c) {
-                  Object* s = decode_or_null(dvm, c.state().regs[1]);
-                  c.state().regs[0] =
-                      s ? static_cast<u32>(dvm.heap().read_string(*s).size())
-                        : 0;
-                });
+arm::Helper JniEnv::helper_for(JniFn index) {
+  auto& dvm = dvm_;
+  switch (index) {
+    // --- Class / method / field resolution -------------------------------
+    case JniFn::kFindClass:
+      return [&dvm](arm::Cpu& c) {
+        const std::string desc = c.memory().read_cstr(c.state().regs[1]);
+        // JNI accepts both "java/lang/String" and "Ljava/lang/String;".
+        std::string norm = desc;
+        if (!norm.empty() && norm.front() != 'L' && norm.front() != '[') {
+          norm = "L" + norm + ";";
+        }
+        dvm::ClassObject* cls = dvm.find_class(norm);
+        c.state().regs[0] = cls ? dvm.class_mirror(cls) : 0;
+      };
+    case JniFn::kGetMethodID:
+    case JniFn::kGetStaticMethodID:
+      return [&dvm](arm::Cpu& c) {
+        dvm::ClassObject* cls = dvm.class_at(c.state().regs[1]);
+        const std::string name = c.memory().read_cstr(c.state().regs[2]);
+        dvm::Method* m = cls->find_method(name);
+        c.state().regs[0] = m ? m->guest_addr : 0;
+      };
+    case JniFn::kGetFieldID:
+    case JniFn::kGetStaticFieldID: {
+      const bool is_static = index == JniFn::kGetStaticFieldID;
+      return [&dvm, is_static](arm::Cpu& c) {
+        dvm::ClassObject* cls = dvm.class_at(c.state().regs[1]);
+        const std::string name = c.memory().read_cstr(c.state().regs[2]);
+        c.state().regs[0] = dvm.field_id(cls, name, is_static);
+      };
+    }
 
-  add_helper_fn(
-      "GetStringUTFChars", JniFn::kGetStringUTFChars,
-      [&dvm, this](arm::Cpu& c) {
+    // --- Strings and arrays (helper-backed accessors) --------------------
+    case JniFn::kGetStringLength:
+      return [&dvm](arm::Cpu& c) {
+        Object* s = decode_or_null(dvm, c.state().regs[1]);
+        c.state().regs[0] =
+            s ? static_cast<u32>(dvm.heap().read_string(*s).size()) : 0;
+      };
+    case JniFn::kGetStringUTFChars:
+      return [&dvm, this](arm::Cpu& c) {
         Object* s = decode_or_null(dvm, c.state().regs[1]);
         if (s == nullptr) {
           c.state().regs[0] = 0;
@@ -133,253 +216,263 @@ void JniEnv::build() {
         c.state().regs[0] = buf;
         // Taint of the string object is NOT propagated to the buffer here —
         // TaintDroid's gap; NDroid's hook on this function repairs it.
-      });
-
-  add_helper_fn("ReleaseStringUTFChars", JniFn::kReleaseStringUTFChars,
-                [](arm::Cpu& c) { c.state().regs[0] = 0; });
-
-  add_helper_fn("GetArrayLength", JniFn::kGetArrayLength,
-                [&dvm](arm::Cpu& c) {
-                  Object* a = decode_or_null(dvm, c.state().regs[1]);
-                  c.state().regs[0] = a ? a->length() : 0;
-                });
-
-  auto get_array_elements = [&dvm, this](arm::Cpu& c) {
-    Object* a = decode_or_null(dvm, c.state().regs[1]);
-    if (a == nullptr) {
-      c.state().regs[0] = 0;
-      return;
+      };
+    case JniFn::kReleaseStringUTFChars:
+      return [](arm::Cpu& c) { c.state().regs[0] = 0; };
+    case JniFn::kGetArrayLength:
+      return [&dvm](arm::Cpu& c) {
+        Object* a = decode_or_null(dvm, c.state().regs[1]);
+        c.state().regs[0] = a ? a->length() : 0;
+      };
+    case JniFn::kGetIntArrayElements:
+    case JniFn::kGetByteArrayElements:
+      return [&dvm, this](arm::Cpu& c) {
+        Object* a = decode_or_null(dvm, c.state().regs[1]);
+        if (a == nullptr) {
+          c.state().regs[0] = 0;
+          return;
+        }
+        const u32 bytes = a->length() * a->elem_size();
+        const GuestAddr buf = kernel_.mmap_anonymous(std::max<u32>(bytes, 1));
+        c.memory().copy(buf, dvm.heap().array_data_addr(*a), bytes);
+        if (const u32 is_copy = c.state().regs[2]; is_copy != 0) {
+          c.memory().write8(is_copy, 1);
+        }
+        c.state().regs[0] = buf;
+      };
+    case JniFn::kReleaseIntArrayElements:
+    case JniFn::kReleaseByteArrayElements:
+      return [&dvm](arm::Cpu& c) {
+        // mode 0: copy back and free.
+        Object* a = decode_or_null(dvm, c.state().regs[1]);
+        const GuestAddr buf = c.state().regs[2];
+        if (a != nullptr && buf != 0 && c.state().regs[3] == 0) {
+          c.memory().copy(dvm.heap().array_data_addr(*a), buf,
+                          a->length() * a->elem_size());
+        }
+        c.state().regs[0] = 0;
+      };
+    case JniFn::kGetIntArrayRegion:
+    case JniFn::kSetIntArrayRegion:
+    case JniFn::kGetByteArrayRegion:
+    case JniFn::kSetByteArrayRegion: {
+      // 5 args; the 5th (the buffer) is on the native stack.
+      const bool set = index == JniFn::kSetIntArrayRegion ||
+                       index == JniFn::kSetByteArrayRegion;
+      return [&dvm, set](arm::Cpu& c) {
+        Object* a = decode_or_null(dvm, c.state().regs[1]);
+        if (a == nullptr) return;
+        const u32 start = c.state().regs[2];
+        const u32 len = c.state().regs[3];
+        const GuestAddr buf = c.memory().read32(c.state().sp());
+        if (start + len > a->length()) {
+          throw GuestFault("ArrayIndexOutOfBounds in array region");
+        }
+        const GuestAddr data =
+            dvm.heap().array_data_addr(*a) + start * a->elem_size();
+        const u32 bytes = len * a->elem_size();
+        if (set) {
+          c.memory().copy(data, buf, bytes);
+        } else {
+          c.memory().copy(buf, data, bytes);
+        }
+        c.state().regs[0] = 0;
+      };
     }
-    const u32 bytes = a->length() * a->elem_size();
-    const GuestAddr buf = kernel_.mmap_anonymous(std::max<u32>(bytes, 1));
-    c.memory().copy(buf, dvm.heap().array_data_addr(*a), bytes);
-    if (const u32 is_copy = c.state().regs[2]; is_copy != 0) {
-      c.memory().write8(is_copy, 1);
-    }
-    c.state().regs[0] = buf;
-  };
-  add_helper_fn("GetIntArrayElements", JniFn::kGetIntArrayElements,
-                get_array_elements);
-  add_helper_fn("GetByteArrayElements", JniFn::kGetByteArrayElements,
-                get_array_elements);
+    case JniFn::kGetObjectArrayElement:
+      return [&dvm](arm::Cpu& c) {
+        Object* a = decode_or_null(dvm, c.state().regs[1]);
+        if (a == nullptr) {
+          c.state().regs[0] = 0;
+          return;
+        }
+        const u32 direct = dvm.heap().array_get(*a, c.state().regs[2]);
+        c.state().regs[0] = to_local_ref(dvm, direct);
+      };
+    case JniFn::kSetObjectArrayElement:
+      return [&dvm](arm::Cpu& c) {
+        Object* a = decode_or_null(dvm, c.state().regs[1]);
+        Object* v = decode_or_null(dvm, c.state().regs[3]);
+        if (a != nullptr) {
+          dvm.heap().array_set(*a, c.state().regs[2], v ? v->addr() : 0);
+        }
+        c.state().regs[0] = 0;
+      };
 
-  auto release_array_elements = [&dvm](arm::Cpu& c) {
-    // mode 0: copy back and free.
-    Object* a = decode_or_null(dvm, c.state().regs[1]);
-    const GuestAddr buf = c.state().regs[2];
-    if (a != nullptr && buf != 0 && c.state().regs[3] == 0) {
-      c.memory().copy(dvm.heap().array_data_addr(*a), buf,
-                      a->length() * a->elem_size());
+    // --- Field access (Table IV) -----------------------------------------
+    case JniFn::kGetObjectField:
+    case JniFn::kGetIntField:
+    case JniFn::kGetBooleanField:
+    case JniFn::kGetByteField:
+    case JniFn::kGetCharField:
+    case JniFn::kGetShortField:
+    case JniFn::kGetFloatField: {
+      const bool to_ref = index == JniFn::kGetObjectField;
+      return [&dvm, to_ref](arm::Cpu& c) {
+        Object* obj = decode_or_null(dvm, c.state().regs[1]);
+        const auto fr = dvm.decode_field_id(c.state().regs[2]);
+        if (obj == nullptr) throw GuestFault("Get*Field on null object");
+        const dvm::Slot& slot = obj->fields().at(fr.field->index);
+        c.state().regs[0] =
+            to_ref ? to_local_ref(dvm, slot.value) : slot.value;
+      };
     }
-    c.state().regs[0] = 0;
-  };
-  add_helper_fn("ReleaseIntArrayElements", JniFn::kReleaseIntArrayElements,
-                release_array_elements);
-  add_helper_fn("ReleaseByteArrayElements",
-                JniFn::kReleaseByteArrayElements, release_array_elements);
-
-  // Region functions take 5 args; the 5th is on the native stack. These are
-  // registered as direct helper addresses (no landing pad) so the helper
-  // sees the caller's SP unmodified when reading the stacked argument.
-  auto direct_helper_fn = [this](const std::string& name, JniFn index,
-                                 arm::Helper helper) {
-    const GuestAddr addr =
-        dvm_.cpu().register_helper_auto(std::move(helper));
-    publish(name, index, addr);
-  };
-  auto array_region = [&dvm](arm::Cpu& c, bool set) {
-    Object* a = decode_or_null(dvm, c.state().regs[1]);
-    if (a == nullptr) return;
-    const u32 start = c.state().regs[2];
-    const u32 len = c.state().regs[3];
-    const GuestAddr buf = c.memory().read32(c.state().sp());
-    if (start + len > a->length()) {
-      throw GuestFault("ArrayIndexOutOfBounds in array region");
+    case JniFn::kSetObjectField:
+    case JniFn::kSetIntField:
+    case JniFn::kSetBooleanField:
+    case JniFn::kSetByteField:
+    case JniFn::kSetCharField:
+    case JniFn::kSetShortField:
+    case JniFn::kSetFloatField: {
+      const bool from_ref = index == JniFn::kSetObjectField;
+      return [&dvm, from_ref](arm::Cpu& c) {
+        Object* obj = decode_or_null(dvm, c.state().regs[1]);
+        const auto fr = dvm.decode_field_id(c.state().regs[2]);
+        if (obj == nullptr) throw GuestFault("Set*Field on null object");
+        dvm::Slot& slot = obj->fields().at(fr.field->index);
+        const u32 raw = c.state().regs[3];
+        slot.value =
+            from_ref && raw != 0 ? dvm.irt().decode(raw)->addr() : raw;
+        // Taint slot untouched: native-side taints are invisible to the DVM
+        // (the case 1'/3 gap). NDroid hooks Set*Field to write the taint.
+        dvm.heap().sync_payload(*obj);
+        c.state().regs[0] = 0;
+      };
     }
-    const GuestAddr data =
-        dvm.heap().array_data_addr(*a) + start * a->elem_size();
-    const u32 bytes = len * a->elem_size();
-    if (set) {
-      c.memory().copy(data, buf, bytes);
-    } else {
-      c.memory().copy(buf, data, bytes);
-    }
-    c.state().regs[0] = 0;
-  };
-  direct_helper_fn("GetIntArrayRegion", JniFn::kGetIntArrayRegion,
-                   [array_region](arm::Cpu& c) { array_region(c, false); });
-  direct_helper_fn("SetIntArrayRegion", JniFn::kSetIntArrayRegion,
-                   [array_region](arm::Cpu& c) { array_region(c, true); });
-  direct_helper_fn("GetByteArrayRegion", JniFn::kGetByteArrayRegion,
-                   [array_region](arm::Cpu& c) { array_region(c, false); });
-  direct_helper_fn("SetByteArrayRegion", JniFn::kSetByteArrayRegion,
-                   [array_region](arm::Cpu& c) { array_region(c, true); });
+    case JniFn::kGetStaticObjectField:
+      return [&dvm](arm::Cpu& c) {
+        const auto fr = dvm.decode_field_id(c.state().regs[2]);
+        const dvm::Slot& slot = fr.cls->statics().at(fr.field->index);
+        c.state().regs[0] = to_local_ref(dvm, slot.value);
+      };
+    case JniFn::kGetStaticIntField:
+      return [&dvm](arm::Cpu& c) {
+        const auto fr = dvm.decode_field_id(c.state().regs[2]);
+        c.state().regs[0] = fr.cls->statics().at(fr.field->index).value;
+      };
+    case JniFn::kSetStaticObjectField:
+      return [&dvm](arm::Cpu& c) {
+        const auto fr = dvm.decode_field_id(c.state().regs[2]);
+        const u32 raw = c.state().regs[3];
+        fr.cls->statics().at(fr.field->index).value =
+            raw == 0 ? 0 : dvm.irt().decode(raw)->addr();
+        c.state().regs[0] = 0;
+      };
+    case JniFn::kSetStaticIntField:
+      return [&dvm](arm::Cpu& c) {
+        const auto fr = dvm.decode_field_id(c.state().regs[2]);
+        fr.cls->statics().at(fr.field->index).value = c.state().regs[3];
+        c.state().regs[0] = 0;
+      };
 
-  add_helper_fn("GetObjectArrayElement", JniFn::kGetObjectArrayElement,
-                [&dvm](arm::Cpu& c) {
-                  Object* a = decode_or_null(dvm, c.state().regs[1]);
-                  if (a == nullptr) {
-                    c.state().regs[0] = 0;
-                    return;
-                  }
-                  const u32 direct =
-                      dvm.heap().array_get(*a, c.state().regs[2]);
-                  c.state().regs[0] = to_local_ref(dvm, direct);
-                });
-  add_helper_fn("SetObjectArrayElement", JniFn::kSetObjectArrayElement,
-                [&dvm](arm::Cpu& c) {
-                  Object* a = decode_or_null(dvm, c.state().regs[1]);
-                  Object* v = decode_or_null(dvm, c.state().regs[3]);
-                  if (a != nullptr) {
-                    dvm.heap().array_set(*a, c.state().regs[2],
-                                         v ? v->addr() : 0);
-                  }
-                  c.state().regs[0] = 0;
-                });
-
-  // --- Field access (Table IV) --------------------------------------------
-  auto get_field = [&dvm](arm::Cpu& c, bool to_ref) {
-    Object* obj = decode_or_null(dvm, c.state().regs[1]);
-    const auto fr = dvm.decode_field_id(c.state().regs[2]);
-    if (obj == nullptr) throw GuestFault("Get*Field on null object");
-    const dvm::Slot& slot = obj->fields().at(fr.field->index);
-    c.state().regs[0] = to_ref ? to_local_ref(dvm, slot.value) : slot.value;
-  };
-  add_helper_fn("GetObjectField", JniFn::kGetObjectField,
-                [get_field](arm::Cpu& c) { get_field(c, true); });
-  for (auto [name, idx] :
-       std::initializer_list<std::pair<const char*, JniFn>>{
-           {"GetIntField", JniFn::kGetIntField},
-           {"GetBooleanField", JniFn::kGetBooleanField},
-           {"GetByteField", JniFn::kGetByteField},
-           {"GetCharField", JniFn::kGetCharField},
-           {"GetShortField", JniFn::kGetShortField},
-           {"GetFloatField", JniFn::kGetFloatField}}) {
-    add_helper_fn(name, idx,
-                  [get_field](arm::Cpu& c) { get_field(c, false); });
+    // --- References / exceptions -----------------------------------------
+    case JniFn::kExceptionOccurred:
+      return [&dvm](arm::Cpu& c) {
+        Object* exc = dvm.pending_exception;
+        c.state().regs[0] = exc ? dvm.irt().add(exc) : 0;
+      };
+    case JniFn::kExceptionClear:
+      return [&dvm](arm::Cpu& c) {
+        dvm.pending_exception = nullptr;
+        c.state().regs[0] = 0;
+      };
+    case JniFn::kDeleteLocalRef:
+      return [&dvm](arm::Cpu& c) {
+        dvm.irt().remove(c.state().regs[1]);
+        c.state().regs[0] = 0;
+      };
+    case JniFn::kNewGlobalRef:
+      return [&dvm](arm::Cpu& c) {
+        Object* obj = decode_or_null(dvm, c.state().regs[1]);
+        c.state().regs[0] =
+            obj ? dvm.irt().add(obj, dvm::RefKind::kGlobal) : 0;
+      };
+    case JniFn::kGetObjectClass:
+      return [&dvm](arm::Cpu& c) {
+        Object* obj = decode_or_null(dvm, c.state().regs[1]);
+        c.state().regs[0] =
+            obj && obj->clazz() ? dvm.class_mirror(obj->clazz()) : 0;
+      };
+    case JniFn::kPushLocalFrame:
+      return [&dvm](arm::Cpu& c) {
+        dvm.irt().push_frame();
+        c.state().regs[0] = 0;  // JNI_OK
+      };
+    case JniFn::kPopLocalFrame:
+      return [&dvm](arm::Cpu& c) {
+        c.state().regs[0] = dvm.irt().pop_frame(c.state().regs[1]);
+      };
+    case JniFn::kIsSameObject:
+      return [&dvm](arm::Cpu& c) {
+        Object* a = decode_or_null(dvm, c.state().regs[1]);
+        Object* b = decode_or_null(dvm, c.state().regs[2]);
+        c.state().regs[0] = a == b ? 1 : 0;
+      };
+    default:
+      throw std::logic_error("JNI function is not helper-backed");
   }
-
-  auto set_field = [&dvm](arm::Cpu& c, bool from_ref) {
-    Object* obj = decode_or_null(dvm, c.state().regs[1]);
-    const auto fr = dvm.decode_field_id(c.state().regs[2]);
-    if (obj == nullptr) throw GuestFault("Set*Field on null object");
-    dvm::Slot& slot = obj->fields().at(fr.field->index);
-    const u32 raw = c.state().regs[3];
-    slot.value = from_ref && raw != 0 ? dvm.irt().decode(raw)->addr() : raw;
-    // Taint slot untouched: native-side taints are invisible to the DVM
-    // (the case 1'/3 gap). NDroid hooks Set*Field to write the taint.
-    dvm.heap().sync_payload(*obj);
-    c.state().regs[0] = 0;
-  };
-  add_helper_fn("SetObjectField", JniFn::kSetObjectField,
-                [set_field](arm::Cpu& c) { set_field(c, true); });
-  for (auto [name, idx] :
-       std::initializer_list<std::pair<const char*, JniFn>>{
-           {"SetIntField", JniFn::kSetIntField},
-           {"SetBooleanField", JniFn::kSetBooleanField},
-           {"SetByteField", JniFn::kSetByteField},
-           {"SetCharField", JniFn::kSetCharField},
-           {"SetShortField", JniFn::kSetShortField},
-           {"SetFloatField", JniFn::kSetFloatField}}) {
-    add_helper_fn(name, idx,
-                  [set_field](arm::Cpu& c) { set_field(c, false); });
-  }
-
-  add_helper_fn("GetStaticObjectField", JniFn::kGetStaticObjectField,
-                [&dvm](arm::Cpu& c) {
-                  const auto fr = dvm.decode_field_id(c.state().regs[2]);
-                  const dvm::Slot& slot = fr.cls->statics().at(fr.field->index);
-                  c.state().regs[0] = to_local_ref(dvm, slot.value);
-                });
-  add_helper_fn("GetStaticIntField", JniFn::kGetStaticIntField,
-                [&dvm](arm::Cpu& c) {
-                  const auto fr = dvm.decode_field_id(c.state().regs[2]);
-                  c.state().regs[0] = fr.cls->statics().at(fr.field->index).value;
-                });
-  add_helper_fn("SetStaticObjectField", JniFn::kSetStaticObjectField,
-                [&dvm](arm::Cpu& c) {
-                  const auto fr = dvm.decode_field_id(c.state().regs[2]);
-                  const u32 raw = c.state().regs[3];
-                  fr.cls->statics().at(fr.field->index).value =
-                      raw == 0 ? 0 : dvm.irt().decode(raw)->addr();
-                  c.state().regs[0] = 0;
-                });
-  add_helper_fn("SetStaticIntField", JniFn::kSetStaticIntField,
-                [&dvm](arm::Cpu& c) {
-                  const auto fr = dvm.decode_field_id(c.state().regs[2]);
-                  fr.cls->statics().at(fr.field->index).value =
-                      c.state().regs[3];
-                  c.state().regs[0] = 0;
-                });
-
-  // --- References / exceptions -------------------------------------------
-  add_helper_fn("ExceptionOccurred", JniFn::kExceptionOccurred,
-                [&dvm](arm::Cpu& c) {
-                  Object* exc = dvm.pending_exception;
-                  c.state().regs[0] = exc ? dvm.irt().add(exc) : 0;
-                });
-  add_helper_fn("ExceptionClear", JniFn::kExceptionClear,
-                [&dvm](arm::Cpu& c) {
-                  dvm.pending_exception = nullptr;
-                  c.state().regs[0] = 0;
-                });
-  add_helper_fn("DeleteLocalRef", JniFn::kDeleteLocalRef,
-                [&dvm](arm::Cpu& c) {
-                  dvm.irt().remove(c.state().regs[1]);
-                  c.state().regs[0] = 0;
-                });
-  add_helper_fn("NewGlobalRef", JniFn::kNewGlobalRef, [&dvm](arm::Cpu& c) {
-    Object* obj = decode_or_null(dvm, c.state().regs[1]);
-    c.state().regs[0] =
-        obj ? dvm.irt().add(obj, dvm::RefKind::kGlobal) : 0;
-  });
-  add_helper_fn("GetObjectClass", JniFn::kGetObjectClass,
-                [&dvm](arm::Cpu& c) {
-                  Object* obj = decode_or_null(dvm, c.state().regs[1]);
-                  c.state().regs[0] = obj && obj->clazz()
-                                          ? dvm.class_mirror(obj->clazz())
-                                          : 0;
-                });
-  add_helper_fn("PushLocalFrame", JniFn::kPushLocalFrame,
-                [&dvm](arm::Cpu& c) {
-                  dvm.irt().push_frame();
-                  c.state().regs[0] = 0;  // JNI_OK
-                });
-  add_helper_fn("PopLocalFrame", JniFn::kPopLocalFrame,
-                [&dvm](arm::Cpu& c) {
-                  c.state().regs[0] = dvm.irt().pop_frame(c.state().regs[1]);
-                });
-  add_helper_fn("IsSameObject", JniFn::kIsSameObject, [&dvm](arm::Cpu& c) {
-    Object* a = decode_or_null(dvm, c.state().regs[1]);
-    Object* b = decode_or_null(dvm, c.state().regs[2]);
-    c.state().regs[0] = a == b ? 1 : 0;
-  });
-
-  build_object_creation();
-  build_call_method_family();
-  build_throw_new();
 }
 
-// --- Object creation: NOF stubs wrapping MAF guest calls (Table III) ------
+// ---------------------------------------------------------------------------
+// Guest code (emitted once per process)
+// ---------------------------------------------------------------------------
 
-void JniEnv::build_object_creation() {
-  auto& dvm = dvm_;
-  const GuestAddr h_to_ref =
-      dvm_.cpu().register_helper_auto([&dvm](arm::Cpu& c) {
-        c.state().regs[0] = to_local_ref(dvm, c.state().regs[0]);
-      });
+JniImage JniEnv::emit_image() {
+  const dvm::DvmImage& base = dvm::Dvm::image();
+  arm::ImageBuilder b(base.helper_end);
+  mem::AddressSpace& memory = b.memory();
+  base.libdvm.pages.stamp(memory);
+  JniImage img;
+  img.libdvm.arena = base.libdvm.arena;
+  img.libdvm.symbols = base.libdvm.symbols;
+  dvm::LibdvmArena& arena = img.libdvm.arena;
+  const auto dvm_sym = [&](const char* name) {
+    return img.libdvm.symbols.at(name);
+  };
+  auto helper = [&](const char* name) {
+    return b.reserve_helper(img.helpers, name);
+  };
+  auto stub_alloc = [&](const std::string& name, Assembler& a) {
+    const GuestAddr addr = arena.stub(memory, a.finish());
+    img.libdvm.symbols[name] = addr;
+    return addr;
+  };
+  auto publish = [&](const std::string& name, JniFn index, GuestAddr addr) {
+    img.symbols[name] = addr;
+    memory.write32(img.table_addr + 4 * static_cast<u32>(index), addr);
+  };
+
+  // JNIEnv* -> table pointer -> function pointers.
+  img.table_addr = arena.data(4 * static_cast<u32>(JniFn::kCount));
+  img.env_addr = arena.data(4);
+  memory.write32(img.env_addr, img.table_addr);
+
+  for (const HelperFn& f : kHelperFns) {
+    const GuestAddr h = helper(f.name);
+    if (f.direct) {
+      publish(f.name, f.index, h);
+      continue;
+    }
+    Assembler a(0);
+    a.push({LR});
+    a.call(h);
+    a.pop({PC});
+    publish(f.name, f.index, stub_alloc(f.name, a));
+  }
+
+  // --- Object creation: NOF stubs wrapping MAF guest calls (Table III) ----
+  GuestAddr h_to_ref = helper(kNewObjectToRef);
 
   // NewStringUTF(env, cstr) -> dvmCreateStringFromCstr(cstr) -> iref.
   {
     Assembler a(0);
     a.push({LR});
     a.mov(R(0), R(1));
-    a.call(dvm_.sym("dvmCreateStringFromCstr"));
+    a.call(dvm_sym("dvmCreateStringFromCstr"));
     a.call(h_to_ref);
     a.pop({PC});
-    const auto code = a.finish();
     publish("NewStringUTF", JniFn::kNewStringUTF,
-            dvm_.stub_alloc("NewStringUTF", code));
+            stub_alloc("NewStringUTF", a));
   }
 
   // NewString(env, jchar*, len) -> dvmCreateStringFromUnicode.
@@ -388,12 +481,10 @@ void JniEnv::build_object_creation() {
     a.push({LR});
     a.mov(R(0), R(1));
     a.mov(R(1), R(2));
-    a.call(dvm_.sym("dvmCreateStringFromUnicode"));
+    a.call(dvm_sym("dvmCreateStringFromUnicode"));
     a.call(h_to_ref);
     a.pop({PC});
-    const auto code = a.finish();
-    publish("NewString", JniFn::kNewString,
-            dvm_.stub_alloc("NewString", code));
+    publish("NewString", JniFn::kNewString, stub_alloc("NewString", a));
   }
 
   // NewObject{,V,A}(env, jclass, ctor, args...) -> dvmAllocObject.
@@ -406,11 +497,10 @@ void JniEnv::build_object_creation() {
     Assembler a(0);
     a.push({LR});
     a.mov(R(0), R(1));
-    a.call(dvm_.sym("dvmAllocObject"));
+    a.call(dvm_sym("dvmAllocObject"));
     a.call(h_to_ref);
     a.pop({PC});
-    const auto code = a.finish();
-    publish(name, idx, dvm_.stub_alloc(name, code));
+    publish(name, idx, stub_alloc(name, a));
   }
 
   // NewObjectArray(env, len, jclass, init) -> dvmAllocArrayByClass(cls, len).
@@ -419,12 +509,11 @@ void JniEnv::build_object_creation() {
     a.push({LR});
     a.mov(R(0), R(2));  // class
     // r1 already = len
-    a.call(dvm_.sym("dvmAllocArrayByClass"));
+    a.call(dvm_sym("dvmAllocArrayByClass"));
     a.call(h_to_ref);
     a.pop({PC});
-    const auto code = a.finish();
     publish("NewObjectArray", JniFn::kNewObjectArray,
-            dvm_.stub_alloc("NewObjectArray", code));
+            stub_alloc("NewObjectArray", a));
   }
 
   // New<Prim>Array(env, len) -> dvmAllocPrimitiveArray(elem_size, len).
@@ -438,38 +527,24 @@ void JniEnv::build_object_creation() {
     a.push({LR});
     a.mov_imm(R(0), elem_size);
     // r1 already = len
-    a.call(dvm_.sym("dvmAllocPrimitiveArray"));
+    a.call(dvm_sym("dvmAllocPrimitiveArray"));
     a.call(h_to_ref);
     a.pop({PC});
-    const auto code = a.finish();
-    publish(name, idx, dvm_.stub_alloc(name, code));
+    publish(name, idx, stub_alloc(name, a));
   }
-}
 
-// --- Call*Method family (Table II) -----------------------------------------
-
-void JniEnv::build_call_method_family() {
-  auto& dvm = dvm_;
-  const GuestAddr h_to_ref =
-      dvm_.cpu().register_helper_auto([&dvm](arm::Cpu& c) {
-        c.state().regs[0] = to_local_ref(dvm, c.state().regs[0]);
-      });
+  // --- Call*Method family (Table II) --------------------------------------
+  h_to_ref = helper(kCallMethodToRef);
 
   // Call<Kind><Type>Method<Form>(env, obj|cls, methodID, args_ptr):
   // marshals to dvmCallMethod{V,A}(method, receiver_iref, &jvalue, args).
   // Per Table II, the plain and V forms route to dvmCallMethodV and the A
   // form to dvmCallMethodA.
-  struct Variant {
-    const char* kind;   // "", "Nonvirtual", "Static"
-    const char* type;   // "Void", "Int", "Object"
-    const char* form;   // "", "V", "A"
-  };
   for (const char* kind : {"", "Nonvirtual", "Static"}) {
     for (const char* type : {"Void", "Int", "Object"}) {
       for (const char* form : {"", "V", "A"}) {
         const std::string name =
             std::string("Call") + kind + type + "Method" + form;
-        const char target = (form[0] == 'A') ? 'A' : 'V';
         const bool is_static = kind[0] == 'S';
         const bool ref_result = type[0] == 'O';
 
@@ -485,12 +560,11 @@ void JniEnv::build_call_method_family() {
         }
         a.mov(R(2), arm::SP);            // result ptr
         // r3 already = args_ptr
-        a.call(dvm_.call_method_stub(target));
+        a.call(dvm_sym(form[0] == 'A' ? "dvmCallMethodA" : "dvmCallMethodV"));
         a.ldr(R(0), arm::SP, 0);
         a.add_imm(arm::SP, arm::SP, 8);
         if (ref_result) a.call(h_to_ref);
         a.pop({R(4), PC});
-        const auto code = a.finish();
 
         const u32 base_idx = static_cast<u32>(JniFn::kCallVoidMethod);
         const u32 kind_off = kind[0] == 'N' ? 9 : (kind[0] == 'S' ? 18 : 0);
@@ -498,33 +572,13 @@ void JniEnv::build_call_method_family() {
         const u32 form_off = form[0] == 'V' ? 1 : (form[0] == 'A' ? 2 : 0);
         publish(name,
                 static_cast<JniFn>(base_idx + kind_off + type_off + form_off),
-                dvm_.stub_alloc(name, code));
+                stub_alloc(name, a));
       }
     }
   }
-}
 
-// --- ThrowNew -> initException -> dvmCreateStringFromCstr ------------------
-
-void JniEnv::build_throw_new() {
-  auto& dvm = dvm_;
-
-  // initException(jclass, msg_string_real_addr): builds the exception object
-  // around the already-created message string and sets it pending.
-  const GuestAddr h_init_exc =
-      dvm_.cpu().register_helper_auto([&dvm](arm::Cpu& c) {
-        dvm::ClassObject* cls = dvm.class_at(c.state().regs[0]);
-        Object* msg = dvm.heap().object_at(c.state().regs[1]);
-        if (cls->find_instance_field("message") == nullptr) {
-          cls->add_instance_field("message", 'L');
-        }
-        Object* exc = dvm.heap().new_instance(cls);
-        const dvm::Field* f = cls->find_instance_field("message");
-        exc->fields().at(f->index).value = msg ? msg->addr() : 0;
-        dvm.heap().sync_payload(*exc);
-        dvm.pending_exception = exc;
-        c.state().regs[0] = exc->addr();
-      });
+  // --- ThrowNew -> initException -> dvmCreateStringFromCstr ----------------
+  const GuestAddr h_init_exc = helper(kInitException);
 
   // initException stub: (jclass r0, msg_cstr r1)
   GuestAddr init_exception_addr;
@@ -533,14 +587,13 @@ void JniEnv::build_throw_new() {
     a.push({R(4), LR});
     a.mov(R(4), R(0));  // save class
     a.mov(R(0), R(1));  // cstr
-    a.call(dvm_.sym("dvmCreateStringFromCstr"));
+    a.call(dvm_sym("dvmCreateStringFromCstr"));
     a.mov(R(1), R(0));  // msg string real addr
     a.mov(R(0), R(4));  // class
     a.call(h_init_exc);
     a.pop({R(4), PC});
-    const auto code = a.finish();
-    init_exception_addr = dvm_.stub_alloc("initException", code);
-    symbols_["initException"] = init_exception_addr;
+    init_exception_addr = stub_alloc("initException", a);
+    img.symbols["initException"] = init_exception_addr;
   }
 
   // ThrowNew(env, jclass, msg_cstr) -> initException(jclass, msg).
@@ -552,9 +605,11 @@ void JniEnv::build_throw_new() {
     a.call(init_exception_addr);
     a.mov_imm(R(0), 0);  // JNI_OK
     a.pop({PC});
-    const auto code = a.finish();
-    publish("ThrowNew", JniFn::kThrowNew, dvm_.stub_alloc("ThrowNew", code));
+    publish("ThrowNew", JniFn::kThrowNew, stub_alloc("ThrowNew", a));
   }
+
+  img.libdvm.pages = b.capture(dvm::kLibdvmBase, dvm::kLibdvmSize);
+  return img;
 }
 
 }  // namespace ndroid::jni

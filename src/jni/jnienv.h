@@ -19,6 +19,10 @@
 //
 // None of these functions propagates taint: that is precisely TaintDroid's
 // JNI blind spot (paper §IV); NDroid's hook engines add the propagation.
+//
+// The stubs, landing pads and table are emitted once per process on top of
+// Dvm::image() (JniEnv::image()); each JniEnv loads that image into its Dvm
+// and registers its helper closures.
 #pragma once
 
 #include <map>
@@ -117,40 +121,50 @@ enum class JniFn : u32 {
   kCount,
 };
 
+/// The JNI functions' part of libdvm.so (JniEnv::image()).
+struct JniImage {
+  dvm::LibdvmImage libdvm;  // Dvm::image()'s libdvm.so plus the JNI code
+  arm::HelperTable helpers;
+  GuestAddr env_addr = 0;
+  GuestAddr table_addr = 0;
+  std::map<std::string, GuestAddr> symbols;
+};
+
 class JniEnv {
  public:
+  /// Loads image() into `dvm`, which must have allocated nothing in
+  /// libdvm.so since its construction, and registers the helpers.
   JniEnv(dvm::Dvm& dvm, os::Kernel& kernel);
 
   JniEnv(const JniEnv&) = delete;
   JniEnv& operator=(const JniEnv&) = delete;
 
+  /// The JNI functions' guest code and table, emitted once per process
+  /// (thread-safe).
+  static const JniImage& image();
+
   /// The JNIEnv* value native methods receive in R0.
-  [[nodiscard]] GuestAddr env_addr() const { return env_addr_; }
+  [[nodiscard]] GuestAddr env_addr() const { return image().env_addr; }
 
   /// Guest address of a JNI function by name (e.g. "NewStringUTF").
   [[nodiscard]] GuestAddr fn(const std::string& name) const;
   [[nodiscard]] GuestAddr fn(JniFn index) const;
 
   /// All published function symbols (hook engines iterate these the way
-  /// NDroid derived offsets by disassembling libdvm.so, §V-G).
+  /// NDroid derived offsets by disassembling libdvm.so, §V-G): one table
+  /// shared by every JniEnv.
   [[nodiscard]] const std::map<std::string, GuestAddr>& symbols() const {
-    return symbols_;
+    return image().symbols;
   }
 
  private:
-  void build();
-  GuestAddr add_helper_fn(const std::string& name, JniFn index,
-                          arm::Helper helper);
-  void publish(const std::string& name, JniFn index, GuestAddr addr);
-  void build_call_method_family();
-  void build_object_creation();
-  void build_throw_new();
+  static JniImage emit_image();
+  void bind_helpers();
+  /// The C++ body of the helper-backed function `index`.
+  arm::Helper helper_for(JniFn index);
 
   dvm::Dvm& dvm_;
   os::Kernel& kernel_;
-  GuestAddr env_addr_ = 0;
-  GuestAddr table_addr_ = 0;
-  std::map<std::string, GuestAddr> symbols_;
 };
 
 }  // namespace ndroid::jni

@@ -4,6 +4,9 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <memory>
+#include <mutex>
+#include <vector>
 
 #include "arm/assembler.h"
 
@@ -18,45 +21,98 @@ using arm::PC;
 using arm::R;
 using arm::SP;
 
-Libc::Libc(arm::Cpu& cpu, os::Kernel& kernel, GuestAddr libc_base,
-           u32 libc_size, GuestAddr libm_base, u32 libm_size)
-    : cpu_(cpu), kernel_(kernel) {
-  cpu_.memmap().add("libc.so", libc_base, libc_size, mem::kRX);
-  code_bump_ = libc_base;
-  code_end_ = libc_base + libc_size - 0x800;
-  file_struct_bump_ = libc_base + libc_size - 0x800;  // FILE structs
+namespace {
 
-  build_asm_string_functions(libc_base, code_end_);
-  build_stdio(libc_base);
-  build_syscall_wrappers();
-  build_libm(libm_base, libm_size);
+/// FILE structs live in the last 2 KiB of libc.so; code stays below.
+constexpr GuestAddr kCodeEnd = kLibcBase + kLibcSize - 0x800;
+
+/// Helper-backed libc functions, in helper-registration order (emit_image
+/// reserves, bind_helpers binds). The libm helpers (kMathFns), then strtod
+/// and strtol, follow.
+constexpr const char* kLibcHelpers[] = {
+    "strdup", "strcasecmp", "strncasecmp", "strtoul", "atol",   "sysconf",
+    "malloc", "free",       "calloc",      "realloc", "fopen",  "fclose",
+    "fwrite", "fread",      "fputc",       "fputs",   "fgets",  "fprintf",
+    "sprintf", "snprintf",  "sscanf"};
+
+/// libm (helper-modeled soft float, 32-bit). Both the double-named and the
+/// f-suffixed entry points exist; all use single precision on this core
+/// (no VFP — documented substitution). Exactly one of unary/binary is set.
+struct MathFn {
+  const char* name;
+  float (*unary)(float) = nullptr;
+  float (*binary)(float, float) = nullptr;
+};
+float m_sin(float x) { return std::sin(x); }
+float m_cos(float x) { return std::cos(x); }
+float m_sqrt(float x) { return std::sqrt(x); }
+float m_exp(float x) { return std::exp(x); }
+float m_log(float x) { return std::log(x); }
+float m_pow(float x, float y) { return std::pow(x, y); }
+float m_atan2(float x, float y) { return std::atan2(x, y); }
+const MathFn kMathFns[] = {
+    {"sin", m_sin},
+    {"sinf", m_sin},
+    {"cos", m_cos},
+    {"cosf", m_cos},
+    {"sqrt", m_sqrt},
+    {"sqrtf", m_sqrt},
+    {"exp", m_exp},
+    {"expf", m_exp},
+    {"log", m_log},
+    {"logf", m_log},
+    {"log10", [](float x) { return std::log10(x); }},
+    {"floor", [](float x) { return std::floor(x); }},
+    {"ceil", [](float x) { return std::ceil(x); }},
+    {"tan", [](float x) { return std::tan(x); }},
+    {"atan", [](float x) { return std::atan(x); }},
+    {"asin", [](float x) { return std::asin(x); }},
+    {"acos", [](float x) { return std::acos(x); }},
+    {"sinh", [](float x) { return std::sinh(x); }},
+    {"cosh", [](float x) { return std::cosh(x); }},
+    {"pow", nullptr, m_pow},
+    {"powf", nullptr, m_pow},
+    {"atan2", nullptr, m_atan2},
+    {"atan2f", nullptr, m_atan2},
+    {"fmod", nullptr, [](float x, float y) { return std::fmod(x, y); }},
+    {"ldexp", nullptr,
+     [](float x, float y) { return std::ldexp(x, static_cast<int>(y)); }},
+};
+
+}  // namespace
+
+Libc::Libc(arm::Cpu& cpu, os::Kernel& kernel)
+    : cpu_(cpu), kernel_(kernel), image_(image(cpu.next_helper_addr())) {
+  cpu_.memmap().add("libc.so", kLibcBase, kLibcSize, mem::kRX);
+  cpu_.memmap().add("libm.so", kLibmBase, kLibmSize, mem::kRX);
+  image_.pages.stamp(cpu_.memory());
+  bind_helpers();
+}
+
+const LibcImage& Libc::image(GuestAddr helper_base) {
+  static std::mutex mu;
+  static std::vector<std::unique_ptr<const LibcImage>> images;
+  std::lock_guard lock(mu);
+  for (const auto& img : images) {
+    if (img->helper_base == helper_base) return *img;
+  }
+  images.push_back(std::make_unique<const LibcImage>(emit_image(helper_base)));
+  return *images.back();
 }
 
 GuestAddr Libc::fn(const std::string& name) const {
-  auto it = symbols_.find(name);
-  if (it == symbols_.end()) throw GuestFault("no libc symbol: " + name);
+  if (auto it = image_.symbols.find(name); it != image_.symbols.end()) {
+    return it->second;
+  }
+  auto it = dl_entry_points_.find(name);
+  if (it == dl_entry_points_.end()) {
+    throw GuestFault("no libc symbol: " + name);
+  }
   return it->second;
 }
 
-GuestAddr Libc::add_asm(const std::string& name,
-                        const std::function<void(Assembler&)>& body) {
-  Assembler a(code_bump_);
-  body(a);
-  const auto code = a.finish();
-  if (code_bump_ + code.size() > code_end_) {
-    throw GuestFault("libc code space exhausted");
-  }
-  cpu_.memory().write_bytes(code_bump_, code);
-  const GuestAddr addr = code_bump_;
-  code_bump_ += (static_cast<u32>(code.size()) + 3) & ~3u;
-  symbols_[name] = addr;
-  return addr;
-}
-
-GuestAddr Libc::add_helper(const std::string& name, arm::Helper helper) {
-  const GuestAddr addr = cpu_.register_helper_auto(std::move(helper));
-  symbols_[name] = addr;
-  return addr;
+void Libc::bind(std::string_view name, arm::Helper helper) {
+  arm::bind_helper(cpu_, image_.helpers, name, std::move(helper));
 }
 
 // ---------------------------------------------------------------------------
@@ -90,7 +146,13 @@ void Libc::free_guest(GuestAddr addr) {
 // String/memory functions in genuine guest assembly
 // ---------------------------------------------------------------------------
 
-void Libc::build_asm_string_functions(GuestAddr /*base*/, GuestAddr /*end*/) {
+namespace {
+
+/// Assembles `body` as the next function in libc.so under `name`.
+using AddAsm = std::function<void(
+    const std::string& name, const std::function<void(Assembler&)>& body)>;
+
+void emit_string_functions(const AddAsm& add_asm) {
   // void* memcpy(dst, src, n) — byte loop, returns dst.
   add_asm("memcpy", [](Assembler& a) {
     Label loop, done;
@@ -386,24 +448,28 @@ void Libc::build_asm_string_functions(GuestAddr /*base*/, GuestAddr /*end*/) {
     a.mov_imm(R(0), 0);
     a.pop({R(4), PC});
   });
+}
 
+}  // namespace
+
+// Registers the helper closures in the order emit_image() reserved them.
+void Libc::bind_helpers() {
   // char* strdup(s): malloc(strlen(s)+1) + strcpy.
-  const GuestAddr h_strdup = cpu_.register_helper_auto([this](arm::Cpu& c) {
+  bind("strdup", [this](arm::Cpu& c) {
     const std::string s = c.memory().read_cstr(c.state().regs[0]);
     const GuestAddr copy = malloc_guest(static_cast<u32>(s.size()) + 1);
     c.memory().write_cstr(copy, s);
     c.state().regs[0] = copy;
   });
-  symbols_["strdup"] = h_strdup;
 
-  add_helper("strcasecmp", [](arm::Cpu& c) {
+  bind("strcasecmp", [](arm::Cpu& c) {
     std::string a = c.memory().read_cstr(c.state().regs[0]);
     std::string b = c.memory().read_cstr(c.state().regs[1]);
     for (char& ch : a) ch = static_cast<char>(std::tolower(ch));
     for (char& ch : b) ch = static_cast<char>(std::tolower(ch));
     c.state().regs[0] = static_cast<u32>(a.compare(b));
   });
-  add_helper("strncasecmp", [](arm::Cpu& c) {
+  bind("strncasecmp", [](arm::Cpu& c) {
     const u32 n = c.state().regs[2];
     std::string a = c.memory().read_cstr(c.state().regs[0]).substr(0, n);
     std::string b = c.memory().read_cstr(c.state().regs[1]).substr(0, n);
@@ -411,29 +477,29 @@ void Libc::build_asm_string_functions(GuestAddr /*base*/, GuestAddr /*end*/) {
     for (char& ch : b) ch = static_cast<char>(std::tolower(ch));
     c.state().regs[0] = static_cast<u32>(a.compare(b));
   });
-  add_helper("strtoul", [](arm::Cpu& c) {
+  bind("strtoul", [](arm::Cpu& c) {
     const std::string s = c.memory().read_cstr(c.state().regs[0]);
     c.state().regs[0] = static_cast<u32>(
         std::strtoul(s.c_str(), nullptr, static_cast<int>(c.state().regs[2])));
   });
-  add_helper("atol", [](arm::Cpu& c) {
+  bind("atol", [](arm::Cpu& c) {
     const std::string s = c.memory().read_cstr(c.state().regs[0]);
     c.state().regs[0] = static_cast<u32>(std::atol(s.c_str()));
   });
-  add_helper("sysconf", [](arm::Cpu& c) { c.state().regs[0] = 4096; });
+  bind("sysconf", [](arm::Cpu& c) { c.state().regs[0] = 4096; });
 
   // Allocation family.
-  add_helper("malloc", [this](arm::Cpu& c) {
+  bind("malloc", [this](arm::Cpu& c) {
     c.state().regs[0] = malloc_guest(c.state().regs[0]);
   });
-  add_helper("free", [this](arm::Cpu& c) { free_guest(c.state().regs[0]); });
-  add_helper("calloc", [this](arm::Cpu& c) {
+  bind("free", [this](arm::Cpu& c) { free_guest(c.state().regs[0]); });
+  bind("calloc", [this](arm::Cpu& c) {
     const u32 bytes = c.state().regs[0] * c.state().regs[1];
     const GuestAddr p = malloc_guest(bytes);
     c.memory().fill(p, 0, bytes);
     c.state().regs[0] = p;
   });
-  add_helper("realloc", [this](arm::Cpu& c) {
+  bind("realloc", [this](arm::Cpu& c) {
     const GuestAddr old = c.state().regs[0];
     const u32 size = c.state().regs[1];
     const GuestAddr p = malloc_guest(size);
@@ -445,6 +511,32 @@ void Libc::build_asm_string_functions(GuestAddr /*base*/, GuestAddr /*end*/) {
     }
     c.state().regs[0] = p;
   });
+
+  bind_stdio();
+
+  for (const MathFn& f : kMathFns) {
+    if (f.unary != nullptr) {
+      bind(f.name, [fn = f.unary](arm::Cpu& c) {
+        const float x = std::bit_cast<float>(c.state().regs[0]);
+        c.state().regs[0] = std::bit_cast<u32>(fn(x));
+      });
+    } else {
+      bind(f.name, [fn = f.binary](arm::Cpu& c) {
+        const float x = std::bit_cast<float>(c.state().regs[0]);
+        const float y = std::bit_cast<float>(c.state().regs[1]);
+        c.state().regs[0] = std::bit_cast<u32>(fn(x, y));
+      });
+    }
+  }
+  bind("strtod", [](arm::Cpu& c) {
+    const std::string s = c.memory().read_cstr(c.state().regs[0]);
+    c.state().regs[0] = std::bit_cast<u32>(std::strtof(s.c_str(), nullptr));
+  });
+  bind("strtol", [](arm::Cpu& c) {
+    const std::string s = c.memory().read_cstr(c.state().regs[0]);
+    c.state().regs[0] = static_cast<u32>(
+        std::strtol(s.c_str(), nullptr, static_cast<int>(c.state().regs[2])));
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -454,7 +546,10 @@ void Libc::build_asm_string_functions(GuestAddr /*base*/, GuestAddr /*end*/) {
 void Libc::register_dl_library(const std::string& name,
                                std::map<std::string, GuestAddr> dl_symbols) {
   // First registration also installs the guest-visible entry points.
-  if (dl_libraries_.empty() && !symbols_.contains("dlopen")) {
+  auto add_helper = [this](const std::string& fn_name, arm::Helper helper) {
+    dl_entry_points_[fn_name] = cpu_.register_helper_auto(std::move(helper));
+  };
+  if (dl_entry_points_.empty()) {
     add_helper("dlopen", [this](arm::Cpu& c) {
       const std::string wanted = c.memory().read_cstr(c.state().regs[0]);
       for (u32 i = 0; i < dl_libraries_.size(); ++i) {
@@ -540,9 +635,9 @@ std::string Libc::read_format_args(arm::Cpu& c, const std::string& fmt,
   return out;
 }
 
-void Libc::build_stdio(GuestAddr /*base*/) {
+void Libc::bind_stdio() {
   // FILE* fopen(path, mode)
-  add_helper("fopen", [this](arm::Cpu& c) {
+  bind("fopen", [this](arm::Cpu& c) {
     const std::string path = c.memory().read_cstr(c.state().regs[0]);
     const std::string mode = c.memory().read_cstr(c.state().regs[1]);
     u32 flags = os::kOpenRead;
@@ -560,7 +655,7 @@ void Libc::build_stdio(GuestAddr /*base*/) {
     c.state().regs[0] = file;
   });
 
-  add_helper("fclose", [this](arm::Cpu& c) {
+  bind("fclose", [this](arm::Cpu& c) {
     auto it = files_.find(c.state().regs[0]);
     if (it != files_.end()) {
       kernel_.close_fd(it->second);
@@ -570,7 +665,7 @@ void Libc::build_stdio(GuestAddr /*base*/) {
   });
 
   // size_t fwrite(buf, size, count, FILE*)
-  add_helper("fwrite", [this](arm::Cpu& c) {
+  bind("fwrite", [this](arm::Cpu& c) {
     const GuestAddr buf = c.state().regs[0];
     const u32 bytes = c.state().regs[1] * c.state().regs[2];
     auto it = files_.find(c.state().regs[3]);
@@ -585,7 +680,7 @@ void Libc::build_stdio(GuestAddr /*base*/) {
   });
 
   // size_t fread(buf, size, count, FILE*)
-  add_helper("fread", [this](arm::Cpu& c) {
+  bind("fread", [this](arm::Cpu& c) {
     const GuestAddr buf = c.state().regs[0];
     const u32 bytes = c.state().regs[1] * c.state().regs[2];
     auto it = files_.find(c.state().regs[3]);
@@ -600,7 +695,7 @@ void Libc::build_stdio(GuestAddr /*base*/) {
   });
 
   // int fputc(c, FILE*)
-  add_helper("fputc", [this](arm::Cpu& c) {
+  bind("fputc", [this](arm::Cpu& c) {
     auto it = files_.find(c.state().regs[1]);
     if (it != files_.end()) {
       const u8 ch = static_cast<u8>(c.state().regs[0]);
@@ -610,7 +705,7 @@ void Libc::build_stdio(GuestAddr /*base*/) {
   });
 
   // int fputs(s, FILE*)
-  add_helper("fputs", [this](arm::Cpu& c) {
+  bind("fputs", [this](arm::Cpu& c) {
     auto it = files_.find(c.state().regs[1]);
     if (it != files_.end()) {
       const std::string s = c.memory().read_cstr(c.state().regs[0]);
@@ -621,7 +716,7 @@ void Libc::build_stdio(GuestAddr /*base*/) {
   });
 
   // char* fgets(buf, n, FILE*)
-  add_helper("fgets", [this](arm::Cpu& c) {
+  bind("fgets", [this](arm::Cpu& c) {
     auto it = files_.find(c.state().regs[2]);
     const GuestAddr buf = c.state().regs[0];
     const u32 n = c.state().regs[1];
@@ -645,7 +740,7 @@ void Libc::build_stdio(GuestAddr /*base*/) {
   });
 
   // int fprintf(FILE*, fmt, ...) — varargs from r2, r3, then stack.
-  add_helper("fprintf", [this](arm::Cpu& c) {
+  bind("fprintf", [this](arm::Cpu& c) {
     const std::string fmt = c.memory().read_cstr(c.state().regs[1]);
     const std::string out = read_format_args(c, fmt, 2, c.state().sp());
     auto it = files_.find(c.state().regs[0]);
@@ -657,7 +752,7 @@ void Libc::build_stdio(GuestAddr /*base*/) {
   });
 
   // int sprintf(buf, fmt, ...)
-  add_helper("sprintf", [this](arm::Cpu& c) {
+  bind("sprintf", [this](arm::Cpu& c) {
     const std::string fmt = c.memory().read_cstr(c.state().regs[1]);
     const std::string out = read_format_args(c, fmt, 2, c.state().sp());
     c.memory().write_cstr(c.state().regs[0], out);
@@ -665,7 +760,7 @@ void Libc::build_stdio(GuestAddr /*base*/) {
   });
 
   // int snprintf(buf, n, fmt, ...)
-  add_helper("snprintf", [this](arm::Cpu& c) {
+  bind("snprintf", [this](arm::Cpu& c) {
     const std::string fmt = c.memory().read_cstr(c.state().regs[2]);
     std::string out = read_format_args(c, fmt, 3, c.state().sp());
     const u32 n = c.state().regs[1];
@@ -676,12 +771,8 @@ void Libc::build_stdio(GuestAddr /*base*/) {
     }
     c.state().regs[0] = full;
   });
-  symbols_["vsnprintf"] = symbols_["snprintf"];
-  symbols_["vsprintf"] = symbols_["sprintf"];
-  symbols_["vfprintf"] = symbols_["fprintf"];
-
   // int sscanf(s, fmt, ...) — supports %d and %s, enough for workloads.
-  add_helper("sscanf", [this](arm::Cpu& c) {
+  bind("sscanf", [this](arm::Cpu& c) {
     const std::string input = c.memory().read_cstr(c.state().regs[0]);
     const std::string fmt = c.memory().read_cstr(c.state().regs[1]);
     u32 reg = 2, stack_idx = 0, matched = 0;
@@ -718,63 +809,14 @@ void Libc::build_stdio(GuestAddr /*base*/) {
 }
 
 // ---------------------------------------------------------------------------
-// libm (helper-modeled soft float, 32-bit)
+// Guest code (emitted once per process and helper base)
 // ---------------------------------------------------------------------------
 
-void Libc::build_libm(GuestAddr libm_base, u32 libm_size) {
-  cpu_.memmap().add("libm.so", libm_base, libm_size, mem::kRX);
+namespace {
 
-  auto unary = [this](const std::string& name, float (*fn)(float)) {
-    add_helper(name, [fn](arm::Cpu& c) {
-      const float x = std::bit_cast<float>(c.state().regs[0]);
-      c.state().regs[0] = std::bit_cast<u32>(fn(x));
-    });
-  };
-  auto binary = [this](const std::string& name, float (*fn)(float, float)) {
-    add_helper(name, [fn](arm::Cpu& c) {
-      const float x = std::bit_cast<float>(c.state().regs[0]);
-      const float y = std::bit_cast<float>(c.state().regs[1]);
-      c.state().regs[0] = std::bit_cast<u32>(fn(x, y));
-    });
-  };
-
-  // Both the double-named and the f-suffixed entry points exist; all use
-  // single precision on this core (no VFP — documented substitution).
-  for (const char* n : {"sin", "sinf"}) unary(n, [](float x) { return std::sin(x); });
-  for (const char* n : {"cos", "cosf"}) unary(n, [](float x) { return std::cos(x); });
-  for (const char* n : {"sqrt", "sqrtf"}) unary(n, [](float x) { return std::sqrt(x); });
-  for (const char* n : {"exp", "expf"}) unary(n, [](float x) { return std::exp(x); });
-  for (const char* n : {"log", "logf"}) unary(n, [](float x) { return std::log(x); });
-  unary("log10", [](float x) { return std::log10(x); });
-  unary("floor", [](float x) { return std::floor(x); });
-  unary("ceil", [](float x) { return std::ceil(x); });
-  unary("tan", [](float x) { return std::tan(x); });
-  unary("atan", [](float x) { return std::atan(x); });
-  unary("asin", [](float x) { return std::asin(x); });
-  unary("acos", [](float x) { return std::acos(x); });
-  unary("sinh", [](float x) { return std::sinh(x); });
-  unary("cosh", [](float x) { return std::cosh(x); });
-  for (const char* n : {"pow", "powf"}) binary(n, [](float x, float y) { return std::pow(x, y); });
-  for (const char* n : {"atan2", "atan2f"}) binary(n, [](float x, float y) { return std::atan2(x, y); });
-  binary("fmod", [](float x, float y) { return std::fmod(x, y); });
-  binary("ldexp", [](float x, float y) { return std::ldexp(x, static_cast<int>(y)); });
-  add_helper("strtod", [](arm::Cpu& c) {
-    const std::string s = c.memory().read_cstr(c.state().regs[0]);
-    c.state().regs[0] = std::bit_cast<u32>(std::strtof(s.c_str(), nullptr));
-  });
-  add_helper("strtol", [](arm::Cpu& c) {
-    const std::string s = c.memory().read_cstr(c.state().regs[0]);
-    c.state().regs[0] = static_cast<u32>(
-        std::strtol(s.c_str(), nullptr, static_cast<int>(c.state().regs[2])));
-  });
-}
-
-// ---------------------------------------------------------------------------
-// Syscall wrappers (guest SVC stubs)
-// ---------------------------------------------------------------------------
-
-void Libc::build_syscall_wrappers() {
-  auto wrapper = [this](const std::string& name, os::Sys number) {
+/// Syscall wrappers: guest SVC stubs.
+void emit_syscall_wrappers(const AddAsm& add_asm) {
+  auto wrapper = [&](const std::string& name, os::Sys number) {
     add_asm(name, [number](Assembler& a) {
       a.push({R(7), LR});
       a.mov_imm32(R(7), static_cast<u32>(number));
@@ -805,6 +847,43 @@ void Libc::build_syscall_wrappers() {
     a.svc(0);
     a.pop({R(4), R(7), PC});
   });
+}
+
+}  // namespace
+
+LibcImage Libc::emit_image(GuestAddr helper_base) {
+  arm::ImageBuilder b(helper_base);
+  LibcImage img;
+  img.helper_base = helper_base;
+  GuestAddr code_bump = kLibcBase;
+  const AddAsm add_asm = [&](const std::string& name,
+                             const std::function<void(Assembler&)>& body) {
+    Assembler a(code_bump);
+    body(a);
+    const auto code = a.finish();
+    if (code_bump + code.size() > kCodeEnd) {
+      throw GuestFault("libc code space exhausted");
+    }
+    b.memory().write_bytes(code_bump, code);
+    img.symbols[name] = code_bump;
+    code_bump += (static_cast<u32>(code.size()) + 3) & ~3u;
+  };
+  auto add_helper = [&](const char* name) {
+    img.symbols[name] = b.reserve_helper(img.helpers, name);
+  };
+
+  emit_string_functions(add_asm);
+  emit_syscall_wrappers(add_asm);
+  for (const char* name : kLibcHelpers) add_helper(name);
+  for (const MathFn& f : kMathFns) add_helper(f.name);
+  add_helper("strtod");
+  add_helper("strtol");
+  img.symbols["vsnprintf"] = img.symbols.at("snprintf");
+  img.symbols["vsprintf"] = img.symbols.at("sprintf");
+  img.symbols["vfprintf"] = img.symbols.at("fprintf");
+
+  img.pages = b.capture(kLibcBase, kLibcSize);
+  return img;
 }
 
 }  // namespace ndroid::libc

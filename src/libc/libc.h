@@ -21,6 +21,10 @@
 // Syscall wrappers (open/read/write/close/socket/connect/send/sendto/recv)
 // are guest stubs that trap via SVC, so Table VII's kernel-level sinks are
 // observable as guest instructions.
+//
+// The assembly and the symbol table are the same in every Device, so they
+// are emitted once per process (Libc::image(), arm/guest_image.h); each Libc
+// copies the image's pages and registers its helper closures.
 #pragma once
 
 #include <map>
@@ -29,22 +33,45 @@
 
 #include "arm/assembler.h"
 #include "arm/cpu.h"
+#include "arm/guest_image.h"
 #include "os/kernel.h"
 
 namespace ndroid::libc {
 
+/// libc.so's and libm.so's places in the guest layout.
+inline constexpr GuestAddr kLibcBase = 0x40100000;
+inline constexpr u32 kLibcSize = 0x00020000;
+inline constexpr GuestAddr kLibmBase = 0x40200000;
+inline constexpr u32 kLibmSize = 0x00010000;
+
+/// libc.so and libm.so as emitted once per process: libc's assembly pages
+/// (libm is all helpers) and the symbols of both.
+struct LibcImage {
+  GuestAddr helper_base = 0;  // where its helpers start in the window
+  arm::ImagePages pages;
+  arm::HelperTable helpers;
+  std::map<std::string, GuestAddr> symbols;
+};
+
 class Libc {
  public:
-  Libc(arm::Cpu& cpu, os::Kernel& kernel, GuestAddr libc_base, u32 libc_size,
-       GuestAddr libm_base, u32 libm_size);
+  /// Loads image(cpu.next_helper_addr()) and registers the helpers.
+  Libc(arm::Cpu& cpu, os::Kernel& kernel);
 
   Libc(const Libc&) = delete;
   Libc& operator=(const Libc&) = delete;
 
+  /// The libraries for helpers registered from `helper_base` on, emitted
+  /// once per process and base (thread-safe). Every Device loads libc at
+  /// the same point of its helper registration, so it uses one image.
+  static const LibcImage& image(GuestAddr helper_base);
+
   /// Address of a libc/libm function by name.
   [[nodiscard]] GuestAddr fn(const std::string& name) const;
+  /// The image's symbols: one table shared by every Libc loaded at the same
+  /// helper base (dl* entry points added at run time are not in it).
   [[nodiscard]] const std::map<std::string, GuestAddr>& symbols() const {
-    return symbols_;
+    return image_.symbols;
   }
 
   /// Host-side malloc into the guest native heap (used by JNI glue too).
@@ -67,23 +94,19 @@ class Libc {
                            std::map<std::string, GuestAddr> dl_symbols);
 
  private:
-  void build_asm_string_functions(GuestAddr base, GuestAddr end);
-  void build_stdio(GuestAddr base);
-  void build_libm(GuestAddr libm_base, u32 libm_size);
-  void build_syscall_wrappers();
-
-  GuestAddr add_asm(const std::string& name,
-                    const std::function<void(arm::Assembler&)>& body);
-  GuestAddr add_helper(const std::string& name, arm::Helper helper);
+  static LibcImage emit_image(GuestAddr helper_base);
+  void bind_helpers();
+  void bind_stdio();
+  void bind(std::string_view name, arm::Helper helper);
 
   std::string read_format_args(arm::Cpu& c, const std::string& fmt,
                                u32 first_reg, GuestAddr stack_args);
 
   arm::Cpu& cpu_;
   os::Kernel& kernel_;
-  std::map<std::string, GuestAddr> symbols_;
-  GuestAddr code_bump_ = 0;
-  GuestAddr code_end_ = 0;
+  const LibcImage& image_;
+  /// dlopen/dlsym/dlclose, registered by the first register_dl_library.
+  std::map<std::string, GuestAddr> dl_entry_points_;
 
   // malloc bookkeeping: guest address -> block size; simple size-bucketed
   // free lists over kernel-mmapped arenas.
@@ -93,7 +116,7 @@ class Libc {
 
   // FILE* handles: guest struct of one word holding fd + host map.
   std::unordered_map<GuestAddr, int> files_;
-  GuestAddr file_struct_bump_ = 0;
+  GuestAddr file_struct_bump_ = kLibcBase + kLibcSize - 0x800;
 
   // Dynamic loader registry: handle (index+1) -> {name, symbols, open}.
   struct DlLibrary {

@@ -11,11 +11,28 @@ AddressSpace::Page& AddressSpace::touch_page(GuestAddr addr) {
   if (leaf == nullptr) leaf = std::make_unique<Leaf>();
   std::unique_ptr<Page>& page = leaf->pages[page_no & (kLeafSlots - 1)];
   if (page == nullptr) {
-    page = std::make_unique<Page>();
-    page->fill(0);
+    page = std::make_unique<Page>();  // value-initialised: zero-filled
     ++resident_;
   }
   return *page;
+}
+
+void AddressSpace::set_page_watched(u32 page_no, bool on) {
+  std::unique_ptr<Leaf>& leaf = root_[page_no >> kLeafBits];
+  if (leaf == nullptr) {
+    if (!on) return;
+    leaf = std::make_unique<Leaf>();
+  }
+  u8& watched = leaf->watched[page_no & (kLeafSlots - 1)];
+  if (watched == static_cast<u8>(on)) return;
+  watched = on;
+  if (!on) {
+    --watched_pages_;
+    return;
+  }
+  ++watched_pages_;
+  TlbEntry& e = write_tlb_[page_no & (kTlbSlots - 1)];
+  if (e.page == page_no) e = TlbEntry{};
 }
 
 u8 AddressSpace::read8_slow(GuestAddr addr) const {

@@ -16,13 +16,12 @@
 //  * page-chunked bulk ops (read_bytes/write_bytes/fill/copy/read_cstr)
 //    that run memcpy/memset/memchr per resident page instead of per byte.
 //
-// Write-watch coherence rule: the write TLB never caches a page whose watch
-// bit is set, so every store to a watched page takes the slow path and fires
-// the watch (self-modifying-code invalidation keeps working). When a page's
-// watch bit arms *after* a write entry was cached, the owner must call
-// tlb_invalidate_write_page() (the TB cache does this via the Cpu's
-// watch-armed notifier); installing a new watch bitmap flushes the write TLB
-// wholesale.
+// Write-watch coherence rule: each directory leaf carries a watch byte per
+// page slot, and the write TLB never caches a watched page, so every store to
+// one takes the slow path and fires the watch (self-modifying-code
+// invalidation keeps working). set_page_watched() drops the page's write-TLB
+// slot when it arms, so a page watched *after* a write entry was cached is
+// covered too.
 #pragma once
 
 #include <array>
@@ -143,28 +142,22 @@ class AddressSpace {
   /// Number of pages currently materialised (memory footprint diagnostics).
   /// Exact and O(1): maintained by page allocation.
   [[nodiscard]] std::size_t resident_pages() const { return resident_; }
+  [[nodiscard]] bool is_resident(GuestAddr addr) const {
+    return find_page(addr) != nullptr;
+  }
 
-  /// Write watch: `page_bitmap` is a caller-owned byte-per-4KiB-page map of
-  /// interesting pages; `watch` fires after any write touching a marked
-  /// page. The translation-block cache uses this to invalidate cached code
-  /// on self-modification (both guest stores and host-side loads go through
-  /// these write paths). Pass nullptrs to clear.
-  ///
-  /// Installing (or clearing) a watch flushes the write TLB: entries cached
-  /// under the old bitmap may cover pages the new bitmap marks.
+  /// Write watch: `watch` fires after any write touching a page marked with
+  /// set_page_watched(). The translation-block cache uses this to invalidate
+  /// cached code on self-modification (both guest stores and host-side loads
+  /// go through these write paths). Pass {} to clear; page marks persist.
   using WriteWatch = std::function<void(GuestAddr addr, u32 len)>;
-  void set_write_watch(const u8* page_bitmap, WriteWatch watch) {
-    watch_pages_ = page_bitmap;
-    watch_ = std::move(watch);
-    tlb_flush_write();
-  }
+  void set_write_watch(WriteWatch watch) { watch_ = std::move(watch); }
 
-  /// Drops any cached write entry for `page_no`. Must be called when a
-  /// page's watch bit transitions 0 -> 1 while a watch is installed (the
-  /// TB cache arms code pages long after their first write).
-  void tlb_invalidate_write_page(u32 page_no) {
-    write_tlb_[page_no & (kTlbSlots - 1)] = TlbEntry{};
-  }
+  /// Marks or unmarks page `page_no` as write-watched. Arming drops the
+  /// page's write-TLB entry, so a store cached while the page was unwatched
+  /// cannot bypass the watch. Costs one directory leaf for a page in a
+  /// never-touched 4 MiB region; no guest page is materialised.
+  void set_page_watched(u32 page_no, bool on);
 
   /// Raw TLB probes for callers that inline memory accesses themselves (the
   /// threaded-code micro-ops): a hit returns the host pointer for `len`
@@ -234,6 +227,7 @@ class AddressSpace {
   using Page = std::array<u8, kPageSize>;
   struct Leaf {
     std::array<std::unique_ptr<Page>, kLeafSlots> pages;
+    std::array<u8, kLeafSlots> watched{};  // set_page_watched marks
   };
   static constexpr u32 kNoPage = 0xFFFFFFFFu;
 
@@ -258,9 +252,12 @@ class AddressSpace {
     read_tlb_[page_no & (kTlbSlots - 1)] = {page_no, p.data()};
   }
   void fill_write_tlb(u32 page_no, Page& p) {
-    if (!tlb_enabled_) return;
-    if (watch_pages_ != nullptr && watch_pages_[page_no]) return;
+    if (!tlb_enabled_ || is_watched(page_no)) return;
     write_tlb_[page_no & (kTlbSlots - 1)] = {page_no, p.data()};
+  }
+  [[nodiscard]] bool is_watched(u32 page_no) const {
+    const Leaf* leaf = root_[page_no >> kLeafBits].get();
+    return leaf != nullptr && leaf->watched[page_no & (kLeafSlots - 1)] != 0;
   }
 
   [[nodiscard]] u8 read8_slow(GuestAddr addr) const;
@@ -270,14 +267,14 @@ class AddressSpace {
   void write16_slow(GuestAddr addr, u16 value);
   void write32_slow(GuestAddr addr, u32 value);
 
-  /// One predictable branch on the hot write path when no watch is set.
+  /// One predictable branch on the hot write path when no page is watched.
   void notify_write(GuestAddr addr, u32 len) {
-    if (watch_pages_ == nullptr) [[likely]] return;
+    if (watched_pages_ == 0) [[likely]] return;
     const u32 first = addr >> kPageShift;
     const u32 last = (addr + len - 1) >> kPageShift;
     for (u32 page = first; page <= last; ++page) {
-      if (watch_pages_[page]) {
-        watch_(addr, len);
+      if (is_watched(page)) {
+        if (watch_) watch_(addr, len);
         return;
       }
     }
@@ -285,10 +282,10 @@ class AddressSpace {
 
   std::array<std::unique_ptr<Leaf>, kRootSlots> root_;
   std::size_t resident_ = 0;
+  std::size_t watched_pages_ = 0;
   mutable std::array<TlbEntry, kTlbSlots> read_tlb_;
   std::array<TlbEntry, kTlbSlots> write_tlb_;
   bool tlb_enabled_ = true;
-  const u8* watch_pages_ = nullptr;
   WriteWatch watch_;
 };
 

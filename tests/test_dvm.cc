@@ -13,8 +13,7 @@ class DvmFixture : public ::testing::Test {
 
   DvmFixture()
       : cpu_(mem_, map_),
-        dvm_(cpu_, /*libdvm*/ 0x40000000, 0x40000,
-             /*heap*/ 0x34000000, 0x200000,
+        dvm_(cpu_, /*heap*/ 0x34000000, 0x200000,
              /*stack*/ 0x38000000, 0x40000) {
     map_.add("libapp.so", kNativeCode, 0x4000, mem::kRX);
     map_.add("[stack]", 0xBE000000, 0x100000, mem::kRW);

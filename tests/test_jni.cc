@@ -21,8 +21,7 @@ class JniFixture : public ::testing::Test {
   JniFixture()
       : cpu_(mem_, map_),
         kernel_(mem_, map_),
-        dvm_(cpu_, 0x40000000, 0x40000, 0x34000000, 0x200000, 0x38000000,
-             0x40000),
+        dvm_(cpu_, 0x34000000, 0x200000, 0x38000000, 0x40000),
         env_(dvm_, kernel_) {
     map_.add("libapp.so", kNativeCode, 0x8000, mem::kRX);
     map_.add("[stack]", 0xBE000000, 0x100000, mem::kRW);

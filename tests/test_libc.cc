@@ -14,7 +14,7 @@ class LibcFixture : public ::testing::Test {
   LibcFixture()
       : cpu_(mem_, map_),
         kernel_(mem_, map_),
-        libc_(cpu_, kernel_, 0x40100000, 0x20000, 0x40200000, 0x10000) {
+        libc_(cpu_, kernel_) {
     map_.add("data", kData, 0x8000, mem::kRW);
     map_.add("[stack]", 0xBE000000, 0x100000, mem::kRW);
     cpu_.set_initial_sp(0xBE100000);

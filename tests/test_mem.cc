@@ -132,10 +132,9 @@ TEST(AddressSpace, WatchedPageStoresAlwaysFire) {
   // The write-TLB contract: a store entry for a watched page is never
   // cached, so *every* store to it reaches the watch — not just the first.
   AddressSpace mem;
-  std::vector<u8> bitmap(1u << 20, 0);
-  bitmap[0x5000u >> AddressSpace::kPageShift] = 1;
+  mem.set_page_watched(0x5000u >> AddressSpace::kPageShift, true);
   int fires = 0;
-  mem.set_write_watch(bitmap.data(), [&](GuestAddr, u32) { ++fires; });
+  mem.set_write_watch([&](GuestAddr, u32) { ++fires; });
   mem.write8(0x5000, 1);
   mem.write8(0x5001, 2);
   mem.write32(0x5004, 3);
@@ -144,38 +143,59 @@ TEST(AddressSpace, WatchedPageStoresAlwaysFire) {
   mem.write8(0x9000, 1);
   mem.write8(0x9001, 2);
   EXPECT_EQ(fires, 3);
-  mem.set_write_watch(nullptr, {});
+  mem.set_write_watch({});
 }
 
-TEST(AddressSpace, InstallingWatchDropsCachedWriteEntries) {
+TEST(AddressSpace, WatchingAPageDropsItsCachedWriteEntry) {
+  // Arming a page after a store cached its write-TLB entry (the TB cache
+  // inserts a block into an already-written page) must drop that entry by
+  // itself — no separate invalidate call — so the next store fires.
   AddressSpace mem;
-  mem.write8(0x5000, 1);  // caches a write-TLB entry for the page
-  std::vector<u8> bitmap(1u << 20, 0);
-  bitmap[0x5000u >> AddressSpace::kPageShift] = 1;
   int fires = 0;
-  mem.set_write_watch(bitmap.data(), [&](GuestAddr, u32) { ++fires; });
-  mem.write8(0x5002, 2);  // must take the slow path and fire
-  EXPECT_EQ(fires, 1);
-  mem.set_write_watch(nullptr, {});
-}
-
-TEST(AddressSpace, LateArmedWatchBitNeedsInvalidate) {
-  // A watch bit arming after a write entry was cached (the TB cache inserts
-  // a block into an already-written page) requires the owner to drop the
-  // entry via tlb_invalidate_write_page — which must make the watch fire.
-  AddressSpace mem;
-  std::vector<u8> bitmap(1u << 20, 0);
-  int fires = 0;
-  mem.set_write_watch(bitmap.data(), [&](GuestAddr, u32) { ++fires; });
+  mem.set_write_watch([&](GuestAddr, u32) { ++fires; });
   mem.write8(0x5000, 1);  // unwatched: cached, no fire
   EXPECT_EQ(fires, 0);
-  bitmap[0x5000u >> AddressSpace::kPageShift] = 1;  // bit arms late
-  mem.tlb_invalidate_write_page(0x5000u >> AddressSpace::kPageShift);
-  mem.write8(0x5001, 2);
+  mem.set_page_watched(0x5000u >> AddressSpace::kPageShift, true);
+  mem.write8(0x5002, 2);  // must take the slow path and fire
   EXPECT_EQ(fires, 1);
-  mem.write8(0x5002, 3);  // and it keeps firing (never re-cached)
+  mem.write8(0x5003, 3);  // and it keeps firing (never re-cached)
   EXPECT_EQ(fires, 2);
-  mem.set_write_watch(nullptr, {});
+  mem.set_write_watch({});
+}
+
+TEST(AddressSpace, UnwatchedPageStopsFiringAndCachesAgain) {
+  AddressSpace mem;
+  int fires = 0;
+  mem.set_write_watch([&](GuestAddr, u32) { ++fires; });
+  const u32 page = 0x5000u >> AddressSpace::kPageShift;
+  mem.set_page_watched(page, true);
+  mem.write8(0x5000, 1);
+  EXPECT_EQ(fires, 1);
+  mem.set_page_watched(page, false);
+  mem.write8(0x5001, 2);
+  mem.write8(0x5002, 3);
+  EXPECT_EQ(fires, 1);
+  EXPECT_NE(mem.tlb_probe_write(0x5004, 4), nullptr);  // cacheable again
+  mem.set_write_watch({});
+}
+
+TEST(AddressSpace, WatchInUntouchedRegionMaterialisesNoPage) {
+  // A page in a never-touched 4 MiB region can be watched and unwatched:
+  // the mark lives in the directory leaf, and no guest page is allocated.
+  AddressSpace mem;
+  int fires = 0;
+  mem.set_write_watch([&](GuestAddr, u32) { ++fires; });
+  const GuestAddr addr = 0x7F400000;
+  mem.set_page_watched(addr >> AddressSpace::kPageShift, true);
+  EXPECT_EQ(mem.resident_pages(), 0u);
+  EXPECT_EQ(mem.read32(addr), 0u);
+  mem.set_page_watched(addr >> AddressSpace::kPageShift, false);
+  mem.set_page_watched(addr >> AddressSpace::kPageShift, false);  // idempotent
+  EXPECT_EQ(mem.resident_pages(), 0u);
+  mem.write32(addr, 7);
+  EXPECT_EQ(fires, 0);
+  EXPECT_EQ(mem.read32(addr), 7u);
+  mem.set_write_watch({});
 }
 
 TEST(AddressSpace, TlbDisabledMatchesEnabled) {

@@ -5,6 +5,8 @@
 // instruction after taint appears, counters exposed via core/report).
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "apps/cfbench.h"
 #include "arm/assembler.h"
 #include "arm/cpu.h"
@@ -127,10 +129,10 @@ TEST_F(TbCacheFixture, BlockRewritingItselfStopsReplayingStaleCode) {
 
 TEST_F(TbCacheFixture, WriteTlbPrimedBeforeCodeInsertStillTrapsSmc) {
   // A guest store primes the write TLB for a page *before* any code is
-  // cached there. When a block from that page is later inserted, the watch
-  // bit arms late — the TB cache's watch-armed notifier must drop the
-  // primed entry, or the rewriting store below would bypass the write
-  // watch and the stale block would keep executing.
+  // cached there. When a block from that page is later inserted, the page
+  // is watched late — arming it must drop the primed entry, or the
+  // rewriting store below would bypass the write watch and the stale block
+  // would keep executing.
   const GuestAddr fn = kCode + 0x1000;
 
   Assembler prime(kCode);
@@ -244,6 +246,70 @@ TEST_F(TbCacheFixture, ThumbDecodeKeyIgnoresFollowingHalfword) {
   cpu_.step();
   EXPECT_EQ(cpu_.state().regs[0], 1u);
   EXPECT_GT(cpu_.decode_hits(), hits_before);
+}
+
+// --- The per-thread decode cache ------------------------------------------
+
+TEST(TbCacheThreads, TwoCpusOnOneThreadRunTheirOwnCode) {
+  // Both Cpus decode through this thread's one decode cache, with different
+  // code at the same guest address: each must still run its own
+  // instructions and count only its own decode lookups.
+  constexpr GuestAddr kCode = 0x10000;
+  struct Machine {
+    mem::AddressSpace mem;
+    mem::MemoryMap map;
+    Cpu cpu{mem, map};
+  };
+  Machine a, b;
+  for (Machine* m : {&a, &b}) {
+    m->map.add("code", kCode, 0x1000, mem::kRX);
+    m->map.add("[stack]", 0x70000, 0x10000, mem::kRW);
+    m->cpu.set_initial_sp(0x80000);
+  }
+  Assembler pa(kCode);
+  pa.mov_imm(R(0), 11);
+  pa.ret();
+  a.mem.write_bytes(kCode, pa.finish());
+  Assembler pb(kCode);
+  pb.mov_imm(R(0), 22);
+  pb.add_imm(R(0), R(0), 1);
+  pb.ret();
+  b.mem.write_bytes(kCode, pb.finish());
+
+  for (const arm::Engine engine :
+       {arm::Engine::kInterp, arm::Engine::kThreaded}) {
+    a.cpu.set_engine(engine);
+    b.cpu.set_engine(engine);
+    for (int round = 0; round < 3; ++round) {
+      EXPECT_EQ(a.cpu.call_function(kCode), 11u);
+      const u64 a_lookups = a.cpu.decode_lookups();
+      const u64 b_lookups = b.cpu.decode_lookups();
+      EXPECT_EQ(b.cpu.call_function(kCode), 23u);
+      EXPECT_EQ(a.cpu.decode_lookups(), a_lookups);  // b's decodes are b's
+      if (engine == arm::Engine::kInterp) {
+        EXPECT_EQ(b.cpu.decode_lookups(), b_lookups + 3);  // one per step
+      }
+    }
+  }
+  EXPECT_GT(a.cpu.decode_hits(), 0u);
+  EXPECT_GT(b.cpu.decode_hits(), 0u);
+}
+
+TEST(TbCacheThreads, DeviceBuiltOnOneThreadRunsOnAnother) {
+  // A Device holds no per-thread state: built here and run on a thread that
+  // has never decoded anything, it computes what a same-thread run does.
+  auto checksum = [](android::Device& device) {
+    apps::CfBenchApp bench(device);
+    core::NDroid nd(device);
+    return bench.run(*bench.find("Native MIPS"), 20);
+  };
+  android::Device here("tb-here");
+  const u32 expected = checksum(here);
+
+  android::Device device("tb-moved");
+  u32 got = 0;
+  std::thread([&] { got = checksum(device); }).join();
+  EXPECT_EQ(got, expected);
 }
 
 // --- Taint-liveness fast path (NDroid attached) ---------------------------

@@ -1,14 +1,17 @@
 #include "farm/farm.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <sstream>
 #include <thread>
 
-#include "farm/channel.h"
 #include "static/summary_store.h"
 
 namespace ndroid::farm {
@@ -28,46 +31,133 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// One worker's job deque. The owner pops from the front; thieves pop from
-/// the back, so an owner burns through its own cache-warm neighbourhood
-/// while steals take the work it would reach last.
+/// One worker's deque of indices into the batch. The owner pops from the
+/// front; thieves pop from the back, so an owner burns through its own
+/// cache-warm neighbourhood while steals take the work it would reach last.
 struct WorkerQueue {
   std::mutex m;
-  std::deque<JobSpec> q;
+  std::deque<std::size_t> q;
 
-  bool pop_front(JobSpec& out) {
+  bool pop_front(std::size_t& out) {
     std::lock_guard lock(m);
     if (q.empty()) return false;
-    out = std::move(q.front());
+    out = q.front();
     q.pop_front();
     return true;
   }
 
-  bool steal_back(JobSpec& out) {
+  bool steal_back(std::size_t& out) {
     std::lock_guard lock(m);
     if (q.empty()) return false;
-    out = std::move(q.back());
+    out = q.back();
     q.pop_back();
     return true;
   }
 };
 
-void worker_loop(u32 me, std::vector<WorkerQueue>& queues,
-                 Channel<JobResult>& results,
+/// The batch's report, which workers aggregate into as their jobs finish.
+/// Aggregation is a few pushes under the lock; handing each result to the
+/// calling thread instead would wake it once per job, and on a host with no
+/// spare core that wake-up preempts a worker.
+struct SharedReport {
+  std::mutex m;
+  FarmReport& report;
+};
+
+void worker_loop(u32 me, const std::vector<JobSpec>& jobs,
+                 std::vector<WorkerQueue>& queues, SharedReport& out,
                  static_analysis::SummaryCache* cache,
                  const FarmOptions& options) {
   const u32 n = static_cast<u32>(queues.size());
   for (;;) {
-    JobSpec spec;
-    bool have = queues[me].pop_front(spec);
+    std::size_t job = 0;
+    bool have = queues[me].pop_front(job);
     for (u32 k = 1; !have && k < n; ++k) {
-      have = queues[(me + k) % n].steal_back(spec);
+      have = queues[(me + k) % n].steal_back(job);
     }
     if (!have) break;  // every queue empty: queues only shrink, so done
-    JobResult r = run_job(spec, cache, options);
+    JobResult r = run_job(jobs[job], cache, options);
     r.worker = me;
-    if (!results.push(std::move(r))) break;
+    std::lock_guard lock(out.m);
+    aggregate_result(out.report, std::move(r));
   }
+}
+
+/// Farm worker threads, parked between batches. A new thread's first jobs
+/// pay for state it does not have yet — stack pages, malloc arena free
+/// lists, the thread-local decode cache (src/arm/cpu.cc) — and on batches of
+/// sub-millisecond jobs that cost showed up as 8 workers on 4 CPUs running
+/// slower than 4. Threads are spawned on demand, never exit, and hold no
+/// lock while parked, so a later fork() (process mode) stays safe.
+class WorkerPool {
+ public:
+  static WorkerPool& instance() {
+    // Never destroyed, and its threads never joined: they stay parked on
+    // its members until the process exits. Destroying it at exit instead
+    // would have to join threads that a fork() child does not have.
+    static WorkerPool* const pool = new WorkerPool;
+    return *pool;
+  }
+
+  /// Runs work(0..n-1) on n pool threads and returns once every call has
+  /// returned. Returns false, running nothing, when another batch holds the
+  /// pool or the caller is a fork() child (the threads live in the parent).
+  bool try_run(u32 n, const std::function<void(u32)>& work) {
+    if (::getpid() != pid_) return false;
+    std::unique_lock batch(batch_, std::try_to_lock);
+    if (!batch.owns_lock()) return false;
+    std::unique_lock lock(m_);
+    for (; spawned_ < n; ++spawned_) {
+      std::thread(&WorkerPool::park, this, spawned_).detach();
+    }
+    work_ = &work;
+    active_ = n;
+    running_ = n;
+    ++generation_;
+    wake_.notify_all();
+    done_.wait(lock, [&] { return running_ == 0; });
+    work_ = nullptr;
+    return true;
+  }
+
+ private:
+  WorkerPool() : pid_(::getpid()) {}
+
+  void park(u32 me) {
+    u64 seen = 0;
+    std::unique_lock lock(m_);
+    for (;;) {
+      wake_.wait(lock, [&] { return generation_ != seen; });
+      seen = generation_;
+      if (me >= active_) continue;  // not part of this batch
+      const std::function<void(u32)>& work = *work_;
+      lock.unlock();
+      work(me);
+      lock.lock();
+      if (--running_ == 0) done_.notify_one();
+    }
+  }
+
+  const pid_t pid_;
+  std::mutex batch_;  // held by the caller for a whole batch
+  std::mutex m_;
+  std::condition_variable wake_;
+  std::condition_variable done_;
+  const std::function<void(u32)>* work_ = nullptr;
+  u64 generation_ = 0;
+  u32 spawned_ = 0;
+  u32 active_ = 0;
+  u32 running_ = 0;
+};
+
+/// Runs work(0..n-1) on n threads: the parked pool's, or fresh ones when the
+/// pool is unavailable.
+void run_workers(u32 n, const std::function<void(u32)>& work) {
+  if (WorkerPool::instance().try_run(n, work)) return;
+  std::vector<std::thread> threads;
+  threads.reserve(n);
+  for (u32 w = 0; w < n; ++w) threads.emplace_back(work, w);
+  for (std::thread& t : threads) t.join();
 }
 
 void append_leak(std::ostringstream& out, const std::string& sink,
@@ -219,30 +309,19 @@ FarmReport run_farm(const std::vector<JobSpec>& jobs,
     report = run_farm_processes(jobs, opts, cache);
     report.warm_entries = warm;
   } else if (opts.workers == 0) {
-    // Serial reference path: no threads, no channel.
+    // Serial reference path: no threads, no locks.
     for (const JobSpec& spec : jobs) {
       aggregate_result(report, run_job(spec, cache, opts));
     }
   } else {
     std::vector<WorkerQueue> queues(opts.workers);
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      queues[i % opts.workers].q.push_back(jobs[i]);
+      queues[i % opts.workers].q.push_back(i);
     }
-    Channel<JobResult> results(opts.channel_capacity);
-    std::vector<std::thread> threads;
-    threads.reserve(opts.workers);
-    for (u32 w = 0; w < opts.workers; ++w) {
-      threads.emplace_back(worker_loop, w, std::ref(queues), std::ref(results),
-                           cache, std::cref(opts));
-    }
-    // Streaming aggregation on the calling thread.
-    for (std::size_t received = 0; received < jobs.size(); ++received) {
-      std::optional<JobResult> r = results.pop();
-      if (!r.has_value()) break;  // cannot happen before close(); safety
-      aggregate_result(report, std::move(*r));
-    }
-    for (std::thread& t : threads) t.join();
-    results.close();
+    SharedReport out{{}, report};
+    run_workers(opts.workers, [&](u32 w) {
+      worker_loop(w, jobs, queues, out, cache, opts);
+    });
   }
   report.wall_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();

@@ -6,16 +6,17 @@
 // structure is the static-summary cache (static_analysis::SummaryCache),
 // which is immutable-after-publish and concurrency-safe. Scheduling is
 // work-stealing: jobs are dealt round-robin into per-worker deques, owners
-// pop from the front, idle workers steal from the back of the longest
-// victim. Results stream through a bounded channel to the calling thread,
-// which aggregates incrementally (no per-worker result buffers), then sorts
-// by job id — so a FarmReport is identical for any worker count, including
-// the inline serial path (workers == 0).
+// pop from the front, idle workers steal from the back of the next
+// non-empty victim. Each worker folds its results into the report under one
+// lock as it finishes them; the report is sorted by job id at the end — so
+// a FarmReport is identical for any worker count, including the inline
+// serial path (workers == 0). Worker threads are parked between batches
+// and reused by the next run_farm() call in the same process.
 //
 // Setting FarmOptions::processes instead shards the batch across worker
 // *processes* (see process_pool.cc): pre-forked zygote workers fork one
 // grandchild per job off a copy-on-write template snapshot, results come
-// back over a framed pipe protocol into the same bounded channel, and a
+// back over a framed pipe protocol into the same aggregation step, and a
 // crashing or deadline-blowing job costs exactly that job — the supervisor
 // retries it once and then records the failure in the FarmReport. The
 // persistent SummaryStore (FarmOptions::store_dir) is what worker processes
@@ -94,8 +95,6 @@ struct FarmOptions {
   static_analysis::SummaryCache* cache = nullptr;
   /// Enable the §VII TaintGuard in every job's NDroid.
   bool taint_protection = true;
-  /// Result-channel bound (backpressure on the aggregator).
-  std::size_t channel_capacity = 64;
   /// Execution tier for every job's CPU (--engine; ablation sweeps).
   EngineTier engine = EngineTier::kThreaded;
 };

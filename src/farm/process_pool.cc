@@ -1,8 +1,9 @@
 // Crash-isolated fork-based farm scheduler (see process_pool.h for the
 // topology). Everything here runs on the calling thread — the supervisor is
 // deliberately single-threaded so every fork() happens with no locks held
-// anywhere in the process, and job results stream through the same bounded
-// channel + aggregate_result() path the thread scheduler uses.
+// anywhere in the process (the thread scheduler's parked workers hold none
+// while parked), and job results go through the same aggregate_result()
+// path the thread scheduler uses.
 #include "farm/process_pool.h"
 
 #include <poll.h>
@@ -15,10 +16,10 @@
 #include <cerrno>
 #include <cstring>
 #include <deque>
+#include <optional>
 
 #include "android/device.h"
 #include "common/serde.h"
-#include "farm/channel.h"
 #include "static/library_summary.h"
 #include "static/summary_store.h"
 
@@ -462,14 +463,8 @@ FarmReport run_farm_processes(const std::vector<JobSpec>& jobs,
   std::vector<u32> attempts(jobs.size(), 0);
   std::size_t completed = 0;
 
-  // Results flow through the same bounded channel as the thread scheduler's
-  // (drained inline — the supervisor is both producer and consumer).
-  Channel<JobResult> results(options.channel_capacity);
   const auto finish = [&](JobResult r) {
-    results.push(std::move(r));
-    while (std::optional<JobResult> v = results.try_pop()) {
-      aggregate_result(report, std::move(*v));
-    }
+    aggregate_result(report, std::move(r));
     ++completed;
   };
 

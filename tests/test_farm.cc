@@ -1,7 +1,10 @@
 // The parallel analysis farm (src/farm): result determinism across worker
-// counts, exactly-one-lift cache semantics under concurrency, reproducible
-// seeded monkey runs, and cross-app summary sharing on the market corpus.
+// counts, the parked worker pool under concurrent batches and fork(),
+// exactly-one-lift cache semantics under concurrency, reproducible seeded
+// monkey runs, and cross-app summary sharing on the market corpus.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -79,6 +82,60 @@ TEST(Farm, LeakReportsIdenticalAtAnyWorkerCount) {
     EXPECT_EQ(report.failures, 0u) << "workers=" << workers;
     EXPECT_EQ(report.leak_digest(), reference) << "workers=" << workers;
   }
+}
+
+TEST(Farm, ConcurrentBatchesShareNoWorkers) {
+  // Worker threads are parked between batches and reused; a batch started
+  // while another holds them runs on threads of its own. Both must finish
+  // with the serial digest and only their own worker indices.
+  const std::vector<farm::JobSpec> jobs = small_mix();
+  const std::string reference = farm::run_farm(jobs).leak_digest();
+
+  std::vector<farm::FarmReport> reports(3);
+  std::vector<std::thread> callers;
+  for (u32 c = 0; c < reports.size(); ++c) {
+    callers.emplace_back([&, c] {
+      farm::FarmOptions options;
+      options.workers = 2 + c;
+      reports[c] = farm::run_farm(jobs, options);
+    });
+  }
+  for (std::thread& t : callers) t.join();
+
+  for (u32 c = 0; c < reports.size(); ++c) {
+    EXPECT_EQ(reports[c].failures, 0u) << "caller " << c;
+    EXPECT_EQ(reports[c].leak_digest(), reference) << "caller " << c;
+    for (const farm::JobResult& r : reports[c].results) {
+      EXPECT_LT(r.worker, 2 + c) << "caller " << c;
+    }
+  }
+}
+
+TEST(Farm, ThreadBatchRunsInForkChild) {
+#ifdef NDROID_NO_FORK_TESTS
+  GTEST_SKIP() << "fork-based tests skipped under TSan";
+#endif
+  // The parked workers exist only in the process that spawned them. A
+  // child forked after a thread batch must still be able to run one (on
+  // threads of its own) instead of waiting on its parent's workers.
+  std::vector<farm::JobSpec> jobs = farm::table1_jobs();
+  for (u32 i = 0; i < static_cast<u32>(jobs.size()); ++i) jobs[i].id = i;
+  farm::FarmOptions options;
+  options.workers = 2;
+  const std::string reference = farm::run_farm(jobs, options).leak_digest();
+
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::alarm(60);  // a child stuck on the parent's workers dies of SIGALRM
+    const bool same = farm::run_farm(jobs, options).leak_digest() == reference;
+    ::_exit(same ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child killed by signal "
+                                 << WTERMSIG(status);
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 TEST(Farm, SharedCacheDoesNotChangeResults) {

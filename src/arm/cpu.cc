@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
 
 #include "arm/jit.h"  // complete JitEngine for ~Cpu / jit_engine_ resets
 
@@ -84,12 +85,27 @@ void Cpu::set_branch_gate(BranchGate gate, const u64* epoch) {
 }
 
 void Cpu::register_helper(GuestAddr addr, Helper helper) {
-  helpers_[addr & ~1u] = std::move(helper);
-  // Below the window every run loop skips the helper lookup by default;
-  // arm the check, and kill any cached block covering the shadowed address
-  // (translation also stops in front of low helpers from now on).
-  if ((addr & ~1u) < kHelperWindowBase) has_low_helpers_ = true;
-  tb_cache_.invalidate_range(addr & ~1u, 4);
+  addr &= ~1u;
+  if (addr < kHelperWindowBase) {
+    // Below the window every run loop skips the helper lookup while no low
+    // helper exists; registering one arms the check. Kill any cached block
+    // covering the shadowed address (translation also stops in front of
+    // low helpers from now on).
+    low_helpers_[addr] = std::move(helper);
+    tb_cache_.invalidate_range(addr, 4);
+    return;
+  }
+  if ((addr & 3u) != 0) {
+    throw std::invalid_argument("helper window address is not word-aligned");
+  }
+  const std::size_t slot = (addr - kHelperWindowBase) / 4;
+  if (slot >= window_helpers_.size()) {
+    if (running_helpers_ != 0 && slot >= window_helpers_.capacity()) {
+      throw std::logic_error("helper window grown from inside a helper");
+    }
+    window_helpers_.resize(slot + 1);
+  }
+  window_helpers_[slot] = std::move(helper);
 }
 
 GuestAddr Cpu::register_helper_auto(Helper helper) {
@@ -153,12 +169,32 @@ const Insn& Cpu::fetch_decode(GuestAddr pc, bool thumb) {
   return decode_cached(static_cast<u64>(word) | (1ull << 62), word, 0);
 }
 
+Helper* Cpu::find_helper(GuestAddr pc) {
+  if (pc < kHelperWindowBase) {
+    auto it = low_helpers_.find(pc);
+    return it == low_helpers_.end() ? nullptr : &it->second;
+  }
+  const std::size_t slot = (pc - kHelperWindowBase) / 4;
+  if ((pc & 3u) != 0 || slot >= window_helpers_.size() ||
+      !window_helpers_[slot]) {
+    return nullptr;
+  }
+  return &window_helpers_[slot];
+}
+
 bool Cpu::run_helper(GuestAddr pc) {
-  auto it = helpers_.find(pc);
-  if (it == helpers_.end()) return false;
+  Helper* helper = find_helper(pc);
+  if (helper == nullptr) return false;
   ++retired_;
   const GuestAddr ret = state_.lr();
-  it->second(*this);
+  ++running_helpers_;
+  try {
+    (*helper)(*this);
+  } catch (...) {
+    --running_helpers_;
+    throw;
+  }
+  --running_helpers_;
   if (state_.pc() == pc) {
     state_.thumb = (ret & 1) != 0;
     state_.set_pc(ret & ~1u);
@@ -172,7 +208,9 @@ void Cpu::step() {
 
   // Helpers normally live in the 0xF0000000+ window; skip the hash lookup
   // for ordinary guest code unless a helper shadows a low address.
-  if ((pc >= kHelperWindowBase || has_low_helpers_) && run_helper(pc)) return;
+  if ((pc >= kHelperWindowBase || !low_helpers_.empty()) && run_helper(pc)) {
+    return;
+  }
 
   // A copy: a hook may run guest code (on any Cpu of this thread) that
   // evicts the thread's decode-cache entry.
@@ -206,7 +244,7 @@ std::shared_ptr<TranslationBlock> Cpu::translate(GuestAddr pc, bool thumb) {
     // shadows ordinary guest code: the run loop must regain control there
     // to dispatch helpers.
     if (cur >= kHelperWindowBase) break;
-    if (has_low_helpers_ && cur != pc && helpers_.count(cur) != 0) break;
+    if (cur != pc && is_low_helper(cur)) break;
     const Insn& insn = fetch_decode(cur, thumb);
     if (insn.op == Op::kUndefined) break;  // step() raises the fault
     if (insn.op == Op::kIt) {
@@ -358,8 +396,7 @@ bool Cpu::run_blocks(u64 max_steps) {
     // Mid-IT continuation (a block ended inside an IT block, or a jump
     // landed in one: blocks starting here were translated without IT
     // context) and helper dispatch both take one careful step.
-    if (state_.itstate != 0 || pc >= kHelperWindowBase ||
-        (has_low_helpers_ && helpers_.count(pc) != 0)) {
+    if (state_.itstate != 0 || pc >= kHelperWindowBase || is_low_helper(pc)) {
       step();
       ++done;
       continue;

@@ -152,7 +152,10 @@ class Cpu {
 
   /// Registers a C++ helper behind guest address `addr`. When the PC lands
   /// there the helper runs with AAPCS argument registers live, then control
-  /// returns to LR (unless the helper redirected the PC itself).
+  /// returns to LR (unless the helper redirected the PC itself). Addresses
+  /// in the helper window must be word-aligned (std::invalid_argument
+  /// otherwise), and a running helper may not grow the window
+  /// (std::logic_error): helpers run in place.
   void register_helper(GuestAddr addr, Helper helper);
 
   /// Registers a helper at the next free address in the helper window
@@ -306,6 +309,12 @@ class Cpu {
     }
     return fire;
   }
+  /// The helper registered at `pc`, or nullptr.
+  Helper* find_helper(GuestAddr pc);
+  /// True when a helper shadows the below-window address `pc`.
+  [[nodiscard]] bool is_low_helper(GuestAddr pc) const {
+    return !low_helpers_.empty() && low_helpers_.count(pc) != 0;
+  }
   /// Runs a helper if one is registered at `pc`; returns false otherwise.
   bool run_helper(GuestAddr pc);
   std::shared_ptr<TranslationBlock> translate(GuestAddr pc, bool thumb);
@@ -346,10 +355,14 @@ class Cpu {
   const u64* block_gate_epoch_ = nullptr;
   BranchGate branch_gate_;
   const u64* branch_gate_epoch_ = nullptr;
-  std::unordered_map<GuestAddr, Helper> helpers_;
-  /// True once any helper shadows an address below the helper window; until
-  /// then ordinary guest PCs skip the helper hash lookup entirely.
-  bool has_low_helpers_ = false;
+  /// Window helpers, dense: slot i is kHelperWindowBase + 4·i, and an empty
+  /// Helper is an unregistered slot.
+  std::vector<Helper> window_helpers_;
+  /// Helpers that shadow addresses below the window (only tests register
+  /// these). While it is empty, ordinary guest PCs skip the helper lookup.
+  std::unordered_map<GuestAddr, Helper> low_helpers_;
+  /// Window helpers currently running (nested through call_function).
+  int running_helpers_ = 0;
   GuestAddr next_helper_addr_ = kHelperWindowBase;
   SvcHandler svc_handler_;
   int next_hook_id_ = 1;

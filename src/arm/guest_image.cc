@@ -1,5 +1,6 @@
 #include "arm/guest_image.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace ndroid::arm {
@@ -17,9 +18,12 @@ void ImagePages::stamp(mem::AddressSpace& memory) const {
 GuestAddr ImageBuilder::reserve_helper(HelperTable& table, std::string name) {
   const GuestAddr addr = next_helper_;
   next_helper_ += 4;
-  if (!table.emplace(std::move(name), addr).second) {
+  if (table.names.empty()) table.base = addr;
+  if (std::find(table.names.begin(), table.names.end(), name) !=
+      table.names.end()) {
     throw std::logic_error("helper reserved twice in one image");
   }
+  table.names.push_back(std::move(name));
   return addr;
 }
 
@@ -38,8 +42,9 @@ ImagePages ImageBuilder::capture(GuestAddr base, u32 size) const {
 void bind_helper(Cpu& cpu, const HelperTable& table, std::string_view name,
                  Helper helper) {
   const GuestAddr addr = cpu.register_helper_auto(std::move(helper));
-  auto it = table.find(name);
-  if (it == table.end() || it->second != addr) {
+  const std::size_t slot = (addr - table.base) / 4;
+  if (addr < table.base || slot >= table.names.size() ||
+      table.names[slot] != name) {
     throw std::logic_error("helper " + std::string(name) +
                            " registered at an address its image was not "
                            "emitted against");

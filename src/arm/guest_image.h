@@ -11,8 +11,6 @@
 // against the address the image's code was emitted with.
 #pragma once
 
-#include <functional>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,8 +20,12 @@
 
 namespace ndroid::arm {
 
-/// Helper name -> the helper-window address an image was emitted against.
-using HelperTable = std::map<std::string, GuestAddr, std::less<>>;
+/// The helpers an image was emitted against, in emission order: helper i
+/// sits at `base + 4·i`.
+struct HelperTable {
+  GuestAddr base = kHelperWindowBase;
+  std::vector<std::string> names;
+};
 
 /// The resident pages of an emitted guest range.
 struct ImagePages {

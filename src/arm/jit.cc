@@ -424,8 +424,7 @@ const void* JitRun::resolve(void* ctx_, void* jb_, u32 slot_idx, u32 from,
     cpu.fire_branch_hooks(from, to);
     return nullptr;
   }
-  if (s.itstate != 0 || to >= kHelperWindowBase ||
-      (cpu.has_low_helpers_ && cpu.helpers_.count(to) != 0)) {
+  if (s.itstate != 0 || to >= kHelperWindowBase || cpu.is_low_helper(to)) {
     s.set_pc(to);
     return nullptr;
   }
@@ -1930,7 +1929,7 @@ u64 JitRun::exec(Cpu& cpu, ThreadedBlock& entry, const u8* at, u64 budget) {
   // resolver: stream selection (clean vs traced) must be re-decided per
   // crossing, so inline link fast paths (whose patched targets are always
   // clean entries) stay disengaged.
-  ctx.edge_slow = (!cpu.branch_hooks_.empty() || cpu.has_low_helpers_ ||
+  ctx.edge_slow = (!cpu.branch_hooks_.empty() || !cpu.low_helpers_.empty() ||
                    !cpu.insn_hooks_.empty())
                       ? 1
                       : 0;

@@ -1,4 +1,5 @@
-// Approximate membership filter over guest addresses.
+// Approximate membership filter over guest addresses, and the exact lookup
+// behind it.
 //
 // The hook engines consult a filter on every taken branch to decide whether
 // the (much bigger) dispatch body needs to run at all. The filter may say
@@ -7,11 +8,23 @@
 // address that WAS added, so hooks are never lost.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <vector>
 
 #include "common/types.h"
 
 namespace ndroid {
+
+/// The entry of `sorted` (ascending by its `addr` member) at `addr`, or
+/// nullptr.
+template <typename Entry>
+const Entry* find_by_addr(const std::vector<Entry>& sorted, GuestAddr addr) {
+  auto it = std::lower_bound(
+      sorted.begin(), sorted.end(), addr,
+      [](const Entry& e, GuestAddr a) { return e.addr < a; });
+  return it != sorted.end() && it->addr == addr ? &*it : nullptr;
+}
 
 class AddrBloom {
  public:

@@ -1,5 +1,6 @@
 #include "core/dvm_hook_engine.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
@@ -25,24 +26,33 @@ DvmHookEngine::DvmHookEngine(android::Device& device, TaintEngine& engine,
       engine_(engine),
       log_(log),
       third_party_(std::move(third_party)),
-      multilevel_(multilevel) {
-  auto& dvm = device_.dvm;
-  auto& jni = device_.jni;
+      multilevel_(multilevel),
+      tables_(hook_tables()) {}
 
-  a_call_jni_ = dvm.sym("dvmCallJNIMethod");
-  a_call_method_v_ = dvm.sym("dvmCallMethodV");
-  a_call_method_a_ = dvm.sym("dvmCallMethodA");
-  a_interpret_ = dvm.sym("dvmInterpret");
+const DvmHookEngine::HookTables& DvmHookEngine::hook_tables() {
+  static const HookTables tables = build_tables();
+  return tables;
+}
 
-  for (const auto& [name, addr] : jni.symbols()) {
+DvmHookEngine::HookTables DvmHookEngine::build_tables() {
+  const jni::JniImage& img = jni::JniEnv::image();
+  const auto& dvm_syms = img.libdvm.symbols;
+  const auto& jni_syms = img.symbols;
+  HookTables t;
+  t.call_jni = dvm_syms.at("dvmCallJNIMethod");
+  t.call_method_v = dvm_syms.at("dvmCallMethodV");
+  t.call_method_a = dvm_syms.at("dvmCallMethodA");
+  t.interpret = dvm_syms.at("dvmInterpret");
+
+  for (const auto& [name, addr] : jni_syms) {
     if (name.rfind("Call", 0) == 0 && name.find("Method") != std::string::npos) {
-      call_stubs_.insert(addr);
+      t.call_stubs.push_back(addr);
     }
   }
 
   // Table III NOF -> MAF pairs.
   auto nof = [&](const char* name, const char* maf, int kind) {
-    nofs_[jni.fn(name)] = NofInfo{name, dvm.sym(maf), kind};
+    t.nofs.push_back(Nof{jni_syms.at(name), name, dvm_syms.at(maf), kind});
   };
   nof("NewStringUTF", "dvmCreateStringFromCstr", 1);
   nof("NewString", "dvmCreateStringFromUnicode", 2);
@@ -55,81 +65,77 @@ DvmHookEngine::DvmHookEngine(android::Device& device, TaintEngine& engine,
   nof("NewCharArray", "dvmAllocPrimitiveArray", 0);
   nof("NewBooleanArray", "dvmAllocPrimitiveArray", 0);
 
+  auto hook = [&](const char* name, void (*fn)(DvmHookEngine&, arm::Cpu&)) {
+    t.simple_hooks.push_back(SimpleHook{jni_syms.at(name), name, fn});
+  };
   // Table IV field accessors.
-  auto set_hook = [&](const char* name, char type, bool is_static) {
-    simple_hooks_[jni.fn(name)] = [this, type, is_static](arm::Cpu& c) {
-      hook_field_set(c, type, is_static);
-    };
-  };
-  auto get_hook = [&](const char* name, char type, bool is_static) {
-    simple_hooks_[jni.fn(name)] = [this, type, is_static](arm::Cpu& c) {
-      hook_field_get(c, type, is_static);
-    };
-  };
-  set_hook("SetObjectField", 'L', false);
-  set_hook("SetIntField", 'I', false);
-  set_hook("SetBooleanField", 'Z', false);
-  set_hook("SetByteField", 'B', false);
-  set_hook("SetCharField", 'C', false);
-  set_hook("SetShortField", 'S', false);
-  set_hook("SetFloatField", 'F', false);
-  set_hook("SetStaticObjectField", 'L', true);
-  set_hook("SetStaticIntField", 'I', true);
-  get_hook("GetObjectField", 'L', false);
-  get_hook("GetIntField", 'I', false);
-  get_hook("GetBooleanField", 'Z', false);
-  get_hook("GetByteField", 'B', false);
-  get_hook("GetCharField", 'C', false);
-  get_hook("GetShortField", 'S', false);
-  get_hook("GetFloatField", 'F', false);
-  get_hook("GetStaticObjectField", 'L', true);
-  get_hook("GetStaticIntField", 'I', true);
+  hook("SetObjectField", &field_set<'L', false>);
+  hook("SetIntField", &field_set<'I', false>);
+  hook("SetBooleanField", &field_set<'Z', false>);
+  hook("SetByteField", &field_set<'B', false>);
+  hook("SetCharField", &field_set<'C', false>);
+  hook("SetShortField", &field_set<'S', false>);
+  hook("SetFloatField", &field_set<'F', false>);
+  hook("SetStaticObjectField", &field_set<'L', true>);
+  hook("SetStaticIntField", &field_set<'I', true>);
+  hook("GetObjectField", &field_get<'L', false>);
+  hook("GetIntField", &field_get<'I', false>);
+  hook("GetBooleanField", &field_get<'Z', false>);
+  hook("GetByteField", &field_get<'B', false>);
+  hook("GetCharField", &field_get<'C', false>);
+  hook("GetShortField", &field_get<'S', false>);
+  hook("GetFloatField", &field_get<'F', false>);
+  hook("GetStaticObjectField", &field_get<'L', true>);
+  hook("GetStaticIntField", &field_get<'I', true>);
 
   // TrustCall handlers.
-  simple_hooks_[jni.fn("GetStringUTFChars")] = [this](arm::Cpu& c) {
-    hook_get_string_utf_chars(c);
+  const auto utf_chars = [](DvmHookEngine& e, arm::Cpu& c) {
+    e.hook_get_string_utf_chars(c);
   };
-  simple_hooks_[jni.fn("GetIntArrayElements")] = [this](arm::Cpu& c) {
-    hook_get_array_elements(c);
+  const auto get_elements = [](DvmHookEngine& e, arm::Cpu& c) {
+    e.hook_get_array_elements(c);
   };
-  simple_hooks_[jni.fn("GetByteArrayElements")] = [this](arm::Cpu& c) {
-    hook_get_array_elements(c);
+  const auto release_elements = [](DvmHookEngine& e, arm::Cpu& c) {
+    e.hook_release_array_elements(c);
   };
-  simple_hooks_[jni.fn("ReleaseIntArrayElements")] = [this](arm::Cpu& c) {
-    hook_release_array_elements(c);
+  const auto get_region = [](DvmHookEngine& e, arm::Cpu& c) {
+    e.hook_array_region(c, false);
   };
-  simple_hooks_[jni.fn("ReleaseByteArrayElements")] = [this](arm::Cpu& c) {
-    hook_release_array_elements(c);
+  const auto set_region = [](DvmHookEngine& e, arm::Cpu& c) {
+    e.hook_array_region(c, true);
   };
-  simple_hooks_[jni.fn("GetIntArrayRegion")] = [this](arm::Cpu& c) {
-    hook_array_region(c, false);
-  };
-  simple_hooks_[jni.fn("GetByteArrayRegion")] = [this](arm::Cpu& c) {
-    hook_array_region(c, false);
-  };
-  simple_hooks_[jni.fn("SetIntArrayRegion")] = [this](arm::Cpu& c) {
-    hook_array_region(c, true);
-  };
-  simple_hooks_[jni.fn("SetByteArrayRegion")] = [this](arm::Cpu& c) {
-    hook_array_region(c, true);
-  };
+  hook("GetStringUTFChars", utf_chars);
+  hook("GetIntArrayElements", get_elements);
+  hook("GetByteArrayElements", get_elements);
+  hook("ReleaseIntArrayElements", release_elements);
+  hook("ReleaseByteArrayElements", release_elements);
+  hook("GetIntArrayRegion", get_region);
+  hook("GetByteArrayRegion", get_region);
+  hook("SetIntArrayRegion", set_region);
+  hook("SetByteArrayRegion", set_region);
 
   // Exception group.
-  simple_hooks_[jni.fn("ThrowNew")] = [this](arm::Cpu& c) {
-    hook_throw_new(c);
+  hook("ThrowNew", [](DvmHookEngine& e, arm::Cpu& c) { e.hook_throw_new(c); });
+
+  const auto by_addr = [](const auto& a, const auto& b) {
+    return a.addr < b.addr;
   };
+  std::sort(t.call_stubs.begin(), t.call_stubs.end());
+  std::sort(t.nofs.begin(), t.nofs.end(), by_addr);
+  std::sort(t.simple_hooks.begin(), t.simple_hooks.end(), by_addr);
 
   // Every static address on_branch can act on feeds the branch prefilter;
   // dynamic targets (pending exits, active NOFs, the running JNI method's
   // first instruction) are checked explicitly in wants_branch().
-  static_targets_.add(a_call_jni_);
-  static_targets_.add(a_call_method_v_);
-  static_targets_.add(a_call_method_a_);
-  static_targets_.add(a_interpret_);
-  static_targets_.add(arm::kHostReturnAddr);
-  for (GuestAddr s : call_stubs_) static_targets_.add(s);
-  for (const auto& [addr, info] : nofs_) static_targets_.add(addr);
-  for (const auto& [addr, fn] : simple_hooks_) static_targets_.add(addr);
+  t.static_targets.add(t.call_jni);
+  t.static_targets.add(t.call_method_v);
+  t.static_targets.add(t.call_method_a);
+  t.static_targets.add(t.interpret);
+  t.static_targets.add(arm::kHostReturnAddr);
+  for (GuestAddr stub : t.call_stubs) t.static_targets.add(stub);
+  for (const Nof& n : t.nofs) t.static_targets.add(n.addr);
+  for (const SimpleHook& h : t.simple_hooks) t.static_targets.add(h.addr);
+  return t;
 }
 
 u32 DvmHookEngine::guest_strlen(arm::Cpu& cpu, GuestAddr s) {
@@ -206,12 +212,13 @@ void DvmHookEngine::on_branch(arm::Cpu& cpu, GuestAddr from, GuestAddr to) {
     }
     engine_.add_object_shadow(iref, nof.taint);
     engine_.set_reg(0, nof.taint);
-    log_.line(nof.name + " return 0x" + hex(iref));
-    log_.line(nof.name + " End");
+    log_.line(std::string(nof.name) + " return 0x" + hex(iref));
+    log_.line(std::string(nof.name) + " End");
   }
 
   // --- (1) JNI entry --------------------------------------------------------
-  if (to == a_call_jni_) {
+  const HookTables& t = tables_;
+  if (to == t.call_jni) {
     hook_jni_entry(cpu);
     return;
   }
@@ -222,16 +229,17 @@ void DvmHookEngine::on_branch(arm::Cpu& cpu, GuestAddr from, GuestAddr to) {
     return addr >= stub && addr < stub + kStubRange;
   };
   auto from_call_stub = [&]() {
-    for (GuestAddr s : call_stubs_) {
+    for (GuestAddr s : t.call_stubs) {
       if (in_stub(from, s)) return true;
     }
     return false;
   };
 
-  if (call_stubs_.contains(to) && third_party_(from)) {
+  if (std::binary_search(t.call_stubs.begin(), t.call_stubs.end(), to) &&
+      third_party_(from)) {
     chain_.push_back(1);
     ++chain_events[0];
-  } else if (to == a_call_method_v_ || to == a_call_method_a_) {
+  } else if (to == t.call_method_v || to == t.call_method_a) {
     const bool chain_ok =
         !chain_.empty() && chain_.back() == 1 && from_call_stub();
     if (chain_ok) {
@@ -239,12 +247,12 @@ void DvmHookEngine::on_branch(arm::Cpu& cpu, GuestAddr from, GuestAddr to) {
       ++chain_events[1];
     }
     if (chain_ok || !multilevel_) {
-      hook_call_method_entry(cpu, to == a_call_method_a_ ? 'A' : 'V');
+      hook_call_method_entry(cpu, to == t.call_method_a ? 'A' : 'V');
     }
-  } else if (to == a_interpret_) {
+  } else if (to == t.interpret) {
     const bool chain_ok = !chain_.empty() && chain_.back() == 2 &&
-                          (in_stub(from, a_call_method_v_) ||
-                           in_stub(from, a_call_method_a_));
+                          (in_stub(from, t.call_method_v) ||
+                           in_stub(from, t.call_method_a));
     if (chain_ok) {
       chain_.back() = 3;
       ++chain_events[2];
@@ -254,15 +262,15 @@ void DvmHookEngine::on_branch(arm::Cpu& cpu, GuestAddr from, GuestAddr to) {
     }
   } else if (!chain_.empty()) {
     // Unwinding transitions T4..T6.
-    if (chain_.back() == 3 && in_stub(from, a_interpret_) &&
-        (in_stub(to, a_call_method_v_) || in_stub(to, a_call_method_a_))) {
+    if (chain_.back() == 3 && in_stub(from, t.interpret) &&
+        (in_stub(to, t.call_method_v) || in_stub(to, t.call_method_a))) {
       chain_.back() = 4;
       ++chain_events[3];
     } else if (chain_.back() == 4 &&
-               (in_stub(from, a_call_method_v_) ||
-                in_stub(from, a_call_method_a_))) {
+               (in_stub(from, t.call_method_v) ||
+                in_stub(from, t.call_method_a))) {
       bool to_call_stub = false;
-      for (GuestAddr s : call_stubs_) {
+      for (GuestAddr s : t.call_stubs) {
         if (in_stub(to, s)) {
           to_call_stub = true;
           break;
@@ -282,8 +290,8 @@ void DvmHookEngine::on_branch(arm::Cpu& cpu, GuestAddr from, GuestAddr to) {
   hook_nof_entry(cpu, to);
 
   // --- (4)(5) + TrustCall handlers ------------------------------------------
-  if (auto it = simple_hooks_.find(to); it != simple_hooks_.end()) {
-    it->second(cpu);
+  if (const SimpleHook* hook = find_by_addr(t.simple_hooks, to)) {
+    hook->fn(*this, cpu);
   }
 }
 
@@ -525,22 +533,22 @@ void DvmHookEngine::hook_nof_entry(arm::Cpu& cpu, GuestAddr to) {
     return;
   }
 
-  auto it = nofs_.find(to);
-  if (it == nofs_.end()) return;
-  const NofInfo& nof = it->second;
+  const Nof* found = find_by_addr(tables_.nofs, to);
+  if (found == nullptr) return;
+  const Nof& nof = *found;
   const auto& regs = cpu.state().regs;
 
   Taint taint = kTaintClear;
   if (nof.kind == 1) {
     const u32 len = guest_strlen(cpu, regs[1]);
     taint = engine_.map().get_range(regs[1], len);
-    log_.line(nof.name + " Begin");
+    log_.line(std::string(nof.name) + " Begin");
     log_.line(cpu.memory().read_cstr(regs[1], 1u << 20));
   } else if (nof.kind == 2) {
     taint = engine_.map().get_range(regs[1], 2 * regs[2]);
-    log_.line(nof.name + " Begin");
+    log_.line(std::string(nof.name) + " Begin");
   } else {
-    log_.line(nof.name + " Begin");
+    log_.line(std::string(nof.name) + " Begin");
   }
   nof_stack_.push_back(
       ActiveNof{nof.name, nof.maf, taint, 0, cpu.state().lr() & ~1u});

@@ -20,11 +20,15 @@
 //
 // Plus the TrustCall handlers for GetStringUTFChars / Get*ArrayElements /
 // *ArrayRegion seen in the Fig. 7/8 logs.
+//
+// Every hooked address comes from the once-per-process libdvm/JNI image, so
+// the address tables are process-wide data too (hook_tables); an engine
+// owns only its correlation state.
 #pragma once
 
 #include <functional>
-#include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "common/addr_filter.h"
 #include "android/device.h"
@@ -55,10 +59,44 @@ class DvmHookEngine {
     if (!jni_stack_.empty() && to == jni_stack_.back().method_address) {
       return true;
     }
-    return static_targets_.maybe(to);
+    return tables_.static_targets.maybe(to);
   }
 
   SourcePolicyMap& policies() { return policies_; }
+
+  /// A Table III NOF entry point and the MAF it allocates through.
+  struct Nof {
+    GuestAddr addr;
+    const char* name;
+    GuestAddr maf;
+    int kind;  // 0 none, 1 cstr(r1), 2 unicode(r1,len r2)
+  };
+  /// A Table IV accessor, TrustCall or ThrowNew entry point and its
+  /// handler. Handlers capture nothing; the engine is their first argument.
+  struct SimpleHook {
+    GuestAddr addr;
+    const char* name;
+    void (*fn)(DvmHookEngine&, arm::Cpu&);
+  };
+  /// The static hook targets, resolved from the libdvm/JNI image's symbol
+  /// tables. Each vector is sorted by address. Immutable once built.
+  struct HookTables {
+    GuestAddr call_jni = 0;
+    GuestAddr call_method_v = 0;
+    GuestAddr call_method_a = 0;
+    GuestAddr interpret = 0;
+    std::vector<GuestAddr> call_stubs;  // the 27 Call*Method* stubs
+    std::vector<Nof> nofs;
+    std::vector<SimpleHook> simple_hooks;
+    /// Union of every address above plus the host-return sentinel;
+    /// wants_branch() probes it.
+    AddrBloom static_targets;
+  };
+  /// Built at first use, once per process (thread-safe), and shared by
+  /// every engine.
+  static const HookTables& hook_tables();
+  /// The tables this engine dispatches through.
+  [[nodiscard]] const HookTables& tables() const { return tables_; }
 
   /// Native-method entry points (Thumb bit stripped) whose static taint
   /// summaries proved them transparent — no memory effects, no calls, no
@@ -90,7 +128,7 @@ class DvmHookEngine {
   };
 
   struct ActiveNof {
-    std::string name;
+    const char* name = nullptr;  // a HookTables::nofs name
     GuestAddr maf = 0;
     Taint taint = kTaintClear;
     GuestAddr real_addr = 0;
@@ -121,6 +159,15 @@ class DvmHookEngine {
   void hook_release_array_elements(arm::Cpu& cpu);
   void hook_array_region(arm::Cpu& cpu, bool set);
   void hook_throw_new(arm::Cpu& cpu);
+  template <char kType, bool kStatic>
+  static void field_set(DvmHookEngine& e, arm::Cpu& cpu) {
+    e.hook_field_set(cpu, kType, kStatic);
+  }
+  template <char kType, bool kStatic>
+  static void field_get(DvmHookEngine& e, arm::Cpu& cpu) {
+    e.hook_field_get(cpu, kType, kStatic);
+  }
+  static HookTables build_tables();
 
   u32 guest_strlen(arm::Cpu& cpu, GuestAddr s);
   Taint object_taint_by_iref(u32 iref);
@@ -149,23 +196,7 @@ class DvmHookEngine {
   };
   std::vector<PendingExit> exits_;
 
-  // Address tables.
-  GuestAddr a_call_jni_ = 0;
-  GuestAddr a_call_method_v_ = 0;
-  GuestAddr a_call_method_a_ = 0;
-  GuestAddr a_interpret_ = 0;
-  std::unordered_set<GuestAddr> call_stubs_;  // the 27 Call*Method* stubs
-  struct NofInfo {
-    std::string name;
-    GuestAddr maf;
-    int kind;  // 0 none, 1 cstr(r1), 2 unicode(r1,len r2)
-  };
-  std::unordered_map<GuestAddr, NofInfo> nofs_;
-  std::unordered_map<GuestAddr, std::function<void(arm::Cpu&)>> simple_hooks_;
-  /// Union of every statically known hook target (dvmCall*/dvmInterpret,
-  /// the Call*Method stubs, NOF entries, simple hooks, the host-return
-  /// sentinel). Built once in the constructor; wants_branch() probes it.
-  AddrBloom static_targets_;
+  const HookTables& tables_;
 
   static constexpr u32 kStubRange = 0x40;  // stub bodies are < 64 bytes
 };

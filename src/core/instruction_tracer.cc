@@ -59,11 +59,20 @@ void InstructionTracer::on_insn(arm::Cpu& cpu, const Insn& insn,
 
   Handler handler;
   if (use_cache_) {
+    if (handler_cache_ == nullptr) [[unlikely]] {
+      handler_cache_ = std::make_unique_for_overwrite<HandlerEntry[]>(
+          1u << kHandlerCacheBits);
+    }
     // Same golden-ratio hash as the CPU's decode cache; collisions merely
     // re-classify (the entry is overwritten, never mixed).
     const u32 index = static_cast<u32>(
         (insn.raw * 0x9E3779B97F4A7C15ull) >> (64 - kHandlerCacheBits));
     HandlerEntry& entry = handler_cache_[index];
+    u64& touched = handler_touched_[index >> 6];
+    if ((touched & (1ull << (index & 63))) == 0) {
+      entry = {0xFFFFFFFFu, nullptr};
+      touched |= 1ull << (index & 63);
+    }
     if (entry.key == insn.raw) {
       handler = entry.handler;
       ++cache_hits_;

@@ -24,6 +24,7 @@
 
 #include <array>
 #include <functional>
+#include <memory>
 
 #include "arm/cpu.h"
 #include "core/report.h"
@@ -94,13 +95,16 @@ class InstructionTracer {
   static void run_prepared(void* ctx, arm::Cpu& cpu, const arm::Insn& insn,
                            GuestAddr pc);
 
-  /// Direct-mapped handler cache. The sentinel key never matches a hit with
-  /// a stale handler: 0xFFFFFFFF decodes to an unconditional-NV undefined
-  /// instruction whose handler is nullptr — the same value the slot holds
-  /// when empty.
+  /// Direct-mapped handler cache. Its 96 KiB are allocated at the first
+  /// traced instruction and never bulk-initialised: a slot becomes the
+  /// empty entry the first time it is probed (see handler_touched_), so a
+  /// run pays only for the slots it uses. The empty entry's sentinel key
+  /// never matches a hit with a stale handler: 0xFFFFFFFF decodes to an
+  /// unconditional-NV undefined instruction whose handler is nullptr — the
+  /// same value the empty entry holds.
   struct HandlerEntry {
-    u32 key = 0xFFFFFFFFu;
-    Handler handler = nullptr;
+    u32 key;
+    Handler handler;
   };
   static constexpr u32 kHandlerCacheBits = 12;
 
@@ -108,7 +112,9 @@ class InstructionTracer {
   std::function<bool(GuestAddr)> in_scope_;
   bool use_cache_;
   TraceLog* disasm_log_;  // per-instruction disassembly when non-null
-  std::array<HandlerEntry, 1u << kHandlerCacheBits> handler_cache_;
+  std::unique_ptr<HandlerEntry[]> handler_cache_;
+  /// One bit per handler-cache slot: set once the slot holds an entry.
+  std::array<u64, (1u << kHandlerCacheBits) / 64> handler_touched_{};
   u64 traced_ = 0;
   u64 cache_hits_ = 0;
 };

@@ -141,8 +141,8 @@ NDroid::NDroid(android::Device& device, NDroidConfig config)
           syslib_->on_branch(cpu, from, to);
         }
         // Every mutation of wants_branch()-relevant state happens inside the
-        // dispatch above (the engines' static hook tables are fixed at
-        // construction), so bumping here keeps the per-block branch memos
+        // dispatch above (the engines' hook tables are immutable
+        // process-wide data), so bumping here keeps the per-block branch memos
         // sound: they stay valid exactly while no hook body has run.
         ++analysis_epoch_;
       },

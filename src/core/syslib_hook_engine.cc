@@ -1,5 +1,9 @@
 #include "core/syslib_hook_engine.h"
 
+#include <algorithm>
+#include <memory>
+#include <mutex>
+
 namespace ndroid::core {
 
 namespace {
@@ -18,13 +22,26 @@ SysLibHookEngine::SysLibHookEngine(libc::Libc& libc, os::Kernel& kernel,
       kernel_(kernel),
       engine_(engine),
       log_(log),
-      models_enabled_(models_enabled) {
-  if (models_enabled_) install_models();
-  install_sinks();
-  // install_sinks() writes entry_hooks_ directly; (re)derive the branch
-  // prefilter from the final key set so it can never under-approximate.
-  targets_.clear();
-  for (const auto& [addr, hook] : entry_hooks_) targets_.add(addr);
+      table_(hook_table(libc.symbols(), models_enabled)) {}
+
+const SysLibHookEngine::HookTable& SysLibHookEngine::hook_table(
+    const std::map<std::string, GuestAddr>& symbols, bool models_enabled) {
+  struct Built {
+    const std::map<std::string, GuestAddr>* symbols;
+    bool models_enabled;
+    HookTable table;
+  };
+  static std::mutex mu;
+  static std::vector<std::unique_ptr<const Built>> tables;
+  std::lock_guard lock(mu);
+  for (const auto& b : tables) {
+    if (b->symbols == &symbols && b->models_enabled == models_enabled) {
+      return b->table;
+    }
+  }
+  tables.push_back(std::make_unique<const Built>(
+      Built{&symbols, models_enabled, build_table(symbols, models_enabled)}));
+  return tables.back()->table;
 }
 
 u32 SysLibHookEngine::guest_strlen(arm::Cpu& cpu, GuestAddr s) {
@@ -41,26 +58,9 @@ u32 SysLibHookEngine::guest_strlen(arm::Cpu& cpu, GuestAddr s) {
   return n;
 }
 
-void SysLibHookEngine::add_model(const std::string& name,
-                                 std::function<void(arm::Cpu&)> entry) {
-  const GuestAddr addr = libc_.fn(name);
-  entry_hooks_[addr] = {name, std::move(entry)};
-  targets_.add(addr);
-}
-
-void SysLibHookEngine::add_model_with_exit(
-    const std::string& name,
-    std::function<std::function<void(arm::Cpu&)>(arm::Cpu&)> entry) {
-  const GuestAddr addr = libc_.fn(name);
-  targets_.add(addr);
-  entry_hooks_[addr] = {
-      name, [this, entry](arm::Cpu& cpu) {
-        auto exit_fn = entry(cpu);
-        if (exit_fn) {
-          exits_.push_back(PendingExit{cpu.state().lr() & ~1u,
-                                       std::move(exit_fn)});
-        }
-      }};
+void SysLibHookEngine::defer_exit(arm::Cpu& cpu,
+                                  std::function<void(arm::Cpu&)> fn) {
+  exits_.push_back(PendingExit{cpu.state().lr() & ~1u, std::move(fn)});
 }
 
 void SysLibHookEngine::on_branch(arm::Cpu& cpu, GuestAddr /*from*/,
@@ -71,178 +71,255 @@ void SysLibHookEngine::on_branch(arm::Cpu& cpu, GuestAddr /*from*/,
     fn(cpu);
     return;
   }
-  auto it = entry_hooks_.find(to);
-  if (it == entry_hooks_.end()) return;
+  const EntryHook* hook = find_by_addr(table_.hooks, to);
+  if (hook == nullptr) return;
   ++models_applied_;
-  it->second.second(cpu);
+  hook->fn(*this, cpu);
 }
 
-// ---------------------------------------------------------------------------
-// Table VI models
-// ---------------------------------------------------------------------------
-
-void SysLibHookEngine::install_models() {
-  auto& map = engine_.map();
-
-  add_model("memcpy", [&map](arm::Cpu& c) {
-    const auto& r = c.state().regs;
-    memcpy_taint(map, r[0], r[1], r[2]);
-  });
-  add_model("memmove", [&map](arm::Cpu& c) {
-    const auto& r = c.state().regs;
-    map.copy_range(r[0], r[1], r[2]);
-  });
-  add_model("memset", [this, &map](arm::Cpu& c) {
-    const auto& r = c.state().regs;
-    map.set_range(r[0], r[2], engine_.reg(1));
-  });
-
-  add_model("strcpy", [this, &map](arm::Cpu& c) {
-    const auto& r = c.state().regs;
-    memcpy_taint(map, r[0], r[1], guest_strlen(c, r[1]) + 1);
-  });
-  add_model("strncpy", [this, &map](arm::Cpu& c) {
-    const auto& r = c.state().regs;
-    const u32 len = std::min(guest_strlen(c, r[1]) + 1, r[2]);
-    memcpy_taint(map, r[0], r[1], len);
-    if (len < r[2]) map.clear_range(r[0] + len, r[2] - len);
-  });
-  add_model("strcat", [this, &map](arm::Cpu& c) {
-    const auto& r = c.state().regs;
-    const u32 dlen = guest_strlen(c, r[0]);
-    memcpy_taint(map, r[0] + dlen, r[1], guest_strlen(c, r[1]) + 1);
-  });
-  add_model_with_exit("strdup", [this, &map](arm::Cpu& c) {
-    const GuestAddr src = c.state().regs[0];
-    const u32 len = guest_strlen(c, src) + 1;
-    return [&map, src, len](arm::Cpu& c2) {
-      memcpy_taint(map, c2.state().regs[0], src, len);
-    };
-  });
-
-  // Result-tainting models: t(ret) = union over examined bytes.
-  auto ret_from_string = [this, &map](const char* name) {
-    add_model_with_exit(name, [this, &map](arm::Cpu& c) {
-      const GuestAddr s = c.state().regs[0];
-      const u32 len = guest_strlen(c, s);
-      return [this, &map, s, len](arm::Cpu&) {
-        engine_.set_reg(0, map.get_range(s, len));
-      };
-    });
+SysLibHookEngine::HookTable SysLibHookEngine::build_table(
+    const std::map<std::string, GuestAddr>& symbols, bool models_enabled) {
+  using Fn = void (*)(SysLibHookEngine&, arm::Cpu&);
+  std::vector<EntryHook> hooks;
+  auto add = [&](const char* name, Fn fn) {
+    hooks.push_back(EntryHook{symbols.at(name), name, fn});
   };
-  ret_from_string("strlen");
-  ret_from_string("atoi");
-  ret_from_string("atol");
-  ret_from_string("strtoul");
-  ret_from_string("strtol");
-  ret_from_string("strtod");
 
-  auto ret_from_two_strings = [this, &map](const char* name) {
-    add_model_with_exit(name, [this, &map](arm::Cpu& c) {
+  // -------------------------------------------------------------------------
+  // Table VI models
+  // -------------------------------------------------------------------------
+  if (models_enabled) {
+    add("memcpy", [](SysLibHookEngine& e, arm::Cpu& c) {
+      const auto& r = c.state().regs;
+      memcpy_taint(e.engine_.map(), r[0], r[1], r[2]);
+    });
+    add("memmove", [](SysLibHookEngine& e, arm::Cpu& c) {
+      const auto& r = c.state().regs;
+      e.engine_.map().copy_range(r[0], r[1], r[2]);
+    });
+    add("memset", [](SysLibHookEngine& e, arm::Cpu& c) {
+      const auto& r = c.state().regs;
+      e.engine_.map().set_range(r[0], r[2], e.engine_.reg(1));
+    });
+
+    add("strcpy", [](SysLibHookEngine& e, arm::Cpu& c) {
+      const auto& r = c.state().regs;
+      memcpy_taint(e.engine_.map(), r[0], r[1], e.guest_strlen(c, r[1]) + 1);
+    });
+    add("strncpy", [](SysLibHookEngine& e, arm::Cpu& c) {
+      const auto& r = c.state().regs;
+      auto& map = e.engine_.map();
+      const u32 len = std::min(e.guest_strlen(c, r[1]) + 1, r[2]);
+      memcpy_taint(map, r[0], r[1], len);
+      if (len < r[2]) map.clear_range(r[0] + len, r[2] - len);
+    });
+    add("strcat", [](SysLibHookEngine& e, arm::Cpu& c) {
+      const auto& r = c.state().regs;
+      const u32 dlen = e.guest_strlen(c, r[0]);
+      memcpy_taint(e.engine_.map(), r[0] + dlen, r[1],
+                   e.guest_strlen(c, r[1]) + 1);
+    });
+    add("strdup", [](SysLibHookEngine& e, arm::Cpu& c) {
+      const GuestAddr src = c.state().regs[0];
+      const u32 len = e.guest_strlen(c, src) + 1;
+      e.defer_exit(c, [&map = e.engine_.map(), src, len](arm::Cpu& c2) {
+        memcpy_taint(map, c2.state().regs[0], src, len);
+      });
+    });
+
+    // Result-tainting models: t(ret) = union over examined bytes.
+    const Fn ret_from_string = [](SysLibHookEngine& e, arm::Cpu& c) {
+      const GuestAddr s = c.state().regs[0];
+      const u32 len = e.guest_strlen(c, s);
+      e.defer_exit(c, [&e, s, len](arm::Cpu&) {
+        e.engine_.set_reg(0, e.engine_.map().get_range(s, len));
+      });
+    };
+    for (const char* name :
+         {"strlen", "atoi", "atol", "strtoul", "strtol", "strtod"}) {
+      add(name, ret_from_string);
+    }
+
+    const Fn ret_from_two_strings = [](SysLibHookEngine& e, arm::Cpu& c) {
       const GuestAddr a = c.state().regs[0];
       const GuestAddr b = c.state().regs[1];
-      const u32 la = guest_strlen(c, a);
-      const u32 lb = guest_strlen(c, b);
-      return [this, &map, a, b, la, lb](arm::Cpu&) {
-        engine_.set_reg(0, map.get_range(a, la) | map.get_range(b, lb));
-      };
+      const u32 la = e.guest_strlen(c, a);
+      const u32 lb = e.guest_strlen(c, b);
+      e.defer_exit(c, [&e, a, b, la, lb](arm::Cpu&) {
+        auto& map = e.engine_.map();
+        e.engine_.set_reg(0, map.get_range(a, la) | map.get_range(b, lb));
+      });
+    };
+    add("strcmp", ret_from_two_strings);
+    add("strcasecmp", ret_from_two_strings);
+    const Fn ret_from_two_ranges = [](SysLibHookEngine& e, arm::Cpu& c) {
+      const auto& r = c.state().regs;
+      const GuestAddr a = r[0], b = r[1];
+      const u32 n = r[2];
+      e.defer_exit(c, [&e, a, b, n](arm::Cpu&) {
+        auto& map = e.engine_.map();
+        e.engine_.set_reg(0, map.get_range(a, n) | map.get_range(b, n));
+      });
+    };
+    add("strncmp", ret_from_two_ranges);
+    add("memcmp", ret_from_two_ranges);
+
+    // Pointer-into-argument models: the result aliases the input string.
+    const Fn ret_aliases_arg0 = [](SysLibHookEngine& e, arm::Cpu& c) {
+      const Taint t = e.engine_.reg(0);
+      e.defer_exit(c, [&e, t](arm::Cpu&) { e.engine_.add_reg(0, t); });
+    };
+    for (const char* name : {"strchr", "strrchr", "memchr", "strstr"}) {
+      add(name, ret_aliases_arg0);
+    }
+
+    // Allocation family: fresh memory starts clear; realloc moves taints.
+    add("malloc", [](SysLibHookEngine& e, arm::Cpu& c) {
+      const u32 size = c.state().regs[0];
+      e.defer_exit(c, [&map = e.engine_.map(), size](arm::Cpu& c2) {
+        map.clear_range(c2.state().regs[0], size);
+      });
     });
-  };
-  ret_from_two_strings("strcmp");
-  ret_from_two_strings("strcasecmp");
-  add_model_with_exit("strncmp", [this, &map](arm::Cpu& c) {
-    const auto& r = c.state().regs;
-    const GuestAddr a = r[0], b = r[1];
-    const u32 n = r[2];
-    return [this, &map, a, b, n](arm::Cpu&) {
-      engine_.set_reg(0, map.get_range(a, n) | map.get_range(b, n));
-    };
-  });
-  add_model_with_exit("memcmp", [this, &map](arm::Cpu& c) {
-    const auto& r = c.state().regs;
-    const GuestAddr a = r[0], b = r[1];
-    const u32 n = r[2];
-    return [this, &map, a, b, n](arm::Cpu&) {
-      engine_.set_reg(0, map.get_range(a, n) | map.get_range(b, n));
-    };
-  });
-
-  // Pointer-into-argument models: the result aliases the input string.
-  auto ret_aliases_arg0 = [this](const char* name) {
-    add_model_with_exit(name, [this](arm::Cpu&) {
-      const Taint t = engine_.reg(0);
-      return [this, t](arm::Cpu&) { engine_.add_reg(0, t); };
+    add("calloc", [](SysLibHookEngine& e, arm::Cpu& c) {
+      const u32 size = c.state().regs[0] * c.state().regs[1];
+      e.defer_exit(c, [&map = e.engine_.map(), size](arm::Cpu& c2) {
+        map.clear_range(c2.state().regs[0], size);
+      });
     });
-  };
-  ret_aliases_arg0("strchr");
-  ret_aliases_arg0("strrchr");
-  ret_aliases_arg0("memchr");
-  ret_aliases_arg0("strstr");
+    add("realloc", [](SysLibHookEngine& e, arm::Cpu& c) {
+      const GuestAddr old = c.state().regs[0];
+      const u32 size = c.state().regs[1];
+      e.defer_exit(c, [&map = e.engine_.map(), old, size](arm::Cpu& c2) {
+        const GuestAddr now = c2.state().regs[0];
+        if (old != 0 && now != old) map.copy_range(now, old, size);
+      });
+    });
+    add("free", [](SysLibHookEngine&, arm::Cpu&) {});
 
-  // Allocation family: fresh memory starts clear; realloc moves taints.
-  add_model_with_exit("malloc", [&map](arm::Cpu& c) {
-    const u32 size = c.state().regs[0];
-    return [&map, size](arm::Cpu& c2) {
-      map.clear_range(c2.state().regs[0], size);
-    };
-  });
-  add_model_with_exit("calloc", [&map](arm::Cpu& c) {
-    const u32 size = c.state().regs[0] * c.state().regs[1];
-    return [&map, size](arm::Cpu& c2) {
-      map.clear_range(c2.state().regs[0], size);
-    };
-  });
-  add_model_with_exit("realloc", [&map](arm::Cpu& c) {
-    const GuestAddr old = c.state().regs[0];
-    const u32 size = c.state().regs[1];
-    return [&map, old, size](arm::Cpu& c2) {
-      const GuestAddr now = c2.state().regs[0];
-      if (old != 0 && now != old) map.copy_range(now, old, size);
-    };
-  });
-  add_model("free", [](arm::Cpu&) {});
+    add("sprintf", [](SysLibHookEngine& e, arm::Cpu& c) {
+      const std::string fmt = c.memory().read_cstr(c.state().regs[1]);
+      auto [out, taint] = e.format_taint(c, fmt, 2);
+      e.engine_.map().set_range(c.state().regs[0],
+                                static_cast<u32>(out.size()) + 1, taint);
+    });
+    add("snprintf", [](SysLibHookEngine& e, arm::Cpu& c) {
+      const std::string fmt = c.memory().read_cstr(c.state().regs[2]);
+      auto [out, taint] = e.format_taint(c, fmt, 3);
+      const u32 n = std::min<u32>(static_cast<u32>(out.size()) + 1,
+                                  c.state().regs[1]);
+      e.engine_.map().set_range(c.state().regs[0], n, taint);
+    });
+    add("sscanf", [](SysLibHookEngine& e, arm::Cpu& c) {
+      auto& map = e.engine_.map();
+      const GuestAddr input = c.state().regs[0];
+      const Taint t = map.get_range(input, e.guest_strlen(c, input));
+      if (t == kTaintClear) return;
+      const std::string fmt = c.memory().read_cstr(c.state().regs[1]);
+      u32 reg = 2, stack_idx = 0;
+      for (u32 i = 0; i + 1 < fmt.size(); ++i) {
+        if (fmt[i] != '%') continue;
+        const char spec = fmt[i + 1];
+        if (spec != 'd' && spec != 's') continue;
+        const GuestAddr out = reg <= 3
+                                  ? c.state().regs[reg++]
+                                  : c.memory().read32(c.state().sp() +
+                                                      4 * stack_idx++);
+        map.add_range(out, spec == 'd' ? 4 : 64, t);
+      }
+    });
 
-  add_model("sprintf", [this, &map](arm::Cpu& c) {
+    // libm: value-pure functions; t(ret) = t(arg0) | t(arg1).
+    const Fn value_pure = [](SysLibHookEngine& e, arm::Cpu& c) {
+      const Taint t = e.engine_.reg(0) | e.engine_.reg(1);
+      e.defer_exit(c, [&e, t](arm::Cpu&) { e.engine_.set_reg(0, t); });
+    };
+    for (const char* name :
+         {"sin",  "sinf",  "cos",   "cosf", "sqrt", "sqrtf", "exp",  "expf",
+          "log",  "logf",  "log10", "floor", "ceil", "tan",   "atan", "asin",
+          "acos", "sinh",  "cosh",  "pow",  "powf", "atan2", "atan2f",
+          "fmod", "ldexp"}) {
+      add(name, value_pure);
+    }
+  }
+
+  // -------------------------------------------------------------------------
+  // Table VII sinks: FILE*-level (no SVC is reached; the libc helpers write
+  // directly).
+  // -------------------------------------------------------------------------
+  add("fprintf", [](SysLibHookEngine& e, arm::Cpu& c) {
+    const GuestAddr file = c.state().regs[0];
     const std::string fmt = c.memory().read_cstr(c.state().regs[1]);
-    auto [out, taint] = format_taint(c, fmt, 2);
-    map.set_range(c.state().regs[0], static_cast<u32>(out.size()) + 1, taint);
+    e.log_.line("SinkHandler[fprintf] begin");
+    auto [out, taint] = e.format_taint(c, fmt, 2);
+    e.log_.line("SinkHandler[fprintf] end");
+    if (taint != kTaintClear) {
+      const int fd = e.libc_.fd_of_file(file);
+      const auto* fd_entry = e.kernel_.fd_entry(fd);
+      e.record_leak("fprintf", fd_entry ? fd_entry->path : "<unknown>", taint,
+                    out, c.state().pc());
+    }
   });
-  add_model("snprintf", [this, &map](arm::Cpu& c) {
-    const std::string fmt = c.memory().read_cstr(c.state().regs[2]);
-    auto [out, taint] = format_taint(c, fmt, 3);
-    const u32 n = std::min<u32>(static_cast<u32>(out.size()) + 1,
-                                c.state().regs[1]);
-    map.set_range(c.state().regs[0], n, taint);
+  add("fwrite", [](SysLibHookEngine& e, arm::Cpu& c) {
+    const auto& r = c.state().regs;
+    const u32 bytes = r[1] * r[2];
+    const Taint t = e.engine_.map().get_range(r[0], bytes);
+    if (t != kTaintClear) {
+      std::vector<u8> data(bytes);
+      c.memory().read_bytes(r[0], data);
+      const auto* fd_entry = e.kernel_.fd_entry(e.libc_.fd_of_file(r[3]));
+      e.record_leak("fwrite", fd_entry ? fd_entry->path : "<unknown>", t,
+                    std::string(data.begin(), data.end()), c.state().pc());
+    }
   });
-  add_model("sscanf", [this, &map](arm::Cpu& c) {
-    const GuestAddr input = c.state().regs[0];
-    const Taint t = map.get_range(input, guest_strlen(c, input));
-    if (t == kTaintClear) return;
-    const std::string fmt = c.memory().read_cstr(c.state().regs[1]);
-    u32 reg = 2, stack_idx = 0;
-    for (u32 i = 0; i + 1 < fmt.size(); ++i) {
-      if (fmt[i] != '%') continue;
-      const char spec = fmt[i + 1];
-      if (spec != 'd' && spec != 's') continue;
-      const GuestAddr out = reg <= 3
-                                ? c.state().regs[reg++]
-                                : c.memory().read32(c.state().sp() +
-                                                    4 * stack_idx++);
-      map.add_range(out, spec == 'd' ? 4 : 64, t);
+  add("fputs", [](SysLibHookEngine& e, arm::Cpu& c) {
+    const GuestAddr s = c.state().regs[0];
+    const u32 len = e.guest_strlen(c, s);
+    const Taint t = e.engine_.map().get_range(s, len);
+    if (t != kTaintClear) {
+      const auto* fd_entry =
+          e.kernel_.fd_entry(e.libc_.fd_of_file(c.state().regs[1]));
+      e.record_leak("fputs", fd_entry ? fd_entry->path : "<unknown>", t,
+                    c.memory().read_cstr(s), c.state().pc());
+    }
+  });
+  add("fputc", [](SysLibHookEngine& e, arm::Cpu& c) {
+    const Taint t = e.engine_.reg(0);
+    if (t != kTaintClear) {
+      const auto* fd_entry =
+          e.kernel_.fd_entry(e.libc_.fd_of_file(c.state().regs[1]));
+      e.record_leak("fputc", fd_entry ? fd_entry->path : "<unknown>", t,
+                    std::string(1, static_cast<char>(c.state().regs[0])),
+                    c.state().pc());
     }
   });
 
-  // libm: value-pure functions; t(ret) = t(arg0) | t(arg1).
-  for (const char* name :
-       {"sin",  "sinf",  "cos",   "cosf", "sqrt", "sqrtf", "exp",  "expf",
-        "log",  "logf",  "log10", "floor", "ceil", "tan",   "atan", "asin",
-        "acos", "sinh",  "cosh",  "pow",  "powf", "atan2", "atan2f",
-        "fmod", "ldexp"}) {
-    add_model_with_exit(name, [this](arm::Cpu&) {
-      const Taint t = engine_.reg(0) | engine_.reg(1);
-      return [this, t](arm::Cpu&) { engine_.set_reg(0, t); };
-    });
+  // Useful TrustCall logging for the case-study figures.
+  add("fopen", [](SysLibHookEngine& e, arm::Cpu& c) {
+    e.log_.line("TrustCallHandler[fopen] begin");
+    e.log_.line("Open '" + c.memory().read_cstr(c.state().regs[0]) + "'");
+    e.log_.line("TrustCallHandler[fopen] end");
+  });
+  add("fclose", [](SysLibHookEngine& e, arm::Cpu& c) {
+    e.log_.line("TrustCallHandler[fclose] begin");
+    e.log_.line("Close FILE@" + std::to_string(c.state().regs[0]));
+    e.log_.line("TrustCallHandler[fclose] end");
+  });
+
+  // One hook per address, the later registration winning.
+  std::stable_sort(hooks.begin(), hooks.end(),
+                   [](const EntryHook& a, const EntryHook& b) {
+                     return a.addr < b.addr;
+                   });
+  HookTable table;
+  for (const EntryHook& h : hooks) {
+    if (!table.hooks.empty() && table.hooks.back().addr == h.addr) {
+      table.hooks.back() = h;
+    } else {
+      table.hooks.push_back(h);
+    }
+    table.targets.add(h.addr);
   }
+  return table;
 }
 
 // ---------------------------------------------------------------------------
@@ -317,77 +394,6 @@ void SysLibHookEngine::record_leak(std::string sink, std::string destination,
                                    GuestAddr pc) {
   leaks_.push_back(NativeLeak{std::move(sink), std::move(destination), taint,
                               std::move(data), pc});
-}
-
-void SysLibHookEngine::install_sinks() {
-  // FILE*-level sinks (no SVC is reached; the libc helpers write directly).
-  entry_hooks_[libc_.fn("fprintf")] = {
-      "fprintf", [this](arm::Cpu& c) {
-        const GuestAddr file = c.state().regs[0];
-        const std::string fmt = c.memory().read_cstr(c.state().regs[1]);
-        log_.line("SinkHandler[fprintf] begin");
-        auto [out, taint] = format_taint(c, fmt, 2);
-        log_.line("SinkHandler[fprintf] end");
-        if (taint != kTaintClear) {
-          const int fd = libc_.fd_of_file(file);
-          const auto* e = kernel_.fd_entry(fd);
-          record_leak("fprintf", e ? e->path : "<unknown>", taint, out,
-                      c.state().pc());
-        }
-      }};
-
-  entry_hooks_[libc_.fn("fwrite")] = {
-      "fwrite", [this](arm::Cpu& c) {
-        const auto& r = c.state().regs;
-        const u32 bytes = r[1] * r[2];
-        const Taint t = engine_.map().get_range(r[0], bytes);
-        if (t != kTaintClear) {
-          std::vector<u8> data(bytes);
-          c.memory().read_bytes(r[0], data);
-          const auto* e = kernel_.fd_entry(libc_.fd_of_file(r[3]));
-          record_leak("fwrite", e ? e->path : "<unknown>", t,
-                      std::string(data.begin(), data.end()), c.state().pc());
-        }
-      }};
-
-  entry_hooks_[libc_.fn("fputs")] = {
-      "fputs", [this](arm::Cpu& c) {
-        const GuestAddr s = c.state().regs[0];
-        const u32 len = guest_strlen(c, s);
-        const Taint t = engine_.map().get_range(s, len);
-        if (t != kTaintClear) {
-          const auto* e =
-              kernel_.fd_entry(libc_.fd_of_file(c.state().regs[1]));
-          record_leak("fputs", e ? e->path : "<unknown>", t,
-                      c.memory().read_cstr(s), c.state().pc());
-        }
-      }};
-
-  entry_hooks_[libc_.fn("fputc")] = {
-      "fputc", [this](arm::Cpu& c) {
-        const Taint t = engine_.reg(0);
-        if (t != kTaintClear) {
-          const auto* e =
-              kernel_.fd_entry(libc_.fd_of_file(c.state().regs[1]));
-          record_leak("fputc", e ? e->path : "<unknown>", t,
-                      std::string(1, static_cast<char>(c.state().regs[0])),
-                      c.state().pc());
-        }
-      }};
-
-  // Useful TrustCall logging for the case-study figures.
-  entry_hooks_[libc_.fn("fopen")] = {
-      "fopen", [this](arm::Cpu& c) {
-        log_.line("TrustCallHandler[fopen] begin");
-        log_.line("Open '" + c.memory().read_cstr(c.state().regs[0]) + "'");
-        log_.line("TrustCallHandler[fopen] end");
-      }};
-  entry_hooks_[libc_.fn("fclose")] = {
-      "fclose", [this](arm::Cpu& c) {
-        log_.line("TrustCallHandler[fclose] begin");
-        log_.line("Close FILE@" + std::to_string(c.state().regs[0]));
-        log_.line("TrustCallHandler[fclose] end");
-      }};
 }
 
 void SysLibHookEngine::on_insn(arm::Cpu& cpu, const arm::Insn& insn,

@@ -13,10 +13,16 @@
 // send*, sendto*, fwrite*, fputc*, fputs* — plus fprintf (the Fig. 8
 // SinkHandler). Kernel-level sinks are checked at SVC instructions; libc
 // FILE* sinks at function entry.
+//
+// The hooked entry points come from the once-per-process libc image, so the
+// address -> handler table is process-wide data too (hook_table); an engine
+// owns only its per-invocation state: pending exits, leaks, counters.
 #pragma once
 
 #include <functional>
-#include <unordered_map>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "common/addr_filter.h"
 #include "arm/cpu.h"
@@ -32,12 +38,36 @@ class SysLibHookEngine {
   SysLibHookEngine(libc::Libc& libc, os::Kernel& kernel, TaintEngine& engine,
                    TraceLog& log, bool models_enabled);
 
+  /// One Table VI model or Table VII sink: a libc entry point and the
+  /// handler that runs when control reaches it. Handlers capture nothing;
+  /// the engine they act for is their first argument.
+  struct EntryHook {
+    GuestAddr addr;
+    const char* name;
+    void (*fn)(SysLibHookEngine&, arm::Cpu&);
+  };
+  /// The entry hooks of one libc image, sorted by address, and the branch
+  /// prefilter over their addresses. Immutable once built.
+  struct HookTable {
+    std::vector<EntryHook> hooks;
+    AddrBloom targets;
+  };
+
+  /// The table for libc images with `symbols`, with or without the Table VI
+  /// models: built at first use, once per process (thread-safe), and shared
+  /// by every engine.
+  static const HookTable& hook_table(
+      const std::map<std::string, GuestAddr>& symbols, bool models_enabled);
+
+  /// The table this engine dispatches through.
+  [[nodiscard]] const HookTable& table() const { return table_; }
+
   /// Branch-event dispatch (modeled-function entry/exit).
   void on_branch(arm::Cpu& cpu, GuestAddr from, GuestAddr to);
 
   /// Cheap prefilter: false means on_branch(to) is guaranteed to be a no-op.
   [[nodiscard]] bool wants_branch(GuestAddr to) const {
-    return !exits_.empty() || targets_.maybe(to);
+    return !exits_.empty() || table_.targets.maybe(to);
   }
 
   /// Instruction-event dispatch (SVC sink checks).
@@ -51,20 +81,11 @@ class SysLibHookEngine {
   [[nodiscard]] u64 models_applied() const { return models_applied_; }
 
  private:
-  struct Hooks {
-    std::function<void(arm::Cpu&)> entry;
-    /// Built per-invocation by `entry` when exit work is needed.
-  };
+  static HookTable build_table(const std::map<std::string, GuestAddr>& symbols,
+                               bool models_enabled);
 
-  void add_model(const std::string& name,
-                 std::function<void(arm::Cpu&)> entry);
-  /// Registers a model whose exit handler needs entry-time arguments.
-  void add_model_with_exit(
-      const std::string& name,
-      std::function<std::function<void(arm::Cpu&)>(arm::Cpu&)> entry);
-
-  void install_models();
-  void install_sinks();
+  /// Runs `fn` when the hooked call returns to the current LR.
+  void defer_exit(arm::Cpu& cpu, std::function<void(arm::Cpu&)> fn);
 
   u32 guest_strlen(arm::Cpu& cpu, GuestAddr s);
   /// Renders a printf-style call and computes the taint union of its
@@ -79,13 +100,8 @@ class SysLibHookEngine {
   os::Kernel& kernel_;
   TaintEngine& engine_;
   TraceLog& log_;
-  bool models_enabled_;
+  const HookTable& table_;
 
-  std::unordered_map<GuestAddr, std::pair<std::string,
-                                          std::function<void(arm::Cpu&)>>>
-      entry_hooks_;
-  /// Prefilter over entry_hooks_ keys, maintained by add_model*().
-  AddrBloom targets_;
   struct PendingExit {
     GuestAddr ret_to;
     std::function<void(arm::Cpu&)> fn;

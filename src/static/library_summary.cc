@@ -1,6 +1,7 @@
 #include "static/library_summary.h"
 
 #include <algorithm>
+#include <cstring>
 
 namespace ndroid::static_analysis {
 
@@ -15,19 +16,31 @@ u64 fnv1a(std::span<const u8> bytes, u64 seed) {
 
 namespace {
 
-u64 fnv1a_u32(u32 v, u64 h) {
-  for (int i = 0; i < 4; ++i) {
-    h ^= (v >> (8 * i)) & 0xFF;
-    h *= 0x100000001b3ull;
-  }
-  return h;
+/// One step of the word-wise content hash. For a fixed `word` it is a
+/// bijection of `h`, and for a fixed `h` a bijection of `word`, so changing
+/// any single input word always changes the final key.
+u64 mix(u64 h, u64 word) {
+  h = (h ^ word) * 0x9E3779B97F4A7C15ull;
+  return h ^ (h >> 32);
 }
 
 }  // namespace
 
 u64 library_key(std::span<const u8> image,
                 const std::vector<FunctionEntry>& entries, GuestAddr base) {
-  u64 h = fnv1a(image);
+  // The length goes in first: the tail word is zero-padded.
+  u64 h = mix(0xcbf29ce484222325ull, image.size());
+  std::size_t at = 0;
+  for (; at + 8 <= image.size(); at += 8) {
+    u64 word;
+    std::memcpy(&word, image.data() + at, 8);
+    h = mix(h, word);
+  }
+  if (at < image.size()) {
+    u64 tail = 0;
+    std::memcpy(&tail, image.data() + at, image.size() - at);
+    h = mix(h, tail);
+  }
   // Entry *offsets* only — not names and not order. Names carry app-side
   // identity (the registering class's descriptor), and two apps registering
   // the same .so must share one artifact; what the analysis depends on is
@@ -40,7 +53,7 @@ u64 library_key(std::span<const u8> image,
   }
   std::sort(offs.begin(), offs.end());
   offs.erase(std::unique(offs.begin(), offs.end()), offs.end());
-  for (const u32 off : offs) h = fnv1a_u32(off, h);
+  for (const u32 off : offs) h = mix(h, off);
   return h;
 }
 

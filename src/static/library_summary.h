@@ -45,8 +45,9 @@ namespace ndroid::static_analysis {
 /// FNV-1a 64-bit over a byte span (the library content hash primitive).
 [[nodiscard]] u64 fnv1a(std::span<const u8> bytes, u64 seed = 0xcbf29ce484222325ull);
 
-/// Cache key for one library: image bytes + the registered JNI entry points
-/// expressed as image-relative offsets (bit 0 = Thumb). Entry *names* are
+/// Cache key for one library: image bytes (hashed a word at a time) + the
+/// registered JNI entry points expressed as image-relative offsets (bit 0 =
+/// Thumb). Changing any single image byte changes the key. Entry *names* are
 /// excluded — they carry the registering app's class descriptor, and two
 /// apps that map the same .so and register the same entry offsets must get
 /// the same key regardless of load address or package name (the shared

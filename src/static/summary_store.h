@@ -49,7 +49,8 @@ class SummaryStore {
   static constexpr u32 kMagic = 0x3153534Eu;  // "NSS1" little-endian
   // v2: TBB/TBH ops, VSA jump tables, precision counters, degrade sites,
   // image-relative windows and relocatable call targets.
-  static constexpr u32 kFormatVersion = 2;
+  // v3: library_key hashes the image a word at a time (keys changed).
+  static constexpr u32 kFormatVersion = 3;
   static constexpr std::size_t kHeaderSize = 32;
 
   struct Stats {

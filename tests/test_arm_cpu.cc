@@ -2,6 +2,8 @@
 // SVC dispatch — the exact points NDroid's engines attach to.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "arm/assembler.h"
 #include "arm/cpu.h"
 
@@ -156,6 +158,55 @@ TEST_F(CpuFixture, HelperMayCallGuestFunction) {
   a.call(kHelper);
   a.pop({PC});
   EXPECT_EQ(run(a), 42u);
+}
+
+TEST_F(CpuFixture, UnregisteredHelperSlotsFallThrough) {
+  // Slots 0 and 2 of the helper window hold helpers; slot 1 (a gap) and
+  // slot 3 (past the last) hold none. An unregistered slot is ordinary
+  // guest memory: the window is unmapped and reads as zero words, which
+  // decode as ANDEQ r0, r0, r0.
+  int first = 0, third = 0;
+  cpu_.register_helper(kHelper, [&](Cpu&) { ++first; });
+  cpu_.register_helper(kHelper + 8, [&](Cpu& cpu) {
+    ++third;
+    cpu.state().regs[0] = 77;
+  });
+
+  // A jump into the gap slides over one zero word onto slot 2's helper.
+  Assembler gap(kCode);
+  gap.push({LR});
+  gap.call(kHelper + 4);
+  gap.pop({PC});
+  EXPECT_EQ(run(gap), 77u);
+  EXPECT_EQ(first, 0);
+  EXPECT_EQ(third, 1);
+  // push, mov ip, blx, the zero word, the helper, pop.
+  EXPECT_EQ(cpu_.instructions_retired(), 6u);
+
+  // Past the last slot the zero words run on until the step budget ends
+  // the call.
+  cpu_.set_step_budget(1'000);
+  Assembler past(kCode);
+  past.push({LR});
+  past.call(kHelper + 12);
+  past.pop({PC});
+  EXPECT_THROW(run(past), GuestFault);
+  EXPECT_EQ(third, 1);
+}
+
+TEST_F(CpuFixture, HelperWindowRegistrationIsChecked) {
+  // Window slots are words; a helper runs in place, so it may not make the
+  // window reallocate under itself.
+  EXPECT_THROW(cpu_.register_helper(kHelper + 2, [](Cpu&) {}),
+               std::invalid_argument);
+  cpu_.register_helper(kHelper, [](Cpu& cpu) {
+    cpu.register_helper(kHelper + 4 * 4096, [](Cpu&) {});
+  });
+  Assembler a(kCode);
+  a.push({LR});
+  a.call(kHelper);
+  a.pop({PC});
+  EXPECT_THROW(run(a), std::logic_error);
 }
 
 TEST_F(CpuFixture, SvcDispatchesToHandler) {

@@ -95,6 +95,28 @@ TEST(LibrarySummary, KeyIgnoresEntryOrderAndLoadBase) {
             sa::library_key(at_a.image, shifted, kBaseB));
 }
 
+TEST(LibrarySummary, KeyChangesWithEveryImageByte) {
+  // The key hashes the image a word at a time; pad the image so it ends in
+  // a partial word and the tail bytes are covered too.
+  std::vector<u8> image = assemble(kBaseA).image;
+  image.insert(image.end(), {0x11, 0x22, 0x33});
+  ASSERT_NE(image.size() % 8, 0u);
+  const std::vector<sa::FunctionEntry> entries = {{kBaseA, "entry"}};
+  const u64 key = sa::library_key(image, entries, kBaseA);
+  for (std::size_t i = 0; i < image.size(); ++i) {
+    for (const u8 mask : {0x01, 0x80}) {
+      image[i] ^= mask;
+      EXPECT_NE(sa::library_key(image, entries, kBaseA), key)
+          << "byte " << i << " mask " << int{mask};
+      image[i] ^= mask;
+    }
+  }
+  // The tail word is zero-padded, so a trailing zero byte changes only the
+  // length, which is hashed too.
+  image.push_back(0);
+  EXPECT_NE(sa::library_key(image, entries, kBaseA), key);
+}
+
 TEST(LibrarySummary, SameBaseBindIsZeroCopy) {
   const TestLib lib = assemble(kBaseA);
   auto snapshot =

@@ -34,11 +34,11 @@
 // repo's reference box has 1), and honest numbers beat fabricated ones.
 //
 //   bench_farm [reps] [--json out.json]
-//              [--engine interp|threaded|jit]
-// (`--engine jit` degrades to the threaded tier on hosts without host-code
-// emission, so the row is valid — just not faster — everywhere.)
+//              [--engine interp|threaded]
+// An unknown engine name exits 2.
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -107,7 +107,12 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc) {
-      g_engine = farm::parse_engine(argv[++i]);
+      try {
+        g_engine = farm::parse_engine(argv[++i]);
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
+      }
     } else {
       reps = static_cast<u32>(std::strtoul(argv[i], nullptr, 10));
     }

@@ -3,10 +3,9 @@
 // cost, shadow-memory operations, and interpreter throughput.
 //
 // The BM_Mem* group covers the memory data plane (software TLB, page
-// directory, word-granular shadow range ops); BM_ThreadedDispatch and
-// BM_JitDispatch cover the block-dispatch loops. `--smoke` runs both groups with a
-// short min-time so CI can catch crashes/asserts in benchmark code without
-// perf gating.
+// directory, word-granular shadow range ops); BM_ThreadedDispatch covers the
+// block-dispatch loop. `--smoke` runs both with a short min-time so CI can
+// catch crashes/asserts in benchmark code without perf gating.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -46,29 +45,6 @@ void BM_EmulatorNativeMips(benchmark::State& state) {
   report_native_mips(state, env.device.cpu);
 }
 BENCHMARK(BM_EmulatorNativeMips);
-
-/// Taint-free native loop with the template JIT tier on: clean blocks run
-/// as emitted host x86-64 with version-fenced direct links. Acceptance:
-/// >= 1.3x BM_EmulatorNativeMips (the threaded tier). On hosts without
-/// host-code emission set_engine(kJit) records kThreaded and this measures
-/// the threaded tier exactly.
-void BM_JitNativeMips(benchmark::State& state) {
-  Env env;
-  env.device.cpu.set_engine(arm::Engine::kJit);
-  const auto* w = env.bench.find("Native MIPS");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(env.bench.run(*w, 1000));
-  }
-  report_native_mips(state, env.device.cpu);
-  const core::PerfCounters perf = core::collect_perf(env.device.cpu);
-  state.counters["jit_blocks"] = static_cast<double>(perf.jit_blocks);
-  state.counters["jit_bytes"] = static_cast<double>(perf.jit_bytes);
-  state.counters["jit_links"] = static_cast<double>(perf.jit_links);
-  state.counters["jit_patches"] = static_cast<double>(perf.jit_patches);
-  state.counters["jit_arena_flushes"] =
-      static_cast<double>(perf.jit_arena_flushes);
-}
-BENCHMARK(BM_JitNativeMips);
 
 /// Taint-free native loop on the interpreter (`set_engine(kInterp)`): the
 /// baseline for the emulator itself.
@@ -127,32 +103,6 @@ void BM_EmulatorNativeMipsTracedTainted(benchmark::State& state) {
   report_native_mips(state, env.device.cpu);
 }
 BENCHMARK(BM_EmulatorNativeMipsTracedTainted);
-
-/// NDroid + live register taint with the JIT armed: gate-fired blocks run
-/// their taint-fused *traced* host stream (Table V transfers inlined over
-/// the raw label file, shadow-TLB label probes, deferred bookkeeping
-/// resync). Acceptance: >= 3x faster than BM_EmulatorNativeMipsTracedTainted
-/// (the threaded fused-trace tier). The emitted counters prove which tier
-/// actually executed: `jit_traced_blocks` counts gate-fired dispatches that
-/// ran traced host code and must dominate; `jit_fallback_blocks` counts
-/// hooked dispatches that fell back to the threaded streams.
-void BM_JitTracedTainted(benchmark::State& state) {
-  Env env;
-  env.device.cpu.set_engine(arm::Engine::kJit);
-  core::NDroid nd(env.device);
-  nd.taint_engine().set_reg(4, 0x2);
-  const auto* w = env.bench.find("Native MIPS");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(env.bench.run(*w, 1000));
-  }
-  report_native_mips(state, env.device.cpu);
-  const core::PerfCounters perf = core::collect_perf(env.device.cpu);
-  state.counters["jit_traced_blocks"] =
-      static_cast<double>(perf.jit_traced_blocks);
-  state.counters["jit_fallback_blocks"] =
-      static_cast<double>(perf.jit_fallback_blocks);
-}
-BENCHMARK(BM_JitTracedTainted);
 
 /// NDroid + threaded tier with live register taint and NO gating at all
 /// (`taint_liveness_fastpath=false`, `static_summaries=false`): the seed
@@ -232,7 +182,6 @@ void report_dispatch(benchmark::State& state, const arm::Cpu& cpu,
                              benchmark::Counter::kInvert);
   const core::PerfCounters perf = core::collect_perf(cpu);
   state.counters["threaded_links"] = static_cast<double>(perf.threaded_links);
-  state.counters["jit_links"] = static_cast<double>(perf.jit_links);
 }
 
 void BM_ThreadedDispatch(benchmark::State& state) {
@@ -248,24 +197,6 @@ void BM_ThreadedDispatch(benchmark::State& state) {
   report_dispatch(state, cpu, cpu.instructions_retired() - before);
 }
 BENCHMARK(BM_ThreadedDispatch);
-
-/// The same kernel with the template JIT on: after warmup every transition
-/// is a version-fenced host jump, so this is the floor of the dispatch
-/// ladder (on non-x86-64 hosts it degrades to BM_ThreadedDispatch).
-void BM_JitDispatch(benchmark::State& state) {
-  mem::AddressSpace mem;
-  mem::MemoryMap map;
-  arm::Cpu cpu(mem, map);
-  cpu.set_engine(arm::Engine::kJit);
-  setup_dispatch_kernel(mem, map, cpu);
-  const u64 before = cpu.instructions_retired();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cpu.call_function(kDispatchCode,
-                                               {kDispatchIters}));
-  }
-  report_dispatch(state, cpu, cpu.instructions_retired() - before);
-}
-BENCHMARK(BM_JitDispatch);
 
 void BM_InterpreterJavaMips(benchmark::State& state) {
   Env env;
@@ -441,7 +372,7 @@ BENCHMARK(BM_DalvikAllocation);
 int main(int argc, char** argv) {
   std::vector<char*> args(argv, argv + argc);
   static char filter[] =
-      "--benchmark_filter=BM_Mem|BM_Shadow|BM_GuestMemcpy|BM_Threaded|BM_Jit";
+      "--benchmark_filter=BM_Mem|BM_Shadow|BM_GuestMemcpy|BM_Threaded";
   static char min_time[] = "--benchmark_min_time=0.05";
   for (auto& arg : args) {
     if (std::strcmp(arg, "--smoke") == 0) {

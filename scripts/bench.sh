@@ -15,9 +15,8 @@
 #   build-dir        defaults to ./build-bench
 #   --engine TIER    CPU execution tier for the farm rows and the engine
 #                    stamp in every JSON:
-#                    interp | threaded | jit
-#                    (default threaded, the production tier; jit degrades
-#                    to threaded on hosts without host-code emission)
+#                    interp | threaded
+#                    (default threaded, the production tier)
 #
 # The build directory is configured and built here with
 # CMAKE_BUILD_TYPE=Release — perf numbers from unoptimised binaries are not
@@ -26,6 +25,9 @@
 # google-benchmark emits describes the *system benchmark library*, which may
 # itself be a debug build; the "repo_build_type" stamped below is ours.)
 # Every JSON gets the producing git SHA stamped into its context.
+# bench_micro runs MICRO_REPS repetitions of every benchmark and keeps the
+# aggregates (mean, median, stddev); BENCH_micro.json's context records the
+# repetition count and the load average before and after the run.
 #
 # BENCH_micro.json records two acceptance ratios (compare items_per_second):
 #   * Block tiers:  BM_EmulatorNativeMips vs BM_EmulatorNativeMipsInterp
@@ -41,25 +43,12 @@
 #   * Threaded:     BM_EmulatorNativeMipsTraced must land within noise of
 #                   BM_EmulatorNativeMips (clean blocks pay no taint cost).
 #                   BM_ThreadedDispatch isolates the dispatch loop itself.
-#   * Template JIT: BM_JitNativeMips (host x86-64 emission) vs
-#                   BM_EmulatorNativeMips (threaded tier), target >= 1.3x
-#                   on x86-64 hosts; BM_JitDispatch isolates the dispatch
-#                   loop under patched host jumps.
-#   * Taint-fused JIT: BM_JitTracedTainted (taint-live blocks on the
-#                   traced host stream: inlined Table V transfers, shadow-
-#                   TLB label probes, deferred bookkeeping resync) vs
-#                   BM_EmulatorNativeMipsTracedTainted (threaded fused-
-#                   trace tier), target >= 3x on x86-64 hosts. Its
-#                   jit_traced_blocks / jit_fallback_blocks counters prove
-#                   which tier executed and are copied into every
-#                   artifact's context alongside the code-arena statistics
-#                   from BM_JitNativeMips (blocks, bytes, link patches,
-#                   arena flushes) as "jit_tier" below.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="build-bench"
 ENGINE="threaded"
+MICRO_REPS=5
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --engine)
@@ -73,9 +62,9 @@ while [[ $# -gt 0 ]]; do
   esac
 done
 case "$ENGINE" in
-  interp|threaded|jit) ;;
+  interp|threaded) ;;
   *)
-    echo "unknown engine tier: $ENGINE (expected interp|threaded|jit)" >&2
+    echo "unknown engine tier: $ENGINE (expected interp|threaded)" >&2
     exit 2
     ;;
 esac
@@ -94,11 +83,16 @@ PRECISION_JSON="$("$BUILD_DIR/tools/ndroid-scan" --precision)"
 export PRECISION_JSON
 
 # The bundled google-benchmark predates the "0.3s" suffix syntax.
+LOADAVG_BEFORE="$(cut -d' ' -f1-3 /proc/loadavg)"
 "$BUILD_DIR/bench/bench_micro" \
   --benchmark_min_time=0.3 \
+  --benchmark_repetitions="$MICRO_REPS" \
+  --benchmark_report_aggregates_only=true \
   --benchmark_format=json \
   --benchmark_out=BENCH_micro.json \
   --benchmark_out_format=json
+LOADAVG_AFTER="$(cut -d' ' -f1-3 /proc/loadavg)"
+export MICRO_REPS LOADAVG_BEFORE LOADAVG_AFTER
 
 # 9 reps: the shape checks compare wall-clock medians, which need headroom
 # against scheduler noise (EXPERIMENTS.md records this 9-rep median).
@@ -110,30 +104,12 @@ export PRECISION_JSON
 
 # Stamp provenance into the artifacts bench_farm doesn't already stamp
 # (the producing git SHA and the build type of this repo's code), plus the
-# static-precision counters and the JIT tier's code-arena statistics
-# (scraped from BM_JitNativeMips's counters in BENCH_micro.json) into all
-# three, so any perf number can be read next to how much host code backed it.
+# static-precision counters into all three, and bench_micro's repetition
+# count and load averages into BENCH_micro.json.
 python3 - "$GIT_SHA" "$ENGINE" BENCH_micro.json BENCH_cfbench.json BENCH_farm.json <<'EOF'
 import json, os, sys
 sha, engine = sys.argv[1], sys.argv[2]
 precision = json.loads(os.environ["PRECISION_JSON"])
-
-with open("BENCH_micro.json") as f:
-    micro = json.load(f)
-jit_tier = {}
-for b in micro.get("benchmarks", []):
-    if b.get("name") == "BM_JitNativeMips":
-        jit_tier = {k: b[k] for k in
-                    ("jit_blocks", "jit_bytes", "jit_links", "jit_patches",
-                     "jit_arena_flushes") if k in b}
-for b in micro.get("benchmarks", []):
-    if b.get("name") == "BM_JitTracedTainted":
-        jit_tier.update({k: b[k] for k in
-                         ("jit_traced_blocks", "jit_fallback_blocks")
-                         if k in b})
-# jit_blocks == 0 means the host has no code emission and the jit tier
-# degraded to threaded: record that explicitly.
-jit_tier["jit_available"] = bool(jit_tier.get("jit_blocks", 0))
 
 for path in sys.argv[3:]:
     with open(path) as f:
@@ -144,7 +120,10 @@ for path in sys.argv[3:]:
         doc["context"]["repo_build_type"] = "release"
         doc["context"]["engine"] = engine
     doc["context"]["static_precision"] = precision
-    doc["context"]["jit_tier"] = jit_tier
+    if path == "BENCH_micro.json":
+        doc["context"]["repetitions"] = int(os.environ["MICRO_REPS"])
+        doc["context"]["loadavg_before"] = os.environ["LOADAVG_BEFORE"]
+        doc["context"]["loadavg_after"] = os.environ["LOADAVG_AFTER"]
     with open(path, "w") as f:
         json.dump(doc, f, indent=2)
         f.write("\n")

@@ -4,8 +4,6 @@
 #include <bit>
 #include <stdexcept>
 
-#include "arm/jit.h"  // complete JitEngine for ~Cpu / jit_engine_ resets
-
 namespace ndroid::arm {
 
 namespace {
@@ -116,7 +114,6 @@ GuestAddr Cpu::register_helper_auto(Helper helper) {
 }
 
 void Cpu::set_engine(Engine engine) {
-  if (engine == Engine::kJit && !jit_available()) engine = Engine::kThreaded;
   memory_.set_tlb_enabled(engine != Engine::kInterp);
   if (engine_ == engine) return;
   engine_ = engine;
@@ -346,51 +343,9 @@ u64 Cpu::exec_block(TranslationBlock& tb, u64 budget) {
   return done;
 }
 
-const u8* Cpu::jit_entry(ThreadedBlock& blk) {
-  // Live instruction hooks ride the jit only in the fusable shape the
-  // traced streams were compiled for: a single fused-emitting hook behind
-  // the epoch-memoised block gate, with the taint view installed. Every
-  // other hook configuration rides the threaded tier (its gate/traced
-  // machinery is the semantic reference).
-  const bool hooks = !insn_hooks_.empty();
-  const u8* at = nullptr;
-  if (!hooks || (has_taint_jit_view() && trace_emitter_ &&
-                 insn_hooks_.size() == 1 && gated_hooks_ == 1 &&
-                 block_gate_)) {
-    const bool current =
-        blk.jit != nullptr && blk.jit->arena_gen == jit_engine_->generation;
-    // A current tombstone (block too large for the arena) has no code.
-    if (current || JitRun::compile(*this, blk)) at = blk.jit->code;
-    if (at != nullptr && hooks) {
-      if (block_hooks_fire(*blk.tb)) {
-        // Traced stream (the body counts its own entry); null means the
-        // traced emission bailed and this block falls back per dispatch.
-        at = blk.jit->traced_entry;
-      } else {
-        // Gate skip: the clean stream, with the threaded tier's fast-path
-        // accounting (per-crossing bookkeeping continues in resolve()).
-        ++fastpath_blocks_;
-        fastpath_insns_ += blk.n_insns;
-      }
-    }
-  }
-  if (hooks && at == nullptr) ++jit_fallback_blocks_;
-  return at;
-}
-
 bool Cpu::run_blocks(u64 max_steps) {
-  // Host code needs a code arena and entry glue; where neither can exist
-  // the jit tier degrades to threaded for good.
-  if (engine_ == Engine::kJit && !JitRun::ensure_engine(*this)) {
-    engine_ = Engine::kThreaded;
-  }
   u64 done = 0;
   while (done < max_steps) {
-    // Arena-exhaustion safe point: recycle the whole code arena.
-    if (engine_ == Engine::kJit && jit_engine_->flush_pending &&
-        exec_depth_ == 0 && !JitRun::arena_flush(*this)) {
-      engine_ = Engine::kThreaded;
-    }
     const GuestAddr pc = state_.pc();
     if (pc == kHostReturnAddr) return true;
     // Mid-IT continuation (a block ended inside an IT block, or a jump
@@ -424,13 +379,10 @@ bool Cpu::run_blocks(u64 max_steps) {
       fe = {key, tb_cache_.version(), tb};
     }
     if (tb->threaded == nullptr) ThreadedRun::emit(*this, *tb);
-    ThreadedBlock& blk = *tb->threaded;
-    const u8* host = engine_ == Engine::kJit ? jit_entry(blk) : nullptr;
     ++exec_depth_;
     try {
       u64 block_done =
-          host != nullptr ? JitRun::exec(*this, blk, host, max_steps - done)
-                          : ThreadedRun::exec(*this, blk, max_steps - done);
+          ThreadedRun::exec(*this, *tb->threaded, max_steps - done);
       // The remaining budget can't cover even this block's entry: partial
       // replay through the careful per-instruction path.
       if (block_done == 0) block_done = exec_block(*tb, max_steps - done);

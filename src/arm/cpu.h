@@ -15,7 +15,7 @@
 //    our fake libdvm/libc call them, keeping call chains visible as guest
 //    branches.
 //
-// Execution has three engines, picked with Cpu::set_engine():
+// Execution has two engines, picked with Cpu::set_engine():
 //  * kInterp: fetch/decode/hook/execute one instruction at a time, software
 //    TLB off — the paper-faithful oracle every other tier is diffed against;
 //  * kThreaded (default): straight-line instruction runs are decoded once
@@ -23,9 +23,7 @@
 //    stream (arm/threaded.h) with hooks resolved once per block. A
 //    client-installed block gate may declare a whole block hook-free
 //    (NDroid's taint-liveness fast path), in which case only the clean
-//    stream runs;
-//  * kJit: the same streams compiled to x86-64 host code (arm/jit.h). Where
-//    host code cannot run it degrades to kThreaded.
+//    stream runs.
 #pragma once
 
 #include <functional>
@@ -44,7 +42,6 @@
 namespace ndroid::arm {
 
 class Cpu;
-struct JitEngine;  // arm/jit.h — host-code-emission backend state
 
 using InsnHook = std::function<void(Cpu&, const Insn&, GuestAddr pc)>;
 using BranchHook = std::function<void(Cpu&, GuestAddr from, GuestAddr to)>;
@@ -62,43 +59,8 @@ using BlockGate = std::function<bool(Cpu&, TranslationBlock& tb)>;
 /// without leaving the block executor).
 using BranchGate = std::function<bool(Cpu&, GuestAddr from, GuestAddr to)>;
 
-/// Everything the taint-fused JIT streams need from the analysis layer,
-/// flattened to raw pointers so emitted host code can bake them in as
-/// immediates. The arm layer stays ignorant of the taint engine: the client
-/// (core::NDroid) fills this in and owns every pointed-to object for as long
-/// as the view is installed. With a view installed (reg_labels != nullptr),
-/// gate-skipped blocks run their *clean* host stream and gate-fired blocks
-/// run a *traced* host stream that propagates Table V taint inline — instead
-/// of falling back to the threaded tier wholesale.
-struct TaintJitView {
-  /// The 16-slot register label file (TaintEngine shadow registers). Traced
-  /// streams read and write it raw; `sync` reconciles the engine's
-  /// incremental bookkeeping (counts, masks, epochs) afterwards.
-  u32* reg_labels = nullptr;
-  /// Called at every traced-block exit and before every out-of-line trace
-  /// callout with a bitmask of registers whose labels emitted code may have
-  /// written since the last sync.
-  void (*sync)(void* ctx, u32 written_mask) = nullptr;
-  void* sync_ctx = nullptr;
-  /// ShadowMemory's JIT shadow TLB: direct-mapped, 16-byte entries, page
-  /// number at +0 and label-array pointer at +8 (the data-TLB probe shape).
-  const void* shadow_tlb = nullptr;
-  u32 shadow_tlb_slots = 0;
-  /// Slow paths for taint loads/stores that miss the shadow TLB or straddle
-  /// a page: fill the TLB and do the bookkeeping-complete range op.
-  u32 (*shadow_read)(void* ctx, u32 addr, u32 len) = nullptr;
-  void (*shadow_write)(void* ctx, u32 addr, u32 len, u32 taint) = nullptr;
-  void* mem_ctx = nullptr;
-  /// Tracer statistics slots; constant increments are folded into traced
-  /// exits so the counts stay exactly what the interpreted tracer would
-  /// report. cache_ctr == nullptr means the handler cache is disabled.
-  u64* traced_ctr = nullptr;
-  u64* cache_ctr = nullptr;
-  u64* prop_ctr = nullptr;
-};
-
 /// CPU execution tier (see the header comment). kThreaded is the default.
-enum class Engine { kInterp, kThreaded, kJit };
+enum class Engine { kInterp, kThreaded };
 
 /// Address the run loop treats as "return to host": calling convention glue
 /// sets LR to this before entering guest code.
@@ -194,15 +156,10 @@ class Cpu {
   // --- Engine selection ------------------------------------------------
 
   /// Selects the execution tier. The address space's software TLB follows:
-  /// off for kInterp, on otherwise. kJit records kThreaded when
-  /// jit_available() is false (and the run loop degrades to kThreaded if
-  /// host code later fails to materialise). Changing the tier flushes
-  /// cached blocks so stale streams, links and host code cannot leak across.
+  /// off for kInterp, on for kThreaded. Changing the tier flushes cached
+  /// blocks so stale streams and links cannot leak across.
   void set_engine(Engine engine);
   [[nodiscard]] Engine engine() const { return engine_; }
-
-  /// True when this build can emit host code (x86-64, not NDROID_NO_JIT).
-  [[nodiscard]] static bool jit_available();
 
   // --- Translation-block cache -----------------------------------------
 
@@ -231,44 +188,6 @@ class Cpu {
   [[nodiscard]] u64 fastpath_blocks() const { return fastpath_blocks_; }
   [[nodiscard]] u64 fastpath_insns() const { return fastpath_insns_; }
 
-  // --- Template JIT tier ------------------------------------------------
-
-  /// Test hook: code-arena capacity and write-protection discipline. `wx`
-  /// selects strict W^X (arena RW only while compiling, RX while
-  /// executable) over the default single RWX mapping. Call while no guest
-  /// frame is live; drops the current arena and flushes cached blocks.
-  void set_jit_config(std::size_t arena_bytes, bool wx);
-
-  /// Jit statistics: links/patches mirror the threaded counters; blocks /
-  /// bytes / arena_flushes describe the code-arena lifecycle.
-  [[nodiscard]] u64 jit_links() const { return jit_links_; }
-  [[nodiscard]] u64 jit_link_patches() const { return jit_link_patches_; }
-  [[nodiscard]] u64 jit_blocks_compiled() const {
-    return jit_blocks_compiled_;
-  }
-  [[nodiscard]] u64 jit_bytes_emitted() const { return jit_bytes_emitted_; }
-  [[nodiscard]] u64 jit_arena_flushes() const { return jit_arena_flushes_; }
-
-  /// Installs (or clears, with nullptr) the taint view the jit tier compiles
-  /// traced host streams against. Flushes cached blocks: emitted streams
-  /// bake the view's pointers in as immediates.
-  void set_taint_jit_view(const TaintJitView* view) {
-    taint_jit_view_ = view != nullptr ? *view : TaintJitView{};
-    flush_blocks();
-  }
-  [[nodiscard]] bool has_taint_jit_view() const {
-    return taint_jit_view_.reg_labels != nullptr;
-  }
-
-  /// Traced-tier dispatch statistics: blocks entered through a traced host
-  /// stream vs. blocks that fell back to the threaded/traced micro-op
-  /// streams while instruction hooks were live (no view installed, traced
-  /// emission bailed, or the hook configuration is not the fusable shape).
-  [[nodiscard]] u64 jit_traced_blocks() const { return jit_traced_blocks_; }
-  [[nodiscard]] u64 jit_fallback_blocks() const {
-    return jit_fallback_blocks_;
-  }
-
   /// Decode-cache statistics of this Cpu's lookups (shared by every
   /// engine). The cache itself is per host thread, so a hit may reuse a
   /// decode another Cpu on the same thread made.
@@ -280,16 +199,11 @@ class Cpu {
   /// is part of the execution engine: it shares the hook/gate/front-cache
   /// state and the fast-path counters.
   friend struct ThreadedRun;
-  /// Likewise for the jit tier (arm/jit.cc).
-  friend struct JitRun;
 
   void fire_branch_hooks(GuestAddr from, GuestAddr to);
-  /// The block-dispatch loop of the threaded and jit tiers: front cache,
-  /// translate-on-miss, then per block JitRun::exec or ThreadedRun::exec.
+  /// The block-dispatch loop of the threaded tier: front cache,
+  /// translate-on-miss, then ThreadedRun::exec per block.
   bool run_blocks(u64 max_steps);
-  /// Host-code entry for `blk` under the jit tier (compiling on demand), or
-  /// nullptr when this dispatch rides the threaded streams instead.
-  const u8* jit_entry(ThreadedBlock& blk);
   /// True when the registered instruction hooks fire on `tb` this
   /// execution: some hook is registered, and unless every hook is gated the
   /// block gate cannot skip them. The gate's answer is memoised on `tb`
@@ -374,19 +288,6 @@ class Cpu {
   TraceEmitter trace_emitter_;
   u64 threaded_links_ = 0;
   u64 threaded_patches_ = 0;
-  std::size_t jit_arena_bytes_ = 4u << 20;
-  bool jit_wx_ = false;
-  u64 jit_links_ = 0;
-  u64 jit_link_patches_ = 0;
-  u64 jit_blocks_compiled_ = 0;
-  u64 jit_bytes_emitted_ = 0;
-  u64 jit_arena_flushes_ = 0;
-  TaintJitView taint_jit_view_{};
-  u64 jit_traced_blocks_ = 0;
-  u64 jit_fallback_blocks_ = 0;
-  /// Lazily created on the first jit dispatch; owns the code arena. Lives
-  /// behind a pointer so non-jit configurations pay nothing.
-  std::unique_ptr<JitEngine> jit_engine_;
   TbCache tb_cache_{memory_};
   /// Direct-mapped raw-pointer front over the TB cache: a hit costs one
   /// probe and no shared_ptr refcount traffic. Entries are tagged with the

@@ -83,9 +83,8 @@ void execute(const Insn& insn, CPUState& state, mem::AddressSpace& memory);
 // --- Shared flag/ALU kernels ------------------------------------------------
 //
 // The NZCV formulas of the dense ADD/SUB/CMP/CMN shapes, used by the
-// threaded micro-op bodies (threaded.cc); the jit's host templates mirror
-// them with host flags (jit.cc). A divergence here would split the golden
-// logs.
+// threaded micro-op bodies (threaded.cc). A divergence here would split the
+// golden logs.
 
 inline void set_sub_flags(CPUState& s, u32 a, u32 b) {
   const u32 r = a - b;

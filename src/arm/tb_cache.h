@@ -120,11 +120,6 @@ class TbCache {
   /// entries with it so any invalidation atomically voids all raw pointers.
   [[nodiscard]] u64 version() const { return version_; }
 
-  /// Stable address of the version counter, for code emitters that bake the
-  /// link-fence load into host machine code (arm/jit.cc). Valid for this
-  /// cache's lifetime.
-  [[nodiscard]] const u64* version_addr() const { return &version_; }
-
   /// Destroys blocks killed since the last drain. Only safe to call when no
   /// translation block is currently being executed.
   void drain_graveyard() { graveyard_.clear(); }
@@ -134,15 +129,6 @@ class TbCache {
   void count_front_hit() {
     ++lookups_;
     ++hits_;
-  }
-
-  /// Bulk form for tiers that count transitions inline and fold them in
-  /// after a dispatch (the JIT's patched host-jump link follows): keeps
-  /// hit_rate() comparable across tiers without putting counter traffic in
-  /// emitted code.
-  void count_front_hits(u64 n) {
-    lookups_ += n;
-    hits_ += n;
   }
 
   // --- Statistics ------------------------------------------------------

@@ -24,7 +24,7 @@ namespace ndroid::arm {
 // labels-as-values). Called with table_out != nullptr it only exports the
 // label table for the emitter and executes nothing. The micro-op kind list
 // (NDROID_UOP_LIST) and the TLB-probing ld_*/st_* kernels live in
-// threaded.h / uop_kernels.h, shared with the jit backend.
+// threaded.h / uop_kernels.h.
 u64 ThreadedRun::exec_impl(Cpu* cpu_p, ThreadedBlock* entry, u64 budget,
                            void* const** table_out) {
   static void* const labels[] = {
@@ -615,15 +615,6 @@ u64 ThreadedRun::exec_impl(Cpu* cpu_p, ThreadedBlock* entry, u64 budget,
 #undef DP_PAIR
 }
 
-void* const* ThreadedRun::label_table() {
-  static void* const* table = [] {
-    void* const* t = nullptr;
-    exec_impl(nullptr, nullptr, 0, &t);
-    return t;
-  }();
-  return table;
-}
-
 // Builds the fused trace stream (lazily, on the block's first gated
 // execution under the current cache generation). Fused thunks are only
 // sound while the single registered instruction hook is the one the
@@ -1086,7 +1077,12 @@ std::optional<Uop> make_fused_pair(const TbInsn& a_ti, const TbInsn& b_ti,
 }  // namespace
 
 void ThreadedRun::emit(Cpu&, TranslationBlock& tb) {
-  void* const* L = label_table();
+  // Computed-goto label table indexed by UK.
+  static void* const* const L = [] {
+    void* const* t = nullptr;
+    exec_impl(nullptr, nullptr, 0, &t);
+    return t;
+  }();
   auto blk = std::make_shared<ThreadedBlock>();
   blk->tb = &tb;
   const std::size_t n = tb.insns.size();

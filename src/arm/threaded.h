@@ -43,12 +43,11 @@
 namespace ndroid::arm {
 
 class Cpu;
-struct JitBlock;  // arm/jit.h — host-code lowering of a ThreadedBlock
 
-// Micro-op kinds. The X-macro keeps the enum, the computed-goto label table
-// (threaded.cc), and the JIT's template dispatch (jit.cc) in one list so
-// they can never drift out of order. The *_off/_pre/_post triples must stay
-// contiguous (emission indexes base + variant).
+// Micro-op kinds. The X-macro keeps the enum and the computed-goto label
+// table (threaded.cc) in one list so they can never drift out of order. The
+// *_off/_pre/_post triples must stay contiguous (emission indexes base +
+// variant).
 #define NDROID_UOP_LIST(X)                                                 \
   X(enter)                                                                 \
   X(and_i) X(and_r) X(eor_i) X(eor_r) X(sub_i) X(sub_r) X(rsb_i) X(rsb_r) \
@@ -153,10 +152,6 @@ struct ThreadedBlock {
   /// Fused trace stream, built lazily on the first gated execution.
   bool traced_ready = false;
   std::vector<TraceStep> traced;
-  /// Host-code lowering (arm/jit.cc), compiled lazily by the jit engine.
-  /// Rides this block's lifetime so the graveyard protocol keeps emitted
-  /// code reachable until no executor frame is live.
-  std::shared_ptr<JitBlock> jit;
 };
 
 /// Static entry points of the threaded tier (friend of Cpu).
@@ -171,21 +166,14 @@ struct ThreadedRun {
   /// Cpu::exec_block).
   static u64 exec(Cpu& cpu, ThreadedBlock& entry, u64 budget);
 
-  /// Computed-goto label table indexed by UK; jit.cc reverse-maps
-  /// Uop::label through this to recover each op's kind.
-  static void* const* label_table();
-
-  /// Resolves the per-instruction TraceStep table for `blk` (scope + Table V
-  /// classification via the installed TraceEmitter) if not already built.
-  /// Shared with the jit tier: traced host streams are emitted against the
-  /// same resolved steps the threaded traced loop replays.
-  static void build_traced(Cpu& cpu, ThreadedBlock& blk);
-
  private:
   // Implementation details (threaded.cc); members so Cpu's friendship on
   // ThreadedRun covers the inner loop's access to the engine state.
   static u64 exec_impl(Cpu* cpu, ThreadedBlock* entry, u64 budget,
                        void* const** table_out);
+  /// Resolves the per-instruction TraceStep table for `blk` (scope + Table V
+  /// classification via the installed TraceEmitter).
+  static void build_traced(Cpu& cpu, ThreadedBlock& blk);
   /// Runs one block with per-instruction trace dispatch (gate fired): the
   /// fused-or-generic TraceStep stream followed by the instruction,
   /// mirroring Cpu::exec_block bit for bit.

@@ -1,7 +1,6 @@
 // Shared micro-op memory kernels: inline TLB-probing scalar access plus the
-// dense LDM/STM block-transfer forms. threaded.cc's computed-goto bodies and
-// jit.cc's slow-path callouts both build on these, so the two tiers keep
-// bit-identical memory semantics by construction.
+// dense LDM/STM block-transfer forms, used by threaded.cc's computed-goto
+// bodies.
 //
 // A read/write probe hit is one bounds test, one tag compare, and a host
 // memcpy; the miss path is the ordinary read*/write* call (which refills the

@@ -205,31 +205,4 @@ void InstructionTracer::handle_stm(arm::Cpu& cpu, const Insn& insn,
   }
 }
 
-void attach_taint_jit(arm::Cpu& cpu, TaintEngine& engine,
-                      InstructionTracer& tracer) {
-  arm::TaintJitView view;
-  view.reg_labels = engine.jit_reg_labels();
-  view.sync = [](void* ctx, u32 written) {
-    static_cast<TaintEngine*>(ctx)->jit_resync(static_cast<u16>(written));
-  };
-  view.sync_ctx = &engine;
-  view.shadow_tlb = engine.map().jit_tlb_base();
-  view.shadow_tlb_slots = mem::ShadowMemory::kJitTlbSlots;
-  view.shadow_read = [](void* ctx, u32 addr, u32 len) -> u32 {
-    auto* m = static_cast<mem::ShadowMemory*>(ctx);
-    m->jit_fill(addr);  // next access to this page hits inline
-    return m->get_range(addr, len);
-  };
-  view.shadow_write = [](void* ctx, u32 addr, u32 len, u32 taint) {
-    static_cast<mem::ShadowMemory*>(ctx)->set_range(addr, len, taint);
-  };
-  view.mem_ctx = &engine.map();
-  view.traced_ctr = tracer.traced_slot();
-  view.cache_ctr = tracer.cache_enabled() ? tracer.cache_hits_slot() : nullptr;
-  view.prop_ctr = &engine.propagations;
-  cpu.set_taint_jit_view(&view);
-}
-
-void detach_taint_jit(arm::Cpu& cpu) { cpu.set_taint_jit_view(nullptr); }
-
 }  // namespace ndroid::core

@@ -57,17 +57,6 @@ class InstructionTracer {
   [[nodiscard]] u64 instructions_traced() const { return traced_; }
   [[nodiscard]] u64 cache_hits() const { return cache_hits_; }
 
-  // --- Traced-JIT counter export --------------------------------------------
-  // The taint-fused JIT inlines Table V handlers into host code and keeps the
-  // tracer's statistics exact by folding constant increments into each traced
-  // exit. These expose the counter slots (and the flags that decide what an
-  // inline-handled instruction would have bumped / whether inlining is legal
-  // at all) for baking into emitted code.
-  [[nodiscard]] u64* traced_slot() { return &traced_; }
-  [[nodiscard]] u64* cache_hits_slot() { return &cache_hits_; }
-  [[nodiscard]] bool cache_enabled() const { return use_cache_; }
-  [[nodiscard]] bool logs_disassembly() const { return disasm_log_ != nullptr; }
-
  private:
   /// Pre-classified handler for one raw instruction encoding.
   using Handler = void (InstructionTracer::*)(arm::Cpu&, const arm::Insn&,
@@ -118,16 +107,5 @@ class InstructionTracer {
   u64 traced_ = 0;
   u64 cache_hits_ = 0;
 };
-
-/// Installs the taint-fused JIT view (arm::TaintJitView) over `engine`'s
-/// register label file and shadow memory and `tracer`'s counter slots, so
-/// the jit tier compiles traced host streams that propagate taint inline.
-/// Both must stay alive until detach_taint_jit(cpu).
-void attach_taint_jit(arm::Cpu& cpu, TaintEngine& engine,
-                      InstructionTracer& tracer);
-
-/// Clears the view attach_taint_jit installed (flushing cached blocks, whose
-/// host code bakes the view's pointers in).
-void detach_taint_jit(arm::Cpu& cpu);
 
 }  // namespace ndroid::core

@@ -197,14 +197,6 @@ NDroid::NDroid(android::Device& device, NDroidConfig config)
         if (!config_.instruction_tracer) return arm::TraceOp{};
         return tracer_->prepare(ti);
       });
-  // Taint-fused JIT view: the raw state the jit tier bakes into traced host
-  // streams (register label file, shadow-page TLB, counter slots) plus the
-  // bookkeeping-complete slow paths. Withheld when the tracer logs
-  // disassembly — inline transfers cannot reproduce the per-instruction
-  // log, so those runs ride the threaded traced streams instead.
-  if (config_.instruction_tracer && !config_.trace_disassembly) {
-    attach_taint_jit(device_.cpu, engine_, *tracer_);
-  }
 }
 
 const SummaryGate* NDroid::attach_static_analysis() {
@@ -303,7 +295,6 @@ const SummaryGate* NDroid::attach_static_analysis() {
 }
 
 NDroid::~NDroid() {
-  detach_taint_jit(device_.cpu);
   device_.cpu.set_trace_emitter(nullptr);
   device_.cpu.remove_branch_hook(branch_hook_id_);
   device_.cpu.remove_insn_hook(insn_hook_id_);

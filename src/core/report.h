@@ -29,13 +29,10 @@ struct PerfCounters {
   u64 decode_hits = 0;
   u64 threaded_links = 0;    // block transitions that stayed in-loop
   u64 threaded_patches = 0;  // direct-link exit slots (re)patched
-  u64 jit_links = 0;            // host-code transitions that stayed native
-  u64 jit_patches = 0;          // host link slots (re)patched
-  u64 jit_blocks = 0;           // blocks compiled to host code
-  u64 jit_bytes = 0;            // bytes of host code emitted
-  u64 jit_arena_flushes = 0;    // whole-arena recycles (exhaustion)
-  u64 jit_traced_blocks = 0;    // gate-fired blocks run on traced host code
-  u64 jit_fallback_blocks = 0;  // hooked dispatches that left the jit tier
+  // Always 0: no tier compiles host code; kept for the e2e benchmark's reads.
+  u64 jit_blocks = 0;
+  u64 jit_traced_blocks = 0;
+  u64 jit_fallback_blocks = 0;
 
   [[nodiscard]] double tb_hit_rate() const {
     return tb_lookups == 0
@@ -58,13 +55,6 @@ inline PerfCounters collect_perf(const arm::Cpu& cpu) {
   c.decode_hits = cpu.decode_hits();
   c.threaded_links = cpu.threaded_links();
   c.threaded_patches = cpu.threaded_patches();
-  c.jit_links = cpu.jit_links();
-  c.jit_patches = cpu.jit_link_patches();
-  c.jit_blocks = cpu.jit_blocks_compiled();
-  c.jit_bytes = cpu.jit_bytes_emitted();
-  c.jit_arena_flushes = cpu.jit_arena_flushes();
-  c.jit_traced_blocks = cpu.jit_traced_blocks();
-  c.jit_fallback_blocks = cpu.jit_fallback_blocks();
   return c;
 }
 

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <array>
-#include <bit>
 #include <unordered_map>
 
 #include "common/types.h"
@@ -58,34 +57,6 @@ class TaintEngine {
     regs_.fill(kTaintClear);
     tainted_regs_ = 0;
     tainted_reg_mask_ = 0;
-  }
-
-  // --- Traced-JIT view ------------------------------------------------------
-  // The taint-fused JIT streams propagate register labels by writing regs_
-  // directly through this pointer (pinned in a host register), deferring the
-  // count/mask/epoch bookkeeping to jit_resync() at every traced-block exit.
-  // Gates and liveness checks only ever observe the engine between blocks,
-  // after the resync — never the raw intermediate states.
-  [[nodiscard]] Taint* jit_reg_labels() { return regs_.data(); }
-
-  /// Reconciles the incremental bookkeeping after emitted host code wrote
-  /// label slots raw. `written` holds a bit per register the traced stream
-  /// may have written since the last resync; only those slots can be
-  /// inconsistent with tainted_regs_/tainted_reg_mask_, so only they are
-  /// re-derived. Equivalent to replaying set_reg(r, regs_[r]) per dirty bit.
-  void jit_resync(u16 written) {
-    const bool was = tainted_regs_ != 0;
-    u16 mask = tainted_reg_mask_;
-    for (u16 w = written; w != 0; w &= w - 1) {
-      const int r = std::countr_zero(w);
-      const u16 bit = static_cast<u16>(1u << r);
-      const bool now = regs_[r] != kTaintClear;
-      tainted_regs_ += static_cast<u32>(now) - ((mask & bit) != 0);
-      mask = static_cast<u16>(now ? mask | bit : mask & ~bit);
-    }
-    mutation_epoch_ += mask != tainted_reg_mask_;
-    tainted_reg_mask_ = mask;
-    liveness_epoch_ += (tainted_regs_ != 0) != was;
   }
 
   // --- Taint liveness (the translation-block fast path reads these once

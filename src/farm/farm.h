@@ -41,12 +41,11 @@ class Device;
 namespace ndroid::farm {
 
 /// CPU execution tier every job's Device runs on (arm::Cpu::set_engine):
-/// the interpreter oracle, the threaded production default, or the jit.
+/// the interpreter oracle or the threaded production default.
 using EngineTier = arm::Engine;
 
-/// Parses "interp" | "threaded" | "jit"; throws std::invalid_argument on
-/// anything else. "jit" degrades to the threaded tier on hosts without
-/// host-code emission (Cpu::jit_available() false).
+/// Parses "interp" | "threaded"; throws std::invalid_argument on anything
+/// else.
 EngineTier parse_engine(const std::string& name);
 const char* to_string(EngineTier tier);
 

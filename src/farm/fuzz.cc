@@ -173,12 +173,6 @@ enum class Tier {
   kInterp,
   kThreaded,
   kThreadedFused,
-  kJit,
-  /// Host emission with the taint-fused traced stream: gated hook, an
-  /// always-firing block gate, and a full TaintJitView, so every block runs
-  /// inlined Table V transfers over the raw label file. Degrades to the
-  /// threaded fused tier without host emission.
-  kJitTraced,
 };
 
 const char* tier_name(Tier t) {
@@ -186,24 +180,14 @@ const char* tier_name(Tier t) {
     case Tier::kInterp: return "interp";
     case Tier::kThreaded: return "threaded";
     case Tier::kThreadedFused: return "threaded+fused";
-    case Tier::kJit: return "jit";
-    case Tier::kJitTraced: return "jit+traced";
   }
   return "?";
 }
 
-/// The CPU engine under a tier; the fused/traced variants differ from
-/// their base tier only in the analysis wiring. Without host emission kJit
-/// runs threaded.
+/// The CPU engine under a tier; the fused variant differs from its base
+/// tier only in the analysis wiring.
 arm::Engine engine_of(Tier t) {
-  switch (t) {
-    case Tier::kInterp: return arm::Engine::kInterp;
-    case Tier::kThreaded:
-    case Tier::kThreadedFused: return arm::Engine::kThreaded;
-    case Tier::kJit:
-    case Tier::kJitTraced: return arm::Engine::kJit;
-  }
-  return arm::Engine::kThreaded;
+  return t == Tier::kInterp ? arm::Engine::kInterp : arm::Engine::kThreaded;
 }
 
 struct TierResult {
@@ -243,23 +227,15 @@ TierResult run_tier(const Program& prog, Tier tier, bool taint, u64 seed) {
     for (u32 k = 0; k < 8; ++k) {
       taint_engine.map().set_range(kData + 8 * k, 4, 1u << ((seed + k) % 8));
     }
-    const bool traced_jit = tier == Tier::kJitTraced;
     cpu.add_insn_hook(
         [&tracer](arm::Cpu& c, const arm::Insn& insn, GuestAddr pc) {
           tracer->on_insn(c, insn, pc);
-        },
-        /*gated=*/traced_jit);
-    if (tier == Tier::kThreadedFused || traced_jit) {
+        });
+    if (tier == Tier::kThreadedFused) {
       cpu.set_trace_emitter(
           [&tracer](const arm::TranslationBlock&, const arm::TbInsn& ti) {
             return std::optional<arm::TraceOp>(tracer->prepare(ti));
           });
-    }
-    if (traced_jit) {
-      cpu.set_block_gate([](arm::Cpu&, arm::TranslationBlock&) {
-        return true;
-      });
-      core::attach_taint_jit(cpu, taint_engine, *tracer);
     }
   }
 
@@ -279,7 +255,6 @@ TierResult run_tier(const Program& prog, Tier tier, bool taint, u64 seed) {
       sh = fold(sh, taint_engine.map().get_range(addr, 4));
     }
     res.shadow_digest = sh;
-    core::detach_taint_jit(cpu);     // view points into tracer/engine state
     cpu.set_trace_emitter(nullptr);  // tracer dies before the cpu
   }
   return res;
@@ -300,8 +275,7 @@ Outcome run_differential(u64 seed) {
   h = fold(h, base.shadow_digest);
   out.checksum = static_cast<u32>(h ^ (h >> 32));
 
-  for (const Tier tier : {Tier::kThreaded, Tier::kThreadedFused, Tier::kJit,
-                          Tier::kJitTraced}) {
+  for (const Tier tier : {Tier::kThreaded, Tier::kThreadedFused}) {
     const TierResult got = run_tier(prog, tier, true, seed);
     if (got.r0 != base.r0) {
       out.error = std::string(tier_name(tier)) + " diverged on r0";
@@ -322,7 +296,7 @@ Outcome run_differential(u64 seed) {
   }
 
   // Taint tracking must be a pure observer of architectural state.
-  for (const Tier tier : {Tier::kInterp, Tier::kThreaded, Tier::kJit}) {
+  for (const Tier tier : {Tier::kInterp, Tier::kThreaded}) {
     const TierResult got = run_tier(prog, tier, false, seed);
     if (got.r0 != base.r0 || got.mem_digest != base.mem_digest) {
       out.error =

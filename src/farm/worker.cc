@@ -18,16 +18,14 @@ namespace ndroid::farm {
 EngineTier parse_engine(const std::string& name) {
   if (name == "interp") return EngineTier::kInterp;
   if (name == "threaded") return EngineTier::kThreaded;
-  if (name == "jit") return EngineTier::kJit;
   throw std::invalid_argument("unknown engine tier: " + name +
-                              " (expected interp|threaded|jit)");
+                              " (expected interp|threaded)");
 }
 
 const char* to_string(EngineTier tier) {
   switch (tier) {
     case EngineTier::kInterp: return "interp";
     case EngineTier::kThreaded: return "threaded";
-    case EngineTier::kJit: return "jit";
   }
   return "?";
 }

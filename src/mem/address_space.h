@@ -199,30 +199,6 @@ class AddressSpace {
   }
   [[nodiscard]] bool tlb_enabled() const { return tlb_enabled_; }
 
-  /// Layout descriptor of the TLB arrays for code emitters that bake the
-  /// probe sequence into host machine code (arm/jit.cc). The base pointers
-  /// are stable for this AddressSpace's lifetime; slot layout is
-  /// {u32 page; u8* host} with the offsets spelled out so the emitter never
-  /// hardcodes padding assumptions.
-  struct TlbView {
-    const void* read_base = nullptr;
-    const void* write_base = nullptr;
-    u32 entry_size = 0;
-    u32 page_offset = 0;
-    u32 host_offset = 0;
-    u32 slot_count = 0;
-  };
-  [[nodiscard]] TlbView tlb_view() const {
-    TlbView v;
-    v.read_base = read_tlb_.data();
-    v.write_base = write_tlb_.data();
-    v.entry_size = sizeof(TlbEntry);
-    v.page_offset = static_cast<u32>(offsetof(TlbEntry, page));
-    v.host_offset = static_cast<u32>(offsetof(TlbEntry, host));
-    v.slot_count = kTlbSlots;
-    return v;
-  }
-
  private:
   using Page = std::array<u8, kPageSize>;
   struct Leaf {

@@ -5,8 +5,6 @@
 
 namespace ndroid::mem {
 
-const std::array<Taint, ShadowMemory::kPageSize> ShadowMemory::kZeroLabels{};
-
 ShadowMemory::Page& ShadowMemory::touch_page(GuestAddr addr) {
   const u32 page_no = addr >> kPageShift;
   TlbEntry& e = tlb_[page_no & (kTlbSlots - 1)];
@@ -18,24 +16,9 @@ ShadowMemory::Page& ShadowMemory::touch_page(GuestAddr addr) {
     page = std::make_unique<Page>();
     page->bytes.fill(0);
     ++resident_;
-    // The JIT shadow TLB may hold this page number as a negative (zero-page)
-    // entry from before materialisation; drop it so the next inline probe
-    // misses and refills with the real label array. Pages are only ever
-    // freed wholesale (clear_all), so positive entries never dangle.
-    JitTlbEntry& je = jit_tlb_[page_no & (kJitTlbSlots - 1)];
-    if (je.page == page_no) je = JitTlbEntry{};
   }
   e = {page_no, page.get()};
   return *page;
-}
-
-const Taint* ShadowMemory::jit_fill(GuestAddr addr) const {
-  const u32 page_no = addr >> kPageShift;
-  JitTlbEntry& e = jit_tlb_[page_no & (kJitTlbSlots - 1)];
-  const Page* p = find_page(addr);
-  e.page = page_no;
-  e.labels = p != nullptr ? p->bytes.data() : kZeroLabels.data();
-  return e.labels;
 }
 
 Taint ShadowMemory::get(GuestAddr addr) const {
@@ -294,7 +277,6 @@ void ShadowMemory::clear_all() {
   resident_ = 0;
   live_bytes_ = 0;
   tlb_.fill(TlbEntry{});
-  jit_tlb_.fill(JitTlbEntry{});
   note_liveness(was);
 }
 

@@ -54,22 +54,6 @@ class ShadowMemory {
 
   static constexpr u32 kNoPage = 0xFFFFFFFFu;
 
-  // Direct-mapped shadow-page pointer cache probed inline by the traced JIT
-  // streams. Same entry shape as the data TLB in AddressSpace (16-byte
-  // entries, page number at +0, host pointer at +8) so the JIT reuses one
-  // probe template for both. Misses and page-straddling accesses fall back
-  // to callouts that fill through jit_fill(). An absent page is negatively
-  // cached as the shared all-zero label page — clean loads stay inline —
-  // and that entry is dropped the moment the real page materialises.
-  static constexpr u32 kJitTlbBits = 8;
-  static constexpr u32 kJitTlbSlots = 1u << kJitTlbBits;
-  struct JitTlbEntry {
-    u32 page = kNoPage;             // guest page number, kNoPage when empty
-    u32 pad = 0;
-    const Taint* labels = nullptr;  // page's label array (or kZeroLabels)
-  };
-  static_assert(sizeof(JitTlbEntry) == 16, "inline probe assumes 16B slots");
-
   ShadowMemory() = default;
   ShadowMemory(const ShadowMemory&) = delete;
   ShadowMemory& operator=(const ShadowMemory&) = delete;
@@ -130,18 +114,6 @@ class ShadowMemory {
   /// memo is validated against this one. Wired by TaintEngine.
   void set_mutation_epoch_slot(u64* slot) { mutation_slot_ = slot; }
 
-  /// Fills the JIT shadow TLB slot covering addr and returns the label array
-  /// host code reads through it: the resident page's, or the shared all-zero
-  /// page when addr's page was never materialised (negative caching — reads
-  /// of untainted memory stay on the inline path).
-  const Taint* jit_fill(GuestAddr addr) const;
-
-  /// Base of the JIT shadow TLB, for baking into emitted host code. Slot
-  /// count is kJitTlbSlots; layout is JitTlbEntry.
-  [[nodiscard]] const JitTlbEntry* jit_tlb_base() const {
-    return jit_tlb_.data();
-  }
-
  private:
   struct Page {
     std::array<Taint, kPageSize> bytes;
@@ -194,8 +166,6 @@ class ShadowMemory {
   u64* epoch_slot_ = nullptr;
   u64* mutation_slot_ = nullptr;
   mutable std::array<TlbEntry, kTlbSlots> tlb_;
-  mutable std::array<JitTlbEntry, kJitTlbSlots> jit_tlb_;
-  static const std::array<Taint, kPageSize> kZeroLabels;
 };
 
 }  // namespace ndroid::mem

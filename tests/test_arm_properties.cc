@@ -276,15 +276,13 @@ TEST(Extend, ArmModeExtendInstructions) {
 //
 // Seeded random ARM programs (a bounded loop of ALU / memory / conditional
 // instructions that calls a random Thumb leaf) are executed under every
-// engine configuration — interpreter, the threaded micro-op tier (generic
-// and fused taint emission), and the template JIT (clean host streams, and
-// the taint-fused traced host streams with the full TaintJitView wired) —
-// with taint tracking off and on. Final r0, a digest of guest memory, the
-// tracer's instruction count, and a digest of the full shadow state
-// (register taints plus the data-region taint map, the inputs every leak
-// report is computed from) must agree bit-for-bit with the interpreter
-// baseline. Leak *events* themselves are diffed separately by the golden
-// logs.
+// engine configuration — interpreter and the threaded micro-op tier (generic
+// and fused taint emission) — with taint tracking off and on. Final r0, a
+// digest of guest memory, the tracer's instruction count, and a digest of
+// the full shadow state (register taints plus the data-region taint map,
+// the inputs every leak report is computed from) must agree bit-for-bit
+// with the interpreter baseline. Leak *events* themselves are diffed
+// separately by the golden logs.
 
 constexpr GuestAddr kFuzzCode = 0x10000;
 constexpr GuestAddr kFuzzThumb = 0x14000;
@@ -389,25 +387,13 @@ enum class FuzzEngine {
   kInterp,
   kThreaded,
   kThreadedFused,
-  kJit,  // host-code emission; threaded with fusion on non-x86-64 hosts
-  /// Host-code emission with the taint-fused traced stream engaged: gated
-  /// hook + always-firing block gate + TaintJitView, so gate-fired blocks
-  /// run inlined Table V transfers over the raw label file instead of the
-  /// threaded trace loop. Degrades to kThreadedFused without host emission.
-  kJitTraced,
 };
 
-/// The CPU engine under a fuzz configuration; the fused/traced variants
-/// differ from their base tier only in the analysis wiring.
+/// The CPU engine under a fuzz configuration; the fused variant differs
+/// from its base tier only in the analysis wiring.
 arm::Engine cpu_engine(FuzzEngine e) {
-  switch (e) {
-    case FuzzEngine::kInterp: return arm::Engine::kInterp;
-    case FuzzEngine::kThreaded:
-    case FuzzEngine::kThreadedFused: return arm::Engine::kThreaded;
-    case FuzzEngine::kJit:
-    case FuzzEngine::kJitTraced: return arm::Engine::kJit;
-  }
-  return arm::Engine::kThreaded;
+  return e == FuzzEngine::kInterp ? arm::Engine::kInterp
+                                  : arm::Engine::kThreaded;
 }
 
 struct FuzzResult {
@@ -415,7 +401,6 @@ struct FuzzResult {
   u64 mem_digest = 0;
   u64 traced = 0;
   u64 shadow_digest = 0;
-  u64 jit_traced_blocks = 0;  // dispatches that ran taint-fused host code
 };
 
 u64 fnv1a(u64 h, u64 v) {
@@ -452,26 +437,15 @@ FuzzResult run_fuzz(const FuzzProgram& prog, FuzzEngine engine, bool taint,
       taint_engine.map().set_range(kFuzzData + 8 * k, 4,
                                    1u << ((seed + k) % 8));
     }
-    const bool traced_jit = engine == FuzzEngine::kJitTraced;
     cpu.add_insn_hook(
         [&tracer](Cpu& c, const Insn& insn, GuestAddr pc) {
           tracer->on_insn(c, insn, pc);
-        },
-        /*gated=*/traced_jit);
-    if (engine == FuzzEngine::kThreadedFused || traced_jit) {
+        });
+    if (engine == FuzzEngine::kThreadedFused) {
       cpu.set_trace_emitter(
           [&tracer](const TranslationBlock&, const TbInsn& ti) {
             return std::optional<TraceOp>(tracer->prepare(ti));
           });
-    }
-    if (traced_jit) {
-      // The full NDroid-shaped fused-analysis wiring, minus liveness
-      // gating: the gate fires on every block, so every dispatch of every
-      // block runs the taint-fused traced host stream (or its threaded
-      // equivalent where emission bailed) — maximum traced coverage for
-      // the differential check.
-      cpu.set_block_gate([](Cpu&, TranslationBlock&) { return true; });
-      core::attach_taint_jit(cpu, taint_engine, *tracer);
     }
   }
 
@@ -493,8 +467,6 @@ FuzzResult run_fuzz(const FuzzProgram& prog, FuzzEngine engine, bool taint,
       sh = fnv1a(sh, taint_engine.map().get_range(addr, 4));
     }
     res.shadow_digest = sh;
-    res.jit_traced_blocks = cpu.jit_traced_blocks();
-    core::detach_taint_jit(cpu);     // view points into tracer/engine state
     cpu.set_trace_emitter(nullptr);  // tracer dies before the cpu
   }
   return res;
@@ -515,8 +487,6 @@ TEST_P(DifferentialFuzz, EnginesAgreeOnStateAndShadow) {
   } tiers[] = {
       {FuzzEngine::kThreaded, "threaded"},
       {FuzzEngine::kThreadedFused, "threaded+fused"},
-      {FuzzEngine::kJit, "jit"},
-      {FuzzEngine::kJitTraced, "jit+traced"},
   };
   for (const auto& tier : tiers) {
     const FuzzResult got = run_fuzz(prog, tier.engine, true, seed);
@@ -526,26 +496,18 @@ TEST_P(DifferentialFuzz, EnginesAgreeOnStateAndShadow) {
     EXPECT_EQ(got.traced, base.traced) << tier.name << " seed " << seed;
     EXPECT_EQ(got.shadow_digest, base.shadow_digest)
         << tier.name << " seed " << seed;
-    // Agreement is only evidence if the tier under test actually ran: the
-    // traced configuration must have executed taint-fused host code, not
-    // silently fallen back to the threaded streams.
-    if (tier.engine == FuzzEngine::kJitTraced && Cpu::jit_available()) {
-      EXPECT_GT(got.jit_traced_blocks, 0u) << "seed " << seed;
-    }
   }
 
   // Taint tracking must be a pure observer: with it off (every tier runs
-  // its clean streams — the jit actually executing host code here) the
-  // architectural results are unchanged.
-  for (const FuzzEngine engine :
-        {FuzzEngine::kInterp, FuzzEngine::kThreaded, FuzzEngine::kJit}) {
+  // its clean streams) the architectural results are unchanged.
+  for (const FuzzEngine engine : {FuzzEngine::kInterp, FuzzEngine::kThreaded}) {
     const FuzzResult got = run_fuzz(prog, engine, false, seed);
     EXPECT_EQ(got.r0, base.r0) << "taint-off seed " << seed;
     EXPECT_EQ(got.mem_digest, base.mem_digest) << "taint-off seed " << seed;
   }
 }
 
-// Bounded for CI: 12 seeds x 8 engine configurations, each a few thousand
+// Bounded for CI: 12 seeds x 5 engine configurations, each a few thousand
 // guest instructions.
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialFuzz, ::testing::Range(1u, 13u));
 
@@ -650,8 +612,6 @@ TEST_P(DispatchTableFuzz, EnginesAgreeOnDispatchHeavyPrograms) {
   } tiers[] = {
       {FuzzEngine::kThreaded, "threaded"},
       {FuzzEngine::kThreadedFused, "threaded+fused"},
-      {FuzzEngine::kJit, "jit"},
-      {FuzzEngine::kJitTraced, "jit+traced"},
   };
   for (const auto& tier : tiers) {
     const FuzzResult got = run_fuzz(prog, tier.engine, true, seed);
@@ -664,8 +624,8 @@ TEST_P(DispatchTableFuzz, EnginesAgreeOnDispatchHeavyPrograms) {
   }
 
   // Dispatch-heavy programs with taint off: every dynamic-target terminal
-  // (bx/blx, the ldr-pc table switch) resolves inside emitted code paths.
-  for (const FuzzEngine engine : {FuzzEngine::kThreaded, FuzzEngine::kJit}) {
+  // (bx/blx, the ldr-pc table switch) resolves inside the clean streams.
+  for (const FuzzEngine engine : {FuzzEngine::kInterp, FuzzEngine::kThreaded}) {
     const FuzzResult got = run_fuzz(prog, engine, false, seed);
     EXPECT_EQ(got.r0, base.r0) << "taint-off seed " << seed;
     EXPECT_EQ(got.mem_digest, base.mem_digest) << "taint-off seed " << seed;

@@ -304,15 +304,15 @@ TEST(Farm, GeneratedMarketLibrariesArePositionIndependent) {
   }
 }
 
-TEST(Farm, EngineNamesAreTheThreeTiers) {
+TEST(Farm, EngineNamesAreTheTwoTiers) {
   for (const farm::EngineTier tier :
-       {farm::EngineTier::kInterp, farm::EngineTier::kThreaded,
-        farm::EngineTier::kJit}) {
+       {farm::EngineTier::kInterp, farm::EngineTier::kThreaded}) {
     EXPECT_EQ(farm::parse_engine(farm::to_string(tier)), tier);
   }
-  // The translation-block tiers are gone; their names must not parse.
+  // Names of deleted tiers must not parse.
   EXPECT_THROW(farm::parse_engine("tb"), std::invalid_argument);
   EXPECT_THROW(farm::parse_engine("tb+tlb"), std::invalid_argument);
+  EXPECT_THROW(farm::parse_engine("jit"), std::invalid_argument);
 }
 
 }  // namespace

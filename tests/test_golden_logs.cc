@@ -112,52 +112,26 @@ TEST(GoldenLogs, Fig9PocCase3Sequence) {
 }
 
 TEST(GoldenLogs, InterpretiveAblationIsBitForBitIdentical) {
-  // Every engine configuration must produce the same full analysis log of
-  // a case study line for line — not just the same milestones:
-  //   * the interpreter (the paper-faithful oracle, software TLB off),
-  //   * the threaded micro-op tier (production default),
-  //   * the template JIT — on x86-64 the case study's taint-live blocks run
-  //     the taint-fused *traced* host stream (Table V transfers inlined over
-  //     the raw label file), which the counter check below proves actually
-  //     executed,
-  //   * the same JIT in strict W^X mode (dual-stream arena under the
-  //     RW<->RX rewrite protocol).
-  struct CaseRun {
-    std::vector<std::string> lines;
-    u64 jit_traced_blocks = 0;
-  };
-  auto run_case = [](arm::Engine engine, bool wx = false) {
+  // Both engines must produce the same full analysis log of a case study
+  // line for line — not just the same milestones: the interpreter (the
+  // paper-faithful oracle, software TLB off) and the threaded micro-op tier
+  // (production default).
+  auto run_case = [](arm::Engine engine) {
     Device device;
     device.cpu.set_engine(engine);
-    if (wx) device.cpu.set_jit_config(1u << 20, /*wx=*/true);
     NDroid nd(device);
     const auto app = apps::build_case2(device);
     device.dvm.call(*app.entry, {});
-    return CaseRun{nd.log().lines(), device.cpu.jit_traced_blocks()};
+    return nd.log().lines();
   };
-  const std::vector<std::string> interp_log =
-      run_case(arm::Engine::kInterp).lines;
+  const std::vector<std::string> interp_log = run_case(arm::Engine::kInterp);
   ASSERT_FALSE(interp_log.empty());
-  struct Tier {
-    arm::Engine engine;
-    bool wx;
-    const char* name;
-  };
-  for (const Tier tier : {Tier{arm::Engine::kThreaded, false, "threaded"},
-                          Tier{arm::Engine::kJit, false, "jit"},
-                          Tier{arm::Engine::kJit, true, "jit W^X"}}) {
-    const CaseRun run = run_case(tier.engine, tier.wx);
-    ASSERT_EQ(run.lines.size(), interp_log.size()) << tier.name;
-    for (std::size_t i = 0; i < run.lines.size(); ++i) {
-      EXPECT_EQ(run.lines[i], interp_log[i])
-          << tier.name << ", first divergence at line " << i;
-    }
-    // Identical logs only attest the traced JIT when it actually ran:
-    // taint-live stretches of the case study must have executed the
-    // taint-fused host stream, not fallen back wholesale.
-    if (tier.engine == arm::Engine::kJit && arm::Cpu::jit_available()) {
-      EXPECT_GT(run.jit_traced_blocks, 0u) << tier.name;
-    }
+  const std::vector<std::string> threaded_log =
+      run_case(arm::Engine::kThreaded);
+  ASSERT_EQ(threaded_log.size(), interp_log.size());
+  for (std::size_t i = 0; i < threaded_log.size(); ++i) {
+    EXPECT_EQ(threaded_log[i], interp_log[i])
+        << "first divergence at line " << i;
   }
 }
 

@@ -1,8 +1,8 @@
 // Threaded-code execution tier: direct block linking (patch + follow
 // counters), the stale-chain hazard (a self-modifying store into a *linked
 // successor* must void the patched edge, not just the block), parity with
-// the interpreter oracle, and gate interaction (clean blocks keep the
-// zero-hook fast path inside the threaded loop).
+// the interpreter oracle, gate interaction (clean blocks keep the
+// zero-hook fast path inside the threaded loop), and engine selection.
 #include <gtest/gtest.h>
 
 #include "arm/assembler.h"
@@ -218,6 +218,19 @@ TEST_F(ThreadedFixture, UngatedHookFiresOnEveryInstructionWhenThreaded) {
   a.ret();
   EXPECT_EQ(run(a), 7u);
   EXPECT_EQ(fired, 4u);  // three ALU ops + the return
+}
+
+TEST(Engine, SetEngineRecordsTierAndCouplesTlb) {
+  mem::AddressSpace mem;
+  mem::MemoryMap map;
+  Cpu cpu(mem, map);
+  EXPECT_EQ(cpu.engine(), arm::Engine::kThreaded);  // production default
+  cpu.set_engine(arm::Engine::kInterp);
+  EXPECT_EQ(cpu.engine(), arm::Engine::kInterp);
+  EXPECT_FALSE(mem.tlb_enabled());  // the oracle walks the page directory
+  cpu.set_engine(arm::Engine::kThreaded);
+  EXPECT_EQ(cpu.engine(), arm::Engine::kThreaded);
+  EXPECT_TRUE(mem.tlb_enabled());
 }
 
 }  // namespace

@@ -41,10 +41,8 @@
 //   --market N     synthetic market apps in the mix (default 6)
 //   --monkey-events N   random invocations per real app (default 12)
 //   --seed S       corpus/monkey seed (default 20140623)
-//   --engine TIER  CPU execution tier: interp | threaded | jit
-//                  (default threaded; interp is the paper-faithful oracle,
-//                  jit the host-code-emission tier — threaded on non-x86
-//                  hosts)
+//   --engine TIER  CPU execution tier: interp | threaded
+//                  (default threaded; interp is the paper-faithful oracle)
 //   --no-share     disable the summary cache (per-job lifting; ablation)
 //   --digest       print the canonical leak digest (determinism debugging)
 //   --require-store-hits  exit non-zero unless the batch hit the persistent

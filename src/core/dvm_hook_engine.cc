@@ -117,6 +117,9 @@ DvmHookEngine::HookTables DvmHookEngine::build_tables() {
   // Exception group.
   hook("ThrowNew", [](DvmHookEngine& e, arm::Cpu& c) { e.hook_throw_new(c); });
 
+  hook("PopLocalFrame",
+       [](DvmHookEngine& e, arm::Cpu& c) { e.hook_pop_local_frame(c); });
+
   const auto by_addr = [](const auto& a, const auto& b) {
     return a.addr < b.addr;
   };
@@ -668,6 +671,16 @@ void DvmHookEngine::hook_array_region(arm::Cpu& cpu, bool set) {
     const Taint t = object_taint_by_iref(regs[1]);
     if (t != kTaintClear) engine_.map().add_range(buf, bytes, t);
   }
+}
+
+void DvmHookEngine::hook_pop_local_frame(arm::Cpu& cpu) {
+  // The pop kills the survivor's handle (and its shadow) and returns a new
+  // one for the same object: carry the shadow across.
+  const Taint t = engine_.object_shadow(cpu.state().regs[1]);
+  if (t == kTaintClear) return;
+  push_exit(cpu, [this, t](arm::Cpu& c) {
+    engine_.add_object_shadow(c.state().regs[0], t);
+  });
 }
 
 // ---------------------------------------------------------------------------

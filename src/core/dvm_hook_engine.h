@@ -157,6 +157,7 @@ class DvmHookEngine {
   void hook_get_string_utf_chars(arm::Cpu& cpu);
   void hook_get_array_elements(arm::Cpu& cpu);
   void hook_release_array_elements(arm::Cpu& cpu);
+  void hook_pop_local_frame(arm::Cpu& cpu);
   void hook_array_region(arm::Cpu& cpu, bool set);
   void hook_throw_new(arm::Cpu& cpu);
   template <char kType, bool kStatic>

@@ -127,6 +127,8 @@ NDroid::NDroid(android::Device& device, NDroidConfig config)
   if (config_.taint_protection) {
     guard_ = std::make_unique<TaintGuard>(device_, third_party);
   }
+  device_.dvm.irt().set_release_observer(
+      [this](dvm::IndirectRef iref) { engine_.drop_object_shadow(iref); });
 
   // Each engine's wants_branch() is a guaranteed-no-op prefilter, so hot
   // loop back-edges (the overwhelming majority of branch events) skip the
@@ -295,6 +297,7 @@ const SummaryGate* NDroid::attach_static_analysis() {
 }
 
 NDroid::~NDroid() {
+  device_.dvm.irt().set_release_observer(nullptr);
   device_.cpu.set_trace_emitter(nullptr);
   device_.cpu.remove_branch_hook(branch_hook_id_);
   device_.cpu.remove_insn_hook(insn_hook_id_);

@@ -93,6 +93,11 @@ class TaintEngine {
   void add_object_shadow(u32 iref, Taint t) {
     if (t != kTaintClear) object_shadow_[iref] |= t;
   }
+  /// Forgets a handle that died: its slot will be reissued, possibly with
+  /// the same serial, for another object.
+  void drop_object_shadow(u32 iref) {
+    if (!object_shadow_.empty()) object_shadow_.erase(iref);
+  }
   void clear_object_shadow() { object_shadow_.clear(); }
 
   void clear_all() {

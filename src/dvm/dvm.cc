@@ -454,6 +454,10 @@ void Dvm::helper_call_jni_method(arm::Cpu& cpu) {
     arg_union |= slots[i].taint;
   }
 
+  // The call's local references, the marshalled receiver and arguments
+  // included, die when it returns or a GuestFault unwinds through it.
+  const IndirectRefTable::NativeCallFrame locals(irt_);
+
   // Marshal to the JNI native ABI: (JNIEnv*, jobject|jclass, params...).
   // Object parameters become indirect references (Android >= 4.0, §II-A).
   std::vector<u32> jni_args;

@@ -2,47 +2,67 @@
 
 namespace ndroid::dvm {
 
-void IndirectRefTable::push_frame() { frames_.emplace_back(); }
-
 IndirectRef IndirectRefTable::pop_frame(IndirectRef survivor) {
-  if (frames_.empty()) {
+  if (frames_.empty() || frames_.back().native_call) {
     throw GuestFault("PopLocalFrame without a matching PushLocalFrame");
   }
   Object* surviving_obj = nullptr;
   if (survivor != 0 && is_valid(survivor)) {
     surviving_obj = entries_[index_of(survivor)].obj;
   }
-  for (u32 index : frames_.back()) {
-    if (index < entries_.size()) entries_[index].live = false;
-  }
-  frames_.pop_back();
+  release_top_frame();
   if (surviving_obj != nullptr) {
     return add(surviving_obj, RefKind::kLocal);
   }
   return 0;
 }
 
-IndirectRef IndirectRefTable::add(Object* obj, RefKind kind) {
-  // Reuse a dead slot if available, bumping its serial so stale handles to
-  // the old occupant stop validating.
-  u32 index = static_cast<u32>(entries_.size());
-  for (u32 i = 0; i < entries_.size(); ++i) {
-    if (!entries_[i].live) {
-      index = i;
-      break;
-    }
+void IndirectRefTable::release_top_frame() {
+  const u32 first = frames_.back().first_record;
+  // Newest first, so the free list hands the slots out again in the order
+  // this frame took them.
+  for (u32 i = record_count(); i-- > first;) {
+    if (holds_local(records_[i])) release(records_[i].index);
   }
-  if (index == entries_.size()) entries_.push_back(Entry{});
+  records_.resize(first);
+  frames_.pop_back();
+}
+
+IndirectRef IndirectRefTable::add(Object* obj, RefKind kind) {
+  const bool local = kind == RefKind::kLocal;
+  if (local ? live_locals_ == kMaxLocals : live_globals_ == kMaxGlobals) {
+    throw GuestFault(local ? "JNI local reference table overflow (max=512)"
+                           : "JNI global reference table overflow "
+                             "(max=51200)");
+  }
+  u32 index;
+  if (free_.empty()) {
+    index = static_cast<u32>(entries_.size());
+    entries_.emplace_back();
+  } else {
+    index = free_.back();
+    free_.pop_back();
+  }
+  // Bump the slot's serial so stale handles to its old occupant stop
+  // validating.
   Entry& e = entries_[index];
   e.obj = obj;
   e.serial = (e.serial + 1) & 0xFFF;
   e.live = true;
   e.kind = kind;
-  if (kind == RefKind::kLocal && !frames_.empty()) {
-    frames_.back().push_back(index);
+  ++(local ? live_locals_ : live_globals_);
+  if (local && !frames_.empty()) {
+    records_.push_back(Record{index, e.serial});
   }
-  return 0x80000000u | (e.serial << 18) | (index << 2) |
-         static_cast<u32>(kind);
+  return handle(index);
+}
+
+void IndirectRefTable::release(u32 index) {
+  Entry& e = entries_[index];
+  if (release_observer_) release_observer_(handle(index));
+  e.live = false;
+  --(e.kind == RefKind::kLocal ? live_locals_ : live_globals_);
+  free_.push_back(index);
 }
 
 Object* IndirectRefTable::decode(IndirectRef ref) const {
@@ -58,37 +78,11 @@ bool IndirectRefTable::is_valid(IndirectRef ref) const {
   const u32 index = index_of(ref);
   if (index >= entries_.size()) return false;
   const Entry& e = entries_[index];
-  return e.live && e.serial == serial_of(ref);
+  return e.live && e.serial == serial_of(ref) && e.kind == kind_of(ref);
 }
 
 void IndirectRefTable::remove(IndirectRef ref) {
-  if (!is_valid(ref)) return;
-  entries_[index_of(ref)].live = false;
-}
-
-IndirectRef IndirectRefTable::find(const Object* obj) const {
-  for (u32 i = 0; i < entries_.size(); ++i) {
-    const Entry& e = entries_[i];
-    if (e.live && e.obj == obj) {
-      return 0x80000000u | (e.serial << 18) | (i << 2) |
-             static_cast<u32>(e.kind);
-    }
-  }
-  return 0;
-}
-
-u32 IndirectRefTable::live_count() const {
-  u32 n = 0;
-  for (const Entry& e : entries_) n += e.live;
-  return n;
-}
-
-std::vector<Object*> IndirectRefTable::live_objects() const {
-  std::vector<Object*> out;
-  for (const Entry& e : entries_) {
-    if (e.live) out.push_back(e.obj);
-  }
-  return out;
+  if (is_valid(ref)) release(index_of(ref));
 }
 
 }  // namespace ndroid::dvm

@@ -37,6 +37,7 @@ constexpr HelperFn kHelperFns[] = {
     {"GetStaticFieldID", JniFn::kGetStaticFieldID},
     // Strings and arrays.
     {"GetStringLength", JniFn::kGetStringLength},
+    {"GetStringUTFLength", JniFn::kGetStringUTFLength},
     {"GetStringUTFChars", JniFn::kGetStringUTFChars},
     {"ReleaseStringUTFChars", JniFn::kReleaseStringUTFChars},
     {"GetArrayLength", JniFn::kGetArrayLength},
@@ -74,6 +75,7 @@ constexpr HelperFn kHelperFns[] = {
     {"ExceptionClear", JniFn::kExceptionClear},
     {"DeleteLocalRef", JniFn::kDeleteLocalRef},
     {"NewGlobalRef", JniFn::kNewGlobalRef},
+    {"DeleteGlobalRef", JniFn::kDeleteGlobalRef},
     {"GetObjectClass", JniFn::kGetObjectClass},
     {"PushLocalFrame", JniFn::kPushLocalFrame},
     {"PopLocalFrame", JniFn::kPopLocalFrame},
@@ -194,6 +196,7 @@ arm::Helper JniEnv::helper_for(JniFn index) {
 
     // --- Strings and arrays (helper-backed accessors) --------------------
     case JniFn::kGetStringLength:
+    case JniFn::kGetStringUTFLength:  // bytes; strings are stored as UTF-8
       return [&dvm](arm::Cpu& c) {
         Object* s = decode_or_null(dvm, c.state().regs[1]);
         c.state().regs[0] =
@@ -377,10 +380,17 @@ arm::Helper JniEnv::helper_for(JniFn index) {
         c.state().regs[0] = 0;
       };
     case JniFn::kDeleteLocalRef:
-      return [&dvm](arm::Cpu& c) {
-        dvm.irt().remove(c.state().regs[1]);
+    case JniFn::kDeleteGlobalRef: {
+      // Each deletes only its own kind, as Dalvik's per-kind tables do.
+      const dvm::RefKind kind = index == JniFn::kDeleteLocalRef
+                                    ? dvm::RefKind::kLocal
+                                    : dvm::RefKind::kGlobal;
+      return [&dvm, kind](arm::Cpu& c) {
+        const u32 ref = c.state().regs[1];
+        if (dvm::IndirectRefTable::kind_of(ref) == kind) dvm.irt().remove(ref);
         c.state().regs[0] = 0;
       };
+    }
     case JniFn::kNewGlobalRef:
       return [&dvm](arm::Cpu& c) {
         Object* obj = decode_or_null(dvm, c.state().regs[1]);

@@ -118,6 +118,8 @@ enum class JniFn : u32 {
   kPushLocalFrame,
   kPopLocalFrame,
   kIsSameObject,
+  kDeleteGlobalRef,
+  kGetStringUTFLength,
   kCount,
 };
 

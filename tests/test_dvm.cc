@@ -254,15 +254,71 @@ TEST_F(DvmFixture, NativeReceivesIndirectReferences) {
 
   Object* str = dvm_.new_string("payload");
   u32 native_saw = 0;
+  bool valid_inside = false;
   cpu_.add_branch_hook([&](arm::Cpu& c, GuestAddr, GuestAddr to) {
-    if (to == fn) native_saw = c.state().regs[2];
+    if (to == fn) {
+      native_saw = c.state().regs[2];
+      valid_inside = dvm_.irt().is_valid(native_saw);
+    }
   });
   const Slot r = dvm_.call(*m, {Slot{str->addr(), 0}});
-  // The native side must have seen an indirect ref, not the direct pointer.
+  // The native side must have seen an indirect ref, not the direct pointer,
+  // live for the duration of the call.
   EXPECT_NE(native_saw, str->addr());
-  EXPECT_TRUE(dvm_.irt().is_valid(native_saw));
-  // And the bridge converted the returned iref back to a direct pointer.
+  EXPECT_TRUE(valid_inside);
+  // The bridge converted the returned iref back to a direct pointer...
   EXPECT_EQ(r.value, str->addr());
+  // ...and the local died with the call's frame.
+  EXPECT_FALSE(dvm_.irt().is_valid(native_saw));
+  EXPECT_EQ(dvm_.irt().frame_depth(), 0u);
+}
+
+TEST_F(DvmFixture, NativeCallsReleaseTheirLocals) {
+  // Instance method with an object parameter: two locals per call.
+  const GuestAddr fn = install_native([](arm::Assembler& a) {
+    a.mov(arm::R(0), arm::R(2));
+    a.ret();
+  });
+  ClassObject* cls = dvm_.define_class("LLocals;");
+  Method* m = dvm_.define_native(cls, "id", "LL", kAccPublic, fn);
+  Object* receiver = dvm_.heap().new_instance(cls);
+  Object* str = dvm_.new_string("payload");
+
+  const u32 live = dvm_.irt().live_count();
+  const u32 depth = dvm_.irt().frame_depth();
+  for (u32 i = 0; i < 10000; ++i) {
+    const Slot r = dvm_.call(*m, {Slot{receiver->addr(), 0},
+                                  Slot{str->addr(), 0}});
+    ASSERT_EQ(r.value, str->addr());
+  }
+  EXPECT_EQ(dvm_.irt().live_count(), live);
+  EXPECT_EQ(dvm_.irt().frame_depth(), depth);
+}
+
+TEST_F(DvmFixture, FaultingNativeCallsReleaseTheirLocals) {
+  // The native decodes a bogus handle, so the helper throws GuestFault
+  // while the call's locals are live.
+  const GuestAddr decode = dvm_.sym("dvmDecodeIndirectRef");
+  const GuestAddr fn = install_native([decode](arm::Assembler& a) {
+    a.push({arm::LR});
+    a.mov_imm32(arm::R(0), 0x8000FFF5);
+    a.call(decode);
+    a.pop({arm::PC});
+  });
+  ClassObject* cls = dvm_.define_class("LFaulty;");
+  Method* m = dvm_.define_native(cls, "boom", "VLL", kAccPublic | kAccStatic,
+                                 fn);
+  Object* a = dvm_.new_string("a");
+  Object* b = dvm_.new_string("b");
+
+  const u32 live = dvm_.irt().live_count();
+  const u32 depth = dvm_.irt().frame_depth();
+  for (u32 i = 0; i < 10000; ++i) {
+    ASSERT_THROW(dvm_.call(*m, {Slot{a->addr(), 0}, Slot{b->addr(), 0}}),
+                 GuestFault);
+  }
+  EXPECT_EQ(dvm_.irt().live_count(), live);
+  EXPECT_EQ(dvm_.irt().frame_depth(), depth);
 }
 
 TEST_F(DvmFixture, CallMethodAStubRunsJavaFromNative) {
@@ -332,7 +388,6 @@ TEST_F(DvmFixture, IndirectRefTableBasics) {
   EXPECT_NE(ra, rb);
   EXPECT_EQ(dvm_.irt().decode(ra), a);
   EXPECT_EQ(dvm_.irt().decode(rb), b);
-  EXPECT_EQ(dvm_.irt().find(a), ra);
 
   dvm_.irt().remove(ra);
   EXPECT_FALSE(dvm_.irt().is_valid(ra));

@@ -360,6 +360,147 @@ TEST_F(JniFixture, PopWithoutPushFaults) {
       GuestFault);
 }
 
+TEST_F(JniFixture, DeleteRefsDeleteOnlyTheirOwnKind) {
+  dvm::Object* s = dvm_.new_string("ref");
+  const u32 local = dvm_.irt().add(s);
+  const u32 global = cpu_.call_function(env_.fn("NewGlobalRef"),
+                                        {env_.env_addr(), local});
+  cpu_.call_function(env_.fn("DeleteGlobalRef"), {env_.env_addr(), local});
+  cpu_.call_function(env_.fn("DeleteLocalRef"), {env_.env_addr(), global});
+  EXPECT_TRUE(dvm_.irt().is_valid(local));
+  EXPECT_TRUE(dvm_.irt().is_valid(global));
+
+  cpu_.call_function(env_.fn("DeleteGlobalRef"), {env_.env_addr(), global});
+  EXPECT_FALSE(dvm_.irt().is_valid(global));
+  EXPECT_THROW((void)dvm_.irt().decode(global), GuestFault);
+  EXPECT_EQ(dvm_.irt().decode(local), s);
+}
+
+TEST_F(JniFixture, GetStringUtfLengthCountsBytes) {
+  const u32 iref = dvm_.irt().add(dvm_.new_string("imei:354958"));
+  EXPECT_EQ(cpu_.call_function(env_.fn("GetStringUTFLength"),
+                               {env_.env_addr(), iref}),
+            11u);
+  EXPECT_EQ(cpu_.call_function(env_.fn(JniFn::kGetStringUTFLength),
+                               {env_.env_addr(), 0}),
+            0u);
+}
+
+TEST_F(JniFixture, GlobalRefInAFreedLocalSlotOutlivesTheCall) {
+  // int keep(env, cls, jobject x, jobject y):
+  //   DeleteLocalRef(x); return NewGlobalRef(y);
+  // The global takes x's freed slot; closing the call's frame must not
+  // release it along with x.
+  const GuestAddr del = env_.fn("DeleteLocalRef");
+  const GuestAddr new_global = env_.fn("NewGlobalRef");
+  const GuestAddr fn = install_native([&](Assembler& a) {
+    a.push({R(4), R(5), R(6), LR});
+    a.mov(R(4), R(0));
+    a.mov(R(5), R(3));
+    a.mov(R(1), R(2));
+    a.call(del);
+    a.mov(R(0), R(4));
+    a.mov(R(1), R(5));
+    a.call(new_global);
+    a.pop({R(4), R(5), R(6), PC});
+  });
+  dvm::ClassObject* cls = dvm_.define_class("LKeep;");
+  dvm::Method* m = dvm_.define_native(
+      cls, "keep", "ILL", dvm::kAccPublic | dvm::kAccStatic, fn);
+  u32 x_ref = 0;
+  cpu_.add_branch_hook([&](arm::Cpu& c, GuestAddr, GuestAddr to) {
+    if (to == fn) x_ref = c.state().regs[2];
+  });
+
+  dvm::Object* x = dvm_.new_string("x");
+  dvm::Object* y = dvm_.new_string("y");
+  const u32 global =
+      dvm_.call(*m, {Slot{x->addr(), 0}, Slot{y->addr(), 0}}).value;
+  EXPECT_EQ((global >> 2) & 0xFFFF, (x_ref >> 2) & 0xFFFF);  // same slot
+  ASSERT_TRUE(dvm_.irt().is_valid(global));
+  EXPECT_EQ(dvm_.irt().decode(global), y);
+  EXPECT_EQ(dvm_.irt().frame_depth(), 0u);
+}
+
+TEST_F(JniFixture, PopLocalFrameCannotPopTheNativeCallFrame) {
+  const GuestAddr pop = env_.fn("PopLocalFrame");
+  const GuestAddr fn = install_native([&](Assembler& a) {
+    a.push({R(4), LR});
+    a.mov_imm(R(1), 0);
+    a.call(pop);
+    a.pop({R(4), PC});
+  });
+  dvm::ClassObject* cls = dvm_.define_class("LPop;");
+  dvm::Method* m = dvm_.define_native(
+      cls, "pop", "VL", dvm::kAccPublic | dvm::kAccStatic, fn);
+  dvm::Object* s = dvm_.new_string("s");
+  EXPECT_THROW(dvm_.call(*m, {Slot{s->addr(), 0}}), GuestFault);
+  EXPECT_EQ(dvm_.irt().frame_depth(), 0u);
+  EXPECT_EQ(dvm_.irt().live_count(), 0u);
+}
+
+TEST_F(JniFixture, UnpoppedLocalFramesCloseWithTheCall) {
+  // PushLocalFrame, one local inside it, return without PopLocalFrame.
+  const GuestAddr push = env_.fn("PushLocalFrame");
+  const GuestAddr new_utf = env_.fn("NewStringUTF");
+  const GuestAddr text = dvm_.data_cstr("inner");
+  const GuestAddr fn = install_native([&](Assembler& a) {
+    a.push({R(4), LR});
+    a.mov(R(4), R(0));
+    a.mov_imm(R(1), 16);
+    a.call(push);
+    a.mov(R(0), R(4));
+    a.mov_imm32(R(1), text);
+    a.call(new_utf);
+    a.mov_imm(R(0), 0);
+    a.pop({R(4), PC});
+  });
+  dvm::ClassObject* cls = dvm_.define_class("LPush;");
+  dvm::Method* m = dvm_.define_native(
+      cls, "push", "I", dvm::kAccPublic | dvm::kAccStatic, fn);
+  for (u32 i = 0; i < 1000; ++i) dvm_.call(*m, {});
+  EXPECT_EQ(dvm_.irt().frame_depth(), 0u);
+  EXPECT_EQ(dvm_.irt().live_count(), 0u);
+}
+
+TEST_F(JniFixture, LocalTableOverflowEndsTheCall) {
+  // int make(env, cls): `count` NewStringUTF calls, all kept live.
+  const GuestAddr new_utf = env_.fn("NewStringUTF");
+  const GuestAddr text = dvm_.data_cstr("local");
+  dvm::ClassObject* cls = dvm_.define_class("LHog;");
+  auto define_hog = [&](const char* name, u32 count) {
+    const GuestAddr fn = install_native([&](Assembler& a) {
+      a.push({R(4), R(5), R(6), LR});
+      a.mov(R(4), R(0));
+      a.mov_imm32(R(5), text);
+      for (u32 i = 0; i < count; ++i) {
+        a.mov(R(0), R(4));
+        a.mov(R(1), R(5));
+        a.call(new_utf);
+      }
+      a.mov_imm(R(0), 0);
+      a.pop({R(4), R(5), R(6), PC});
+    });
+    return dvm_.define_native(cls, name, "I",
+                              dvm::kAccPublic | dvm::kAccStatic, fn);
+  };
+  dvm::Method* full = define_hog("full", dvm::IndirectRefTable::kMaxLocals);
+  dvm::Method* over =
+      define_hog("over", dvm::IndirectRefTable::kMaxLocals + 1);
+
+  EXPECT_NO_THROW(dvm_.call(*full, {}));
+  try {
+    dvm_.call(*over, {});
+    ADD_FAILURE() << "the 513th local did not fault";
+  } catch (const GuestFault& e) {
+    EXPECT_NE(std::string(e.what()).find("local reference table overflow"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(dvm_.irt().frame_depth(), 0u);
+  EXPECT_EQ(dvm_.irt().live_count(), 0u);
+}
+
 TEST_F(JniFixture, IsSameObjectComparesIdentity) {
   dvm::Object* s = dvm_.new_string("one");
   const u32 r1 = dvm_.irt().add(s);

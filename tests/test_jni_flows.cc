@@ -206,5 +206,86 @@ TEST(NestedJni, ArgumentArrayOnStackCarriesTaint) {
   EXPECT_EQ(r.taint & kTaintContacts, kTaintContacts);
 }
 
+TEST(ObjectShadow, DiesWithItsReference) {
+  // int f(JNIEnv*, jclass, jstring s) { return strlen(GetStringUTFChars(s)); }
+  // twice: `source` gets the one tainted call, `sink` 5,000 clean ones
+  // (a SourcePolicy is per method, so the clean calls need their own).
+  // Every call hands s the same local slot with a 12-bit serial, so the
+  // handle of the tainted call comes back 4,096 calls later. Its shadow
+  // taint must have died with it.
+  Device device;
+  NDroid nd(device);
+  auto& dvm = device.dvm;
+  dvm::ClassObject* app = dvm.define_class("Lshadow/App;");
+  apps::NativeLibBuilder lib(device, "libshadow.so");
+  auto& a = lib.a();
+  auto emit_strlen = [&] {
+    const GuestAddr fn = lib.fn();
+    a.push({R(4), LR});
+    a.mov(R(1), R(2));
+    a.mov_imm(R(2), 0);
+    a.call(device.jni.fn("GetStringUTFChars"));
+    a.call(device.libc.fn("strlen"));
+    a.pop({R(4), PC});
+    return fn;
+  };
+  const GuestAddr source_fn = emit_strlen();
+  const GuestAddr sink_fn = emit_strlen();
+  lib.install();
+  Method* source = dvm.define_native(app, "source", "IL",
+                                     kAccPublic | kAccStatic, source_fn);
+  Method* sink =
+      dvm.define_native(app, "sink", "IL", kAccPublic | kAccStatic, sink_fn);
+
+  dvm::Object* secret = dvm.new_string("354958031234567");
+  EXPECT_EQ(dvm.call(*source, {dvm::Slot{secret->addr(), kTaintImei}})
+                    .taint &
+                kTaintImei,
+            kTaintImei);
+  u32 tainted_clean_calls = 0;
+  for (u32 i = 0; i < 5000; ++i) {
+    dvm::Object* clean = dvm.new_string("monkey-input");
+    tainted_clean_calls +=
+        dvm.call(*sink, {dvm::Slot{clean->addr(), kTaintClear}}).taint !=
+        kTaintClear;
+  }
+  EXPECT_EQ(tainted_clean_calls, 0u);
+  EXPECT_EQ(dvm.irt().live_count(), 0u);
+}
+
+TEST(ObjectShadow, FollowsAPoppedFrameSurvivor) {
+  // int f(JNIEnv*, jclass, jstring s):
+  //   PushLocalFrame(16); t = PopLocalFrame(s); return GetStringUTFChars(t);
+  // s's taint is known only by its shadow; the promoted handle t must
+  // carry it into the buffer.
+  Device device;
+  NDroid nd(device);
+  auto& dvm = device.dvm;
+  dvm::ClassObject* app = dvm.define_class("Lframe/App;");
+  apps::NativeLibBuilder lib(device, "libframe.so");
+  auto& a = lib.a();
+  const GuestAddr fn = lib.fn();
+  a.push({R(4), R(5), R(6), LR});
+  a.mov(R(4), R(0));
+  a.mov(R(5), R(2));
+  a.mov_imm(R(1), 16);
+  a.call(device.jni.fn("PushLocalFrame"));
+  a.mov(R(0), R(4));
+  a.mov(R(1), R(5));
+  a.call(device.jni.fn("PopLocalFrame"));
+  a.mov(R(1), R(0));
+  a.mov(R(0), R(4));
+  a.mov_imm(R(2), 0);
+  a.call(device.jni.fn("GetStringUTFChars"));
+  a.pop({R(4), R(5), R(6), PC});
+  lib.install();
+  Method* f = dvm.define_native(app, "f", "IL", kAccPublic | kAccStatic, fn);
+
+  dvm::Object* secret = dvm.new_string("354958031234567");
+  const GuestAddr buf =
+      dvm.call(*f, {dvm::Slot{secret->addr(), kTaintImei}}).value;
+  EXPECT_EQ(nd.taint_engine().map().get_range(buf, 15), kTaintImei);
+}
+
 }  // namespace
 }  // namespace ndroid::core

@@ -78,5 +78,26 @@ TEST(Monkey, RandomInputsAloneDoNotCauseFalsePositives) {
   EXPECT_TRUE(nd.leaks().empty());
 }
 
+TEST(Monkey, LongSessionLeaksAtAConstantRate) {
+  // Per-call JNI state must not grow with the session: a 10,000-event
+  // ePhone session reports as many native leaks in its last 1,000 events
+  // as in its first 1,000.
+  Device device("com.ephone");
+  core::NDroid nd(device);
+  build_ephone(device);
+  Monkey monkey(device, /*seed=*/20140623);
+  monkey.add_target(device.dvm.find_class("Lcom/vnet/asip/general/general;"));
+  const MonkeyReport report = monkey.run(
+      10000, [&] { return static_cast<u32>(nd.leaks().size()); });
+
+  ASSERT_EQ(report.events.size(), 10000u);
+  const u32 first = report.events[999].leaks_after;
+  const u32 last =
+      report.events[9999].leaks_after - report.events[8999].leaks_after;
+  EXPECT_GT(first, 900u);
+  EXPECT_EQ(last, first);
+  EXPECT_EQ(device.dvm.irt().live_count(), 0u);
+}
+
 }  // namespace
 }  // namespace ndroid::apps

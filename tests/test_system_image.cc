@@ -180,7 +180,8 @@ TEST(SystemImage, HookTablesHoldTheImageAddresses) {
     EXPECT_EQ(n.maf, device.dvm.sym(nofs.at(n.name))) << n.name;
   }
 
-  // Table IV accessors, the TrustCall handlers and ThrowNew.
+  // Table IV accessors, the TrustCall handlers, ThrowNew and PopLocalFrame
+  // (which carries a survivor's shadow taint to its new handle).
   const std::set<std::string> simple = {
       "SetObjectField",       "SetIntField",          "SetBooleanField",
       "SetByteField",         "SetCharField",         "SetShortField",
@@ -191,7 +192,7 @@ TEST(SystemImage, HookTablesHoldTheImageAddresses) {
       "GetStringUTFChars",    "GetIntArrayElements",  "GetByteArrayElements",
       "ReleaseIntArrayElements", "ReleaseByteArrayElements",
       "GetIntArrayRegion",    "GetByteArrayRegion",   "SetIntArrayRegion",
-      "SetByteArrayRegion",   "ThrowNew"};
+      "SetByteArrayRegion",   "ThrowNew",             "PopLocalFrame"};
   EXPECT_EQ(names_checked(dvm.simple_hooks, jni_fn), simple);
 
   for (GuestAddr a : {dvm.call_jni, dvm.call_method_v, dvm.call_method_a,

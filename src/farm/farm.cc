@@ -1,5 +1,6 @@
 #include "farm/farm.h"
 
+#include <sched.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -83,6 +84,27 @@ void worker_loop(u32 me, const std::vector<JobSpec>& jobs,
   }
 }
 
+}  // namespace
+
+void place_worker(u32 slot) {
+  cpu_set_t allowed;
+  if (::sched_getaffinity(0, sizeof allowed, &allowed) != 0) return;
+  const int count = CPU_COUNT(&allowed);
+  if (count < 2) return;
+  // The (slot % count)-th set bit of the mask.
+  int skip = static_cast<int>(slot % static_cast<u32>(count));
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &allowed) || skip-- > 0) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  if (::sched_setaffinity(0, sizeof one, &one) == 0) {
+    ::sched_setaffinity(0, sizeof allowed, &allowed);
+  }
+}
+
+namespace {
+
 /// Farm worker threads, parked between batches. A new thread's first jobs
 /// pay for state it does not have yet — stack pages, malloc arena free
 /// lists, the thread-local decode cache (src/arm/cpu.cc) — and on batches of
@@ -124,6 +146,7 @@ class WorkerPool {
   WorkerPool() : pid_(::getpid()) {}
 
   void park(u32 me) {
+    place_worker(me);
     u64 seen = 0;
     std::unique_lock lock(m_);
     for (;;) {
@@ -156,7 +179,12 @@ void run_workers(u32 n, const std::function<void(u32)>& work) {
   if (WorkerPool::instance().try_run(n, work)) return;
   std::vector<std::thread> threads;
   threads.reserve(n);
-  for (u32 w = 0; w < n; ++w) threads.emplace_back(work, w);
+  for (u32 w = 0; w < n; ++w) {
+    threads.emplace_back([&work, w] {
+      place_worker(w);
+      work(w);
+    });
+  }
   for (std::thread& t : threads) t.join();
 }
 

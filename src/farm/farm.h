@@ -177,6 +177,15 @@ FarmReport run_farm(const std::vector<JobSpec>& jobs,
 /// `report.results` (caller sorts by id at the end).
 void aggregate_result(FarmReport& report, JobResult r);
 
+/// Moves the calling thread onto the slot-th CPU (round-robin) of its
+/// allowed set, then gives the whole set back. A kernel that balances load
+/// (the usual case) is then free to move the thread again; one that does
+/// not (a cpuset with sched_load_balance=0, isolcpus) never moves a thread
+/// off the CPU it first ran on, which for a new thread or process is often
+/// its creator's, so a farm's workers could all end up sharing one CPU.
+/// The thread and process schedulers call it at the start of each worker.
+void place_worker(u32 slot);
+
 /// The crash-isolated process scheduler (see process_pool.cc). run_farm()
 /// dispatches here when options.processes > 0; callable directly in tests.
 /// `cache` may be null (share_summaries off).

@@ -446,6 +446,7 @@ FarmReport run_farm_processes(const std::vector<JobSpec>& jobs,
       // Inherited supervisor-side ends of earlier slots: holding a copy of
       // another slot's job pipe would keep that zygote alive past shutdown.
       for (Slot& other : slots) close_slot(other);
+      place_worker(s);  // its job processes are forked where it runs
       zygote_main(jp[0], rp[1], jobs, options, cache);
     }
     ::close(jp[0]);

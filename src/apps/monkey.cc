@@ -39,6 +39,7 @@ MonkeyReport Monkey::run(u32 events,
       device_.dvm.call(*m, std::move(args));
     } catch (const GuestFault&) {
       event.threw = true;  // random inputs fault sometimes; keep exploring
+      ++report.faulted_events;
     }
     const u32 now = leak_count();
     event.leaks_after = now;

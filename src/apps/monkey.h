@@ -26,6 +26,7 @@ struct MonkeyEvent {
 struct MonkeyReport {
   std::vector<MonkeyEvent> events;
   u32 total_leaks = 0;
+  u32 faulted_events = 0;  // events with `threw` set
   /// Method whose invocation first produced a leak, if any.
   std::string first_leaking_method;
 };

@@ -411,13 +411,19 @@ bool Cpu::run(u64 max_steps) {
 
 u32 Cpu::call_function(GuestAddr addr, const std::vector<u32>& args) {
   // Re-entrant: guest code may invoke helpers that call back into guest
-  // functions (the JNI call chains rely on this).
-  CPUState saved = state_;
-  ++call_depth_;
-  if (call_depth_ > 64) {
-    --call_depth_;
-    throw GuestFault("guest call depth exceeded");
-  }
+  // functions (the JNI call chains rely on this). The caller's state and
+  // the depth come back on return and on a fault alike, so a fault drops
+  // the guest frames it unwound through.
+  struct Restore {
+    Cpu& cpu;
+    CPUState saved;
+    ~Restore() {
+      cpu.state_ = saved;
+      --cpu.call_depth_;
+    }
+  } restore{*this, state_};
+  if (++call_depth_ > 64) throw GuestFault("guest call depth exceeded");
+  const CPUState& saved = restore.saved;
 
   const u32 nreg = std::min<u32>(4, static_cast<u32>(args.size()));
   for (u32 i = 0; i < nreg; ++i) state_.regs[i] = args[i];
@@ -443,16 +449,9 @@ u32 Cpu::call_function(GuestAddr addr, const std::vector<u32>& args) {
   fire_branch_hooks(saved.pc(), state_.pc());
 
   if (!run(step_budget_)) {
-    --call_depth_;
-    state_ = saved;
     throw GuestFault("guest call did not return (step budget exhausted)");
   }
-
-  const u32 result = state_.regs[0];
-  --call_depth_;
-  // Restore everything but keep the result visible to the caller.
-  state_ = saved;
-  return result;
+  return state_.regs[0];  // read before Restore puts the caller's state back
 }
 
 }  // namespace ndroid::arm

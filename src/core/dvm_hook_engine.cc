@@ -615,9 +615,12 @@ void DvmHookEngine::hook_get_string_utf_chars(arm::Cpu& cpu) {
   log_.line("TrustCallHandler[GetStringUTFChars] end");
   push_exit(cpu, [this, t](arm::Cpu& c) {
     const GuestAddr buf = c.state().regs[0];
-    if (buf == 0 || t == kTaintClear) return;
+    if (buf == 0) return;
+    // The buffer may be reused heap memory: set its shadow, so a clean
+    // string's buffer reads clean whatever its last owner left there.
     const u32 len = guest_strlen(c, buf);
-    engine_.map().add_range(buf, len + 1, t);
+    engine_.map().set_range(buf, len + 1, t);
+    if (t == kTaintClear) return;
     engine_.set_reg(0, t);
     log_.line("t(" + hex(buf) + ") := " + std::to_string(t));
   });
@@ -634,8 +637,9 @@ void DvmHookEngine::hook_get_array_elements(arm::Cpu& cpu) {
   }
   push_exit(cpu, [this, t, bytes](arm::Cpu& c) {
     const GuestAddr buf = c.state().regs[0];
-    if (buf == 0 || t == kTaintClear) return;
-    engine_.map().add_range(buf, bytes, t);
+    if (buf == 0) return;
+    engine_.map().set_range(buf, bytes, t);  // reused memory: set, not OR
+    if (t == kTaintClear) return;
     engine_.set_reg(0, t);
     log_.line("t(" + hex(buf) + ") := " + std::to_string(t));
   });
@@ -643,7 +647,7 @@ void DvmHookEngine::hook_get_array_elements(arm::Cpu& cpu) {
 
 void DvmHookEngine::hook_release_array_elements(arm::Cpu& cpu) {
   const auto& regs = cpu.state().regs;
-  if (regs[3] != 0) return;  // only mode 0 copies back
+  if (regs[3] == jni::kJniAbort) return;  // modes 0 and JNI_COMMIT copy back
   auto& irt = device_.dvm.irt();
   if (!irt.is_valid(regs[1])) return;
   dvm::Object* arr = irt.decode(regs[1]);

@@ -123,7 +123,7 @@ SysLibHookEngine::HookTable SysLibHookEngine::build_table(
       const GuestAddr src = c.state().regs[0];
       const u32 len = e.guest_strlen(c, src) + 1;
       e.defer_exit(c, [&map = e.engine_.map(), src, len](arm::Cpu& c2) {
-        memcpy_taint(map, c2.state().regs[0], src, len);
+        map.copy_range(c2.state().regs[0], src, len);  // a fresh block
       });
     });
 
@@ -189,9 +189,15 @@ SysLibHookEngine::HookTable SysLibHookEngine::build_table(
     add("realloc", [](SysLibHookEngine& e, arm::Cpu& c) {
       const GuestAddr old = c.state().regs[0];
       const u32 size = c.state().regs[1];
-      e.defer_exit(c, [&map = e.engine_.map(), old, size](arm::Cpu& c2) {
+      // Only the old block's bytes move (past its end, its page holds other
+      // blocks); the rest of the new block, all of it for realloc(NULL, n),
+      // starts clear like malloc's.
+      const u32 kept = std::min(size, e.kernel_.heap().block_size(old));
+      e.defer_exit(c, [&map = e.engine_.map(), old, size, kept](arm::Cpu& c2) {
         const GuestAddr now = c2.state().regs[0];
-        if (old != 0 && now != old) map.copy_range(now, old, size);
+        if (now == old) return;
+        map.copy_range(now, old, kept);
+        map.clear_range(now + kept, size - kept);
       });
     });
     add("free", [](SysLibHookEngine&, arm::Cpu&) {});

@@ -390,6 +390,20 @@ Slot Dvm::call(const Method& method, std::vector<Slot> args) {
   if (args.size() != method.arg_count()) {
     throw GuestFault("arity mismatch calling " + method.name);
   }
+  // The frames, native outs areas and pending dvmCallMethod calls that a
+  // GuestFault unwinds through die with the call, as its local references
+  // do (NativeCallFrame). On a return the pops have already restored this.
+  struct Unwind {
+    Dvm& dvm;
+    DvmStack::Mark mark;
+    std::size_t pending;
+    ~Unwind() {
+      dvm.stack_.unwind_to(mark);
+      dvm.pending_calls_.erase(
+          dvm.pending_calls_.begin() + static_cast<std::ptrdiff_t>(pending),
+          dvm.pending_calls_.end());
+    }
+  } const unwind{*this, stack_.mark(), pending_calls_.size()};
   if (method.is_builtin()) {
     Slot ret = method.builtin(*this, args);
     if (!policy_.propagate_java) ret.taint = kTaintClear;

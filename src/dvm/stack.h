@@ -40,6 +40,18 @@ class DvmStack {
 
   [[nodiscard]] GuestAddr current_fp() const { return fp_; }
 
+  /// The stack pointers, to drop with unwind_to() whatever a faulting call
+  /// left pushed.
+  struct Mark {
+    GuestAddr sp;
+    GuestAddr fp;
+  };
+  [[nodiscard]] Mark mark() const { return {sp_, fp_}; }
+  void unwind_to(Mark m) {
+    sp_ = m.sp;
+    fp_ = m.fp;
+  }
+
   // Register slot accessors relative to an explicit frame pointer.
   [[nodiscard]] u32 reg_value(GuestAddr fp, u16 reg) const {
     return memory_.read32(fp + 8u * reg);

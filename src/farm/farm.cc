@@ -224,6 +224,7 @@ void aggregate_result(FarmReport& report, JobResult r) {
   report.native_leaks += static_cast<u32>(r.native_leaks.size());
   report.framework_leaks += static_cast<u32>(r.framework_leaks.size());
   report.tamper_alerts += r.tamper_alerts;
+  report.faulted_events += r.faulted_events;
   report.summary_gate_skips += r.summary_gate_skips;
   // Process-mode jobs ship their in-process cache activity back in the
   // result (always zero in serial/thread modes, where run_farm reads the
@@ -255,6 +256,7 @@ std::string FarmReport::leak_digest() const {
     if (!r.first_leaking_method.empty()) {
       out << ";first_leak=" << r.first_leaking_method;
     }
+    if (r.faulted_events != 0) out << ";faulted=" << r.faulted_events;
     out << '\n';
   }
   return out.str();
@@ -273,6 +275,7 @@ std::string FarmReport::to_json() const {
   out << "  \"native_leaks\": " << native_leaks << ",\n";
   out << "  \"framework_leaks\": " << framework_leaks << ",\n";
   out << "  \"tamper_alerts\": " << tamper_alerts << ",\n";
+  out << "  \"faulted_events\": " << faulted_events << ",\n";
   out << "  \"summary_gate_skips\": " << summary_gate_skips << ",\n";
   out << "  \"wall_ms\": " << wall_ms << ",\n";
   out << "  \"apps_per_sec\": " << apps_per_sec << ",\n";
@@ -291,7 +294,8 @@ std::string FarmReport::to_json() const {
         << (r.ok ? "true" : "false") << ", \"native_leaks\": "
         << r.native_leaks.size() << ", \"framework_leaks\": "
         << r.framework_leaks.size() << ", \"tamper_alerts\": "
-        << r.tamper_alerts << ", \"gate_skips\": " << r.summary_gate_skips
+        << r.tamper_alerts << ", \"faulted_events\": " << r.faulted_events
+        << ", \"gate_skips\": " << r.summary_gate_skips
         << ", \"setup_ms\": " << r.timing.setup_ms << ", \"static_ms\": "
         << r.timing.static_ms << ", \"run_ms\": " << r.timing.run_ms << "}"
         << (i + 1 < results.size() ? "," : "") << "\n";

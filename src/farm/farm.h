@@ -117,6 +117,9 @@ struct JobResult {
   u32 checksum = 0;                  // kCfBench / kMarketApp result value
   std::string market_type;           // kMarketApp: §III classification
   std::string first_leaking_method;  // kRealApp: monkey finding
+  /// kRealApp: monkey events whose invocation faulted (the driver keeps
+  /// going, so only this count shows them).
+  u32 faulted_events = 0;
   JobTiming timing;
   /// Process mode: how many times this job was restarted after a worker
   /// death or deadline overrun (0 or 1; excluded from leak_digest()).
@@ -146,6 +149,7 @@ struct FarmReport {
   u32 native_leaks = 0;
   u32 framework_leaks = 0;
   u32 tamper_alerts = 0;
+  u32 faulted_events = 0;
   u64 summary_gate_skips = 0;
   double wall_ms = 0;
   double apps_per_sec = 0;

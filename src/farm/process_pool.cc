@@ -64,6 +64,7 @@ std::vector<u8> encode_result(const JobResult& r) {
   w.put_u32(r.checksum);
   w.put_str(r.market_type);
   w.put_str(r.first_leaking_method);
+  w.put_u32(r.faulted_events);
   w.put_f64(r.timing.setup_ms);
   w.put_f64(r.timing.static_ms);
   w.put_f64(r.timing.run_ms);
@@ -125,6 +126,7 @@ JobResult decode_result(std::span<const u8> payload) {
   r.checksum = rd.get_u32();
   r.market_type = rd.get_str();
   r.first_leaking_method = rd.get_str();
+  r.faulted_events = rd.get_u32();
   r.timing.setup_ms = rd.get_f64();
   r.timing.static_ms = rd.get_f64();
   r.timing.run_ms = rd.get_f64();

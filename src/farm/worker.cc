@@ -183,6 +183,7 @@ void run_real_app(JobResult& r, const JobSpec& spec, core::NDroidConfig cfg,
                             nd.leaks().size());
   });
   r.first_leaking_method = report.first_leaking_method;
+  r.faulted_events = report.faulted_events;
   r.timing.run_ms = ms_since(t2);
   collect(r, device, nd);
 }

@@ -1,6 +1,5 @@
 #include "jni/jnienv.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <tuple>
 
@@ -211,7 +210,7 @@ arm::Helper JniEnv::helper_for(JniFn index) {
         }
         const std::string utf = dvm.heap().read_string(*s);
         const GuestAddr buf =
-            kernel_.mmap_anonymous(static_cast<u32>(utf.size()) + 1);
+            kernel_.heap().alloc(static_cast<u32>(utf.size()) + 1);
         c.memory().write_cstr(buf, utf);
         if (const u32 is_copy = c.state().regs[2]; is_copy != 0) {
           c.memory().write8(is_copy, 1);
@@ -221,7 +220,10 @@ arm::Helper JniEnv::helper_for(JniFn index) {
         // TaintDroid's gap; NDroid's hook on this function repairs it.
       };
     case JniFn::kReleaseStringUTFChars:
-      return [](arm::Cpu& c) { c.state().regs[0] = 0; };
+      return [this](arm::Cpu& c) {
+        kernel_.heap().free(c.state().regs[2]);
+        c.state().regs[0] = 0;
+      };
     case JniFn::kGetArrayLength:
       return [&dvm](arm::Cpu& c) {
         Object* a = decode_or_null(dvm, c.state().regs[1]);
@@ -236,7 +238,7 @@ arm::Helper JniEnv::helper_for(JniFn index) {
           return;
         }
         const u32 bytes = a->length() * a->elem_size();
-        const GuestAddr buf = kernel_.mmap_anonymous(std::max<u32>(bytes, 1));
+        const GuestAddr buf = kernel_.heap().alloc(bytes);
         c.memory().copy(buf, dvm.heap().array_data_addr(*a), bytes);
         if (const u32 is_copy = c.state().regs[2]; is_copy != 0) {
           c.memory().write8(is_copy, 1);
@@ -245,14 +247,15 @@ arm::Helper JniEnv::helper_for(JniFn index) {
       };
     case JniFn::kReleaseIntArrayElements:
     case JniFn::kReleaseByteArrayElements:
-      return [&dvm](arm::Cpu& c) {
-        // mode 0: copy back and free.
+      return [&dvm, this](arm::Cpu& c) {
         Object* a = decode_or_null(dvm, c.state().regs[1]);
         const GuestAddr buf = c.state().regs[2];
-        if (a != nullptr && buf != 0 && c.state().regs[3] == 0) {
+        const u32 mode = c.state().regs[3];
+        if (a != nullptr && buf != 0 && mode != kJniAbort) {
           c.memory().copy(dvm.heap().array_data_addr(*a), buf,
                           a->length() * a->elem_size());
         }
+        if (mode != kJniCommit) kernel_.heap().free(buf);
         c.state().regs[0] = 0;
       };
     case JniFn::kGetIntArrayRegion:

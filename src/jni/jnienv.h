@@ -123,6 +123,10 @@ enum class JniFn : u32 {
   kCount,
 };
 
+/// Release<Type>ArrayElements modes besides 0 (copy back and free).
+inline constexpr u32 kJniCommit = 1;  // copy back, keep the buffer
+inline constexpr u32 kJniAbort = 2;   // free without copying back
+
 /// The JNI functions' part of libdvm.so (JniEnv::image()).
 struct JniImage {
   dvm::LibdvmImage libdvm;  // Dvm::image()'s libdvm.so plus the JNI code

@@ -121,25 +121,7 @@ void Libc::bind(std::string_view name, arm::Helper helper) {
 
 GuestAddr Libc::malloc_guest(u32 size) {
   ++mallocs_;
-  const u32 rounded = std::max<u32>((size + 15) & ~15u, 16);
-  auto& bucket = free_lists_[rounded];
-  GuestAddr addr;
-  if (!bucket.empty()) {
-    addr = bucket.back();
-    bucket.pop_back();
-  } else {
-    addr = kernel_.mmap_anonymous(rounded);
-  }
-  block_size_[addr] = rounded;
-  return addr;
-}
-
-void Libc::free_guest(GuestAddr addr) {
-  if (addr == 0) return;
-  auto it = block_size_.find(addr);
-  if (it == block_size_.end()) return;  // foreign pointer: ignore, like bionic won't
-  free_lists_[it->second].push_back(addr);
-  block_size_.erase(it);
+  return kernel_.heap().alloc(size);
 }
 
 // ---------------------------------------------------------------------------
@@ -504,8 +486,7 @@ void Libc::bind_helpers() {
     const u32 size = c.state().regs[1];
     const GuestAddr p = malloc_guest(size);
     if (old != 0) {
-      auto it = block_size_.find(old);
-      const u32 old_size = it == block_size_.end() ? 0 : it->second;
+      const u32 old_size = kernel_.heap().block_size(old);
       c.memory().copy(p, old, std::min(old_size, size));
       free_guest(old);
     }

@@ -74,9 +74,10 @@ class Libc {
     return image_.symbols;
   }
 
-  /// Host-side malloc into the guest native heap (used by JNI glue too).
+  /// malloc/free on the guest native heap (os::NativeHeap, which the JNI
+  /// accessors' buffers come from too).
   GuestAddr malloc_guest(u32 size);
-  void free_guest(GuestAddr addr);
+  void free_guest(GuestAddr addr) { kernel_.heap().free(addr); }
 
   [[nodiscard]] u64 mallocs_performed() const { return mallocs_; }
 
@@ -108,10 +109,6 @@ class Libc {
   /// dlopen/dlsym/dlclose, registered by the first register_dl_library.
   std::map<std::string, GuestAddr> dl_entry_points_;
 
-  // malloc bookkeeping: guest address -> block size; simple size-bucketed
-  // free lists over kernel-mmapped arenas.
-  std::unordered_map<GuestAddr, u32> block_size_;
-  std::unordered_map<u32, std::vector<GuestAddr>> free_lists_;
   u64 mallocs_ = 0;
 
   // FILE* handles: guest struct of one word holding fd + host map.

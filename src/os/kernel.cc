@@ -6,6 +6,9 @@
 namespace ndroid::os {
 
 namespace {
+constexpr GuestAddr kHeapBase = 0x30000000;
+constexpr u32 kHeapSize = 0x4000000;
+
 // Guest task_struct layout (offsets in bytes). The view reconstructor in
 // view_reconstructor.cc mirrors these constants; they are the "kernel
 // symbols" a VMI tool would derive from the kernel image.
@@ -23,10 +26,9 @@ constexpr u32 kVmaSize = 0x10;
 }  // namespace
 
 Kernel::Kernel(mem::AddressSpace& memory, mem::MemoryMap& memmap)
-    : memory_(memory), memmap_(memmap) {
+    : memory_(memory), memmap_(memmap), heap_(kHeapBase, kHeapSize) {
   memmap_.add("[kernel]", kKernelBase, kKernelSize, mem::kRW);
-  memmap_.add("[heap]", 0x30000000, 0x4000000, mem::kRW);
-  heap_next_ = 0x30000000;
+  memmap_.add("[heap]", kHeapBase, kHeapSize, mem::kRW);
   memory_.write32(kTaskRoot, 0);
   kernel_bump_ = kKernelBase + 16;
 }
@@ -182,13 +184,6 @@ u32 Kernel::read_fd(int fd, std::span<u8> out) {
 const FdEntry* Kernel::fd_entry(int fd) const {
   auto it = fds_.find(fd);
   return it == fds_.end() ? nullptr : &it->second;
-}
-
-GuestAddr Kernel::mmap_anonymous(u32 len) {
-  const GuestAddr addr = heap_next_;
-  heap_next_ += (len + 0xFFFu) & ~0xFFFu;
-  if (heap_next_ > 0x34000000) throw GuestFault("guest heap exhausted");
-  return addr;
 }
 
 void Kernel::handle_svc(arm::Cpu& cpu, u32 svc_imm) {

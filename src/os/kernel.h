@@ -23,6 +23,7 @@
 
 #include "arm/cpu.h"
 #include "mem/memory_map.h"
+#include "os/native_heap.h"
 #include "os/network.h"
 #include "os/vfs.h"
 
@@ -114,8 +115,12 @@ class Kernel {
   u32 read_fd(int fd, std::span<u8> out);
   [[nodiscard]] const FdEntry* fd_entry(int fd) const;
 
-  /// Anonymous guest memory (simplified mmap); carves from a heap region.
-  GuestAddr mmap_anonymous(u32 len);
+  /// Anonymous guest memory (simplified mmap): whole pages of the native
+  /// heap's region, never returned.
+  GuestAddr mmap_anonymous(u32 len) { return heap_.map_pages(len); }
+
+  /// The native heap (malloc/free and the JNI accessors' buffers).
+  NativeHeap& heap() { return heap_; }
 
   void set_syscall_observer(std::function<void(const SyscallEvent&)> fn) {
     syscall_observer_ = std::move(fn);
@@ -142,7 +147,7 @@ class Kernel {
   int next_fd_ = 3;  // 0-2 reserved
 
   GuestAddr kernel_bump_ = 0;  // guest allocator for task structs
-  GuestAddr heap_next_ = 0;
+  NativeHeap heap_;
 
   std::function<void(const SyscallEvent&)> syscall_observer_;
   bool exited_ = false;

@@ -231,6 +231,30 @@ TEST(Farm, MonkeySeedReproducibleAndSeedSensitive) {
   EXPECT_NE(farm::derive_seed(42, 1, 0), farm::derive_seed(42, 2, 0));
 }
 
+TEST(Farm, FaultedEventsAreCountedAndDigestedOnlyWhenNonZero) {
+  farm::JobSpec spec;
+  spec.kind = farm::JobKind::kRealApp;
+  spec.name = "ephone";
+  spec.monkey_events = 200;
+  spec.monkey_seed = 42;
+  farm::JobResult clean = farm::run_job(spec, nullptr, farm::FarmOptions{});
+  ASSERT_TRUE(clean.ok) << clean.error;
+  EXPECT_EQ(clean.faulted_events, 0u);
+
+  farm::JobResult faulty = clean;
+  faulty.spec.id = 1;
+  faulty.faulted_events = 5;
+  farm::FarmReport report;
+  farm::aggregate_result(report, clean);
+  farm::aggregate_result(report, faulty);
+  EXPECT_EQ(report.faulted_events, 5u);
+  const std::string digest = report.leak_digest();
+  const std::size_t second_line = digest.find("\n#1 ");
+  ASSERT_NE(second_line, std::string::npos);
+  EXPECT_EQ(digest.find(";faulted="), digest.find(";faulted=5\n"));
+  EXPECT_GT(digest.find(";faulted="), second_line);
+}
+
 TEST(Farm, LocalTableOverflowIsAJobError) {
   // A Device whose local table earlier native code filled to the cap: the
   // job's first native call cannot marshal its arguments.

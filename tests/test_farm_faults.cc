@@ -256,6 +256,7 @@ farm::JobResult sample_result() {
   r.timing.static_ms = 2.25;
   r.timing.run_ms = 3.75;
   r.retries = 1;
+  r.faulted_events = 3;
   r.cache_delta.hits = 7;
   r.cache_delta.store_hits = 3;
   return r;
@@ -285,6 +286,7 @@ TEST(FarmWire, ResultRoundTripsThroughFrame) {
   EXPECT_EQ(back.framework_leaks[0].sink, "OutputStream.write");
   EXPECT_EQ(back.timing.static_ms, r.timing.static_ms);
   EXPECT_EQ(back.retries, 1u);
+  EXPECT_EQ(back.faulted_events, 3u);
   EXPECT_EQ(back.cache_delta.hits, 7u);
   EXPECT_EQ(back.cache_delta.store_hits, 3u);
 }

@@ -142,6 +142,57 @@ TEST_F(JniFixture, PrimArrayRoundTrip) {
   EXPECT_EQ(dvm_.heap().array_get(*arr, 0), 99u);
 }
 
+TEST_F(JniFixture, ReleaseArrayElementsModes) {
+  // 0: copy back and free; JNI_COMMIT: copy back, keep; JNI_ABORT: free
+  // without copying back.
+  const u32 arr_iref = cpu_.call_function(env_.fn("NewIntArray"),
+                                          {env_.env_addr(), 2});
+  dvm::Object* arr = dvm_.irt().decode(arr_iref);
+  const os::NativeHeap& heap = kernel_.heap();
+  const auto get = [&] {
+    return cpu_.call_function(env_.fn("GetIntArrayElements"),
+                              {env_.env_addr(), arr_iref, 0});
+  };
+  const auto release = [&](u32 elems, u32 mode) {
+    cpu_.call_function(env_.fn("ReleaseIntArrayElements"),
+                       {env_.env_addr(), arr_iref, elems, mode});
+  };
+
+  const u32 elems = get();
+  mem_.write32(elems, 7);
+  release(elems, kJniCommit);
+  EXPECT_EQ(dvm_.heap().array_get(*arr, 0), 7u);
+  EXPECT_NE(heap.block_size(elems), 0u);
+  mem_.write32(elems + 4, 8);
+  release(elems, kJniAbort);
+  EXPECT_EQ(dvm_.heap().array_get(*arr, 1), 0u);
+  EXPECT_EQ(heap.block_size(elems), 0u);
+
+  const u32 again = get();
+  EXPECT_EQ(again, elems);  // the freed block is reused
+  mem_.write32(again + 4, 9);
+  release(again, 0);
+  EXPECT_EQ(dvm_.heap().array_get(*arr, 1), 9u);
+  EXPECT_EQ(heap.block_size(again), 0u);
+}
+
+TEST_F(JniFixture, StringBuffersReleasedInPairsKeepTheHeapFlat) {
+  dvm::Object* str = dvm_.new_string("monkey-input-123");
+  const u32 iref = dvm_.irt().add(str);
+  const auto pair = [&] {
+    const u32 buf = cpu_.call_function(env_.fn("GetStringUTFChars"),
+                                       {env_.env_addr(), iref, 0});
+    cpu_.call_function(env_.fn("ReleaseStringUTFChars"),
+                       {env_.env_addr(), iref, buf});
+    return buf;
+  };
+  const u32 first = pair();
+  const u32 mapped = kernel_.heap().mapped_bytes();
+  for (u32 i = 0; i < 100000; ++i) ASSERT_EQ(pair(), first) << i;
+  EXPECT_EQ(kernel_.heap().mapped_bytes(), mapped);
+  EXPECT_EQ(kernel_.heap().live_blocks(), 0u);
+}
+
 TEST_F(JniFixture, ObjectArrayElementAccess) {
   dvm::ClassObject* str_cls = dvm_.string_class();
   const u32 arr_iref = cpu_.call_function(
@@ -499,6 +550,70 @@ TEST_F(JniFixture, LocalTableOverflowEndsTheCall) {
   }
   EXPECT_EQ(dvm_.irt().frame_depth(), 0u);
   EXPECT_EQ(dvm_.irt().live_count(), 0u);
+}
+
+TEST_F(JniFixture, FaultedCallsUnwindTheDvmStack) {
+  // A call can fault in an interpreted callee, in a JNI function a native
+  // calls, or in Java code a native calls back (dvmCallMethodA). Each leaves
+  // frames, an outs area, a pending dvmCallMethod or guest call depth
+  // behind unless the fault unwinds them; 10,000 of them would overflow the
+  // DVM stack (256 KiB here) or the 64-deep guest call limit.
+  dvm::ClassObject* cls = dvm_.define_class("LFaulty;");
+  constexpr u32 kStatic = dvm::kAccPublic | dvm::kAccStatic;
+  dvm::CodeBuilder div_cb;
+  div_cb.binop(dvm::DOp::kDiv, 0, 2, 3).return_value(0);
+  dvm::Method* div = dvm_.define_method(cls, "div", "III", kStatic, 4,
+                                        div_cb.take());
+  dvm::CodeBuilder outer_cb;
+  outer_cb.invoke(div, {2, 3}).move_result(0).return_value(0);
+  dvm::Method* outer = dvm_.define_method(cls, "outer", "III", kStatic, 4,
+                                          outer_cb.take());
+  // int null_field(env, cls): GetIntField(env, NULL, NULL)
+  const GuestAddr null_field_fn = install_native([&](Assembler& a) {
+    a.push({R(4), LR});
+    a.mov_imm(R(1), 0);
+    a.mov_imm(R(2), 0);
+    a.call(env_.fn("GetIntField"));
+    a.pop({R(4), PC});
+  });
+  dvm::Method* null_field =
+      dvm_.define_native(cls, "null_field", "I", kStatic, null_field_fn);
+  // int callback(env, cls, x, y): CallStaticIntMethodA(env, cls, div, {x, y})
+  const GuestAddr callback_fn = install_native([&](Assembler& a) {
+    a.push({R(4), LR});
+    a.sub_imm(arm::SP, arm::SP, 8);
+    a.str(R(2), arm::SP, 0);
+    a.str(R(3), arm::SP, 4);
+    a.mov_imm32(R(2), div->guest_addr);
+    a.mov(R(3), arm::SP);
+    a.call(env_.fn("CallStaticIntMethodA"));
+    a.add_imm(arm::SP, arm::SP, 8);
+    a.pop({R(4), PC});
+  });
+  dvm::Method* callback =
+      dvm_.define_native(cls, "callback", "III", kStatic, callback_fn);
+
+  const dvm::DvmStack::Mark start = dvm_.stack().mark();
+  const u32 start_native_sp = cpu_.state().sp();
+  u32 faults = 0;
+  for (u32 i = 0; i < 10000; ++i) {
+    try {
+      switch (i % 3) {
+        case 0: dvm_.call(*outer, {Slot{1, 0}, Slot{0, 0}}); break;
+        case 1: dvm_.call(*null_field, {}); break;
+        default: dvm_.call(*callback, {Slot{1, 0}, Slot{0, 0}}); break;
+      }
+    } catch (const GuestFault&) {
+      ++faults;
+    }
+  }
+  EXPECT_EQ(faults, 10000u);
+  EXPECT_EQ(dvm_.stack().mark().sp, start.sp);
+  EXPECT_EQ(dvm_.stack().mark().fp, start.fp);
+  EXPECT_EQ(cpu_.state().sp(), start_native_sp);
+  EXPECT_EQ(dvm_.irt().frame_depth(), 0u);
+  EXPECT_EQ(dvm_.call(*callback, {Slot{42, 0}, Slot{6, 0}}).value, 7u);
+  EXPECT_EQ(dvm_.call(*outer, {Slot{42, 0}, Slot{7, 0}}).value, 6u);
 }
 
 TEST_F(JniFixture, IsSameObjectComparesIdentity) {

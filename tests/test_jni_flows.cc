@@ -287,5 +287,159 @@ TEST(ObjectShadow, FollowsAPoppedFrameSurvivor) {
   EXPECT_EQ(nd.taint_engine().map().get_range(buf, 15), kTaintImei);
 }
 
+TEST(HeapReuse, ReleasedStringBufferKeepsNoStaleTaint) {
+  // source(s): p = GetStringUTFChars(s); ReleaseStringUTFChars(s, p);
+  // sink(s): return GetStringUTFChars(s). The clean string's buffer reuses
+  // the tainted one's block and must read clean.
+  Device device;
+  NDroid nd(device);
+  auto& dvm = device.dvm;
+  dvm::ClassObject* app = dvm.define_class("Lreuse/App;");
+  apps::NativeLibBuilder lib(device, "libreuse.so");
+  auto& a = lib.a();
+  const GuestAddr source_fn = lib.fn();
+  a.push({R(4), R(5), R(6), LR});
+  a.mov(R(4), R(0));
+  a.mov(R(5), R(2));
+  a.mov(R(1), R(5));
+  a.mov_imm(R(2), 0);
+  a.call(device.jni.fn("GetStringUTFChars"));
+  a.mov(R(6), R(0));
+  a.mov(R(2), R(0));
+  a.mov(R(0), R(4));
+  a.mov(R(1), R(5));
+  a.call(device.jni.fn("ReleaseStringUTFChars"));
+  a.mov(R(0), R(6));
+  a.pop({R(4), R(5), R(6), PC});
+  const GuestAddr sink_fn = lib.fn();
+  a.push({R(4), LR});
+  a.mov(R(1), R(2));
+  a.mov_imm(R(2), 0);
+  a.call(device.jni.fn("GetStringUTFChars"));
+  a.pop({R(4), PC});
+  lib.install();
+  Method* source = dvm.define_native(app, "source", "IL",
+                                     kAccPublic | kAccStatic, source_fn);
+  Method* sink =
+      dvm.define_native(app, "sink", "IL", kAccPublic | kAccStatic, sink_fn);
+  const auto& map = nd.taint_engine().map();
+
+  dvm::Object* secret = dvm.new_string("354958031234567");
+  dvm.heap().set_object_taint(*secret, kTaintImei);
+  const GuestAddr released =
+      dvm.call(*source, {dvm::Slot{secret->addr(), kTaintClear}}).value;
+  EXPECT_EQ(map.get_range(released, 16), kTaintImei);  // the stale taint
+
+  dvm::Object* clean = dvm.new_string("000000000000000");
+  const GuestAddr buf =
+      dvm.call(*sink, {dvm::Slot{clean->addr(), kTaintClear}}).value;
+  EXPECT_EQ(buf, released);
+  EXPECT_EQ(device.memory.read_cstr(buf), "000000000000000");
+  EXPECT_EQ(map.get_range(buf, 16), kTaintClear);
+}
+
+/// int f(JNIEnv*, jclass, int[] arr, int v):
+///   p = GetIntArrayElements(arr); p[0] = v;
+///   ReleaseIntArrayElements(arr, p, mode); return p.
+GuestAddr emit_store_and_release(Device& device, apps::NativeLibBuilder& lib,
+                                 u32 mode) {
+  auto& a = lib.a();
+  const GuestAddr fn = lib.fn();
+  a.push({R(4), R(5), R(6), R(7), LR});
+  a.mov(R(4), R(0));
+  a.mov(R(5), R(2));
+  a.mov(R(6), R(3));
+  a.mov(R(1), R(5));
+  a.mov_imm(R(2), 0);
+  a.call(device.jni.fn("GetIntArrayElements"));
+  a.str(R(6), R(0), 0);
+  a.mov(R(7), R(0));
+  a.mov(R(2), R(0));
+  a.mov(R(0), R(4));
+  a.mov(R(1), R(5));
+  a.mov_imm(R(3), mode);
+  a.call(device.jni.fn("ReleaseIntArrayElements"));
+  a.mov(R(0), R(7));
+  a.pop({R(4), R(5), R(6), R(7), PC});
+  return fn;
+}
+
+TEST(HeapReuse, ReleasedArrayBufferKeepsNoStaleTaint) {
+  // A tainted array's elements, released with JNI_ABORT; a clean array's
+  // elements then get the same block and must read clean.
+  Device device;
+  NDroid nd(device);
+  auto& dvm = device.dvm;
+  dvm::ClassObject* app = dvm.define_class("Lreuse/Arrays;");
+  apps::NativeLibBuilder lib(device, "libreusearrays.so");
+  const GuestAddr source_fn =
+      emit_store_and_release(device, lib, jni::kJniAbort);
+  auto& a = lib.a();
+  const GuestAddr sink_fn = lib.fn();
+  a.push({R(4), LR});
+  a.mov(R(1), R(2));
+  a.mov_imm(R(2), 0);
+  a.call(device.jni.fn("GetIntArrayElements"));
+  a.pop({R(4), PC});
+  lib.install();
+  Method* source = dvm.define_native(app, "source", "ILI",
+                                     kAccPublic | kAccStatic, source_fn);
+  Method* sink =
+      dvm.define_native(app, "sink", "IL", kAccPublic | kAccStatic, sink_fn);
+  const auto& map = nd.taint_engine().map();
+
+  dvm::Object* secret = dvm.heap().new_array(nullptr, 4, 4, false);
+  dvm.heap().set_object_taint(*secret, kTaintImei);
+  const GuestAddr released =
+      dvm.call(*source,
+               {dvm::Slot{secret->addr(), kTaintClear}, dvm::Slot{5, 0}})
+          .value;
+  EXPECT_EQ(map.get_range(released, 16), kTaintImei);
+
+  dvm::Object* clean = dvm.heap().new_array(nullptr, 4, 4, false);
+  const GuestAddr buf =
+      dvm.call(*sink, {dvm::Slot{clean->addr(), kTaintClear}}).value;
+  EXPECT_EQ(buf, released);
+  EXPECT_EQ(map.get_range(buf, 16), kTaintClear);
+}
+
+TEST(ReleaseArrayElements, CommitCopiesTaintBackAndAbortDoesNot) {
+  // Native code stores a tainted int into the elements and releases them:
+  // JNI_COMMIT copies value and taint back into the array; JNI_ABORT
+  // copies neither.
+  Device device;
+  NDroid nd(device);
+  auto& dvm = device.dvm;
+  dvm::ClassObject* app = dvm.define_class("Lrelease/App;");
+  apps::NativeLibBuilder lib(device, "librelease.so");
+  const GuestAddr commit_fn =
+      emit_store_and_release(device, lib, jni::kJniCommit);
+  const GuestAddr abort_fn =
+      emit_store_and_release(device, lib, jni::kJniAbort);
+  lib.install();
+  Method* commit = dvm.define_native(app, "commit", "ILI",
+                                     kAccPublic | kAccStatic, commit_fn);
+  Method* aborting = dvm.define_native(app, "abort", "ILI",
+                                       kAccPublic | kAccStatic, abort_fn);
+
+  dvm::Object* committed = dvm.heap().new_array(nullptr, 2, 4, false);
+  const GuestAddr kept =
+      dvm.call(*commit, {dvm::Slot{committed->addr(), kTaintClear},
+                         dvm::Slot{77, kTaintImei}})
+          .value;
+  EXPECT_EQ(dvm.heap().array_get(*committed, 0), 77u);
+  EXPECT_EQ(dvm.heap().object_taint(*committed) & kTaintImei, kTaintImei);
+  EXPECT_NE(device.kernel.heap().block_size(kept), 0u);  // still the native's
+
+  dvm::Object* aborted = dvm.heap().new_array(nullptr, 2, 4, false);
+  const GuestAddr freed =
+      dvm.call(*aborting, {dvm::Slot{aborted->addr(), kTaintClear},
+                           dvm::Slot{77, kTaintImei}})
+          .value;
+  EXPECT_EQ(dvm.heap().array_get(*aborted, 0), 0u);
+  EXPECT_EQ(dvm.heap().object_taint(*aborted), kTaintClear);
+  EXPECT_EQ(device.kernel.heap().block_size(freed), 0u);
+}
+
 }  // namespace
 }  // namespace ndroid::core

@@ -155,6 +155,40 @@ TEST_F(LibcFixture, ReallocPreservesPrefix) {
   EXPECT_EQ(mem_.read32(q), 0xFEEDFACEu);
 }
 
+TEST_F(LibcFixture, SmallMallocBlocksSharePages) {
+  // Sixteen blocks of each size from 16 to 64 bytes: one page per size, not
+  // one per block.
+  const u32 before = kernel_.heap().mapped_bytes();
+  for (u32 size = 16; size <= 64; size += 16) {
+    const u32 first = call("malloc", {size});
+    for (u32 i = 1; i < 16; ++i) {
+      const u32 p = call("malloc", {size});
+      EXPECT_EQ(p, first + i * size);
+      EXPECT_EQ(p / os::NativeHeap::kPageSize,
+                first / os::NativeHeap::kPageSize);
+    }
+  }
+  EXPECT_EQ(kernel_.heap().mapped_bytes() - before,
+            4 * os::NativeHeap::kPageSize);
+}
+
+TEST_F(LibcFixture, ReallocKeepsContentsAcrossSizes) {
+  // Grow through larger classes into a page-granular block, then shrink.
+  u32 p = call("malloc", {24});
+  for (u32 i = 0; i < 24; ++i) mem_.write8(p + i, static_cast<u8>(i + 1));
+  for (const u32 size : {40u, 200u, 5000u, 24u}) {
+    const u32 q = call("realloc", {p, size});
+    ASSERT_NE(q, p);
+    for (u32 i = 0; i < 24; ++i) {
+      ASSERT_EQ(mem_.read8(q + i), i + 1) << "size " << size << " byte " << i;
+    }
+    EXPECT_EQ(kernel_.heap().block_size(p), 0u);  // the old block is freed
+    p = q;
+  }
+  const u32 from_null = call("realloc", {0, 8});
+  EXPECT_EQ(kernel_.heap().block_size(from_null), 16u);
+}
+
 TEST_F(LibcFixture, Strdup) {
   put_str(kData, "clone me");
   const u32 p = call("strdup", {kData});

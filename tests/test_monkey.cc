@@ -96,7 +96,35 @@ TEST(Monkey, LongSessionLeaksAtAConstantRate) {
       report.events[9999].leaks_after - report.events[8999].leaks_after;
   EXPECT_GT(first, 900u);
   EXPECT_EQ(last, first);
+  EXPECT_EQ(report.faulted_events, 0u);
   EXPECT_EQ(device.dvm.irt().live_count(), 0u);
+}
+
+TEST(Monkey, CountsEveryFaultedEvent) {
+  // A target that faults on every call (x / 0): every event is counted as
+  // faulted, and each fault unwinds its DVM frame, so the stack ends where
+  // it started and a sound call afterwards still works.
+  Device device;
+  core::NDroid nd(device);
+  dvm::ClassObject* cls = device.dvm.define_class("Lfaulty/App;");
+  dvm::CodeBuilder crash;
+  crash.const_imm(0, 0).binop(dvm::DOp::kDiv, 0, 1, 0).return_value(0);
+  device.dvm.define_method(cls, "crash", "II",
+                           dvm::kAccPublic | dvm::kAccStatic, 2, crash.take());
+  const dvm::DvmStack::Mark start = device.dvm.stack().mark();
+  Monkey monkey(device, /*seed=*/7);
+  monkey.add_target(cls);
+  const MonkeyReport report =
+      monkey.run(20000, [&] { return static_cast<u32>(nd.leaks().size()); });
+
+  EXPECT_EQ(report.faulted_events, 20000u);
+  for (const MonkeyEvent& e : report.events) ASSERT_TRUE(e.threw);
+  EXPECT_EQ(device.dvm.stack().mark().sp, start.sp);
+  dvm::CodeBuilder sound;
+  sound.const_imm(0, 5).return_value(0);
+  dvm::Method* ok = device.dvm.define_method(
+      cls, "sound", "I", dvm::kAccStatic, 1, sound.take());
+  EXPECT_EQ(device.dvm.call(*ok, {}).value, 5u);
 }
 
 }  // namespace

@@ -181,6 +181,83 @@ TEST_F(OsFixture, MmapCarvesDistinctRanges) {
   EXPECT_GE(a2, a1 + 0x1000);
 }
 
+TEST(NativeHeap, SmallBlocksShareAPagePerSizeClass) {
+  NativeHeap heap(0x30000000, 0x100000);
+  const GuestAddr a = heap.alloc(1);
+  const GuestAddr b = heap.alloc(16);
+  const GuestAddr c = heap.alloc(17);  // next class: its own page
+  const GuestAddr d = heap.alloc(32);
+  EXPECT_EQ(b, a + 16);
+  EXPECT_EQ(d, c + 32);
+  EXPECT_EQ(c % NativeHeap::kPageSize, 0u);
+  EXPECT_NE(c / NativeHeap::kPageSize, a / NativeHeap::kPageSize);
+  EXPECT_EQ(heap.block_size(a), 16u);
+  EXPECT_EQ(heap.block_size(c), 32u);
+  EXPECT_EQ(heap.block_size(heap.alloc(0)), 16u);
+  EXPECT_EQ(heap.block_size(heap.alloc(NativeHeap::kMaxSmall)),
+            NativeHeap::kMaxSmall);
+  EXPECT_EQ(heap.block_size(a + 4), 0u);  // interior
+  EXPECT_EQ(heap.block_size(0x1000), 0u);  // foreign
+  // 256 16-byte blocks fill one page.
+  for (u32 i = 0; i < 253; ++i) heap.alloc(16);
+  EXPECT_EQ(heap.alloc(16) % NativeHeap::kPageSize, 0u);
+  EXPECT_EQ(heap.live_blocks(), 260u);
+}
+
+TEST(NativeHeap, FreedBlocksComeBackLastInFirstOut) {
+  NativeHeap heap(0x30000000, 0x100000);
+  const GuestAddr a = heap.alloc(40);
+  const GuestAddr b = heap.alloc(48);
+  heap.free(a);
+  heap.free(b);
+  EXPECT_EQ(heap.block_size(a), 0u);
+  EXPECT_EQ(heap.alloc(33), b);
+  EXPECT_EQ(heap.alloc(48), a);
+  EXPECT_EQ(heap.live_blocks(), 2u);
+}
+
+TEST(NativeHeap, BadFreesAreIgnored) {
+  NativeHeap heap(0x30000000, 0x100000);
+  const GuestAddr a = heap.alloc(64);
+  heap.free(a);
+  heap.free(a);           // double free
+  heap.free(a + 16);      // interior
+  heap.free(0);           // NULL
+  heap.free(0x20000000);  // foreign
+  heap.free(heap.map_pages(100));  // mapped, not a block
+  EXPECT_EQ(heap.live_blocks(), 0u);
+  const GuestAddr b = heap.alloc(64);
+  EXPECT_EQ(b, a);
+  EXPECT_NE(heap.alloc(64), a);  // a went on the free list once
+}
+
+TEST(NativeHeap, LargeBlocksTakeWholePagesAndAreReusedByPageCount) {
+  NativeHeap heap(0x30000000, 0x100000);
+  const GuestAddr a = heap.alloc(NativeHeap::kMaxSmall + 1);
+  const GuestAddr b = heap.alloc(3 * NativeHeap::kPageSize);
+  EXPECT_EQ(a % NativeHeap::kPageSize, 0u);
+  EXPECT_EQ(heap.block_size(a), NativeHeap::kPageSize);
+  EXPECT_EQ(heap.block_size(b), 3 * NativeHeap::kPageSize);
+  EXPECT_EQ(heap.block_size(b + NativeHeap::kPageSize), 0u);
+  EXPECT_EQ(b, a + NativeHeap::kPageSize);
+  heap.free(a);
+  heap.free(b);
+  const u32 mapped = heap.mapped_bytes();
+  EXPECT_EQ(heap.alloc(2 * NativeHeap::kPageSize + 1), b);
+  EXPECT_EQ(heap.alloc(4000), a);
+  EXPECT_EQ(heap.mapped_bytes(), mapped);
+}
+
+TEST(NativeHeap, ExhaustionFaults) {
+  NativeHeap heap(0x30000000, 4 * NativeHeap::kPageSize);
+  EXPECT_THROW(heap.alloc(0xFFFFFFFFu), GuestFault);
+  EXPECT_THROW(heap.alloc(5 * NativeHeap::kPageSize), GuestFault);
+  heap.alloc(16);
+  heap.alloc(4 * NativeHeap::kPageSize - 4096);
+  EXPECT_THROW(heap.alloc(32), GuestFault);
+  EXPECT_NO_THROW(heap.alloc(16));  // its class's page still has room
+}
+
 TEST_F(OsFixture, ViewReconstructorParsesGuestStructs) {
   const u32 pid = kernel_.create_process("com.tencent.qq");
   kernel_.map_region(pid, {"libdvm.so", 0x40000000, 0x40010000, mem::kRX});

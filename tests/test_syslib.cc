@@ -124,6 +124,29 @@ TEST_F(SysLibFixture, StrdupCopiesTaint) {
   EXPECT_EQ(map().get(p), kTaintClear);
 }
 
+TEST_F(SysLibFixture, ReallocMovesOnlyTheOldBlocksTaint) {
+  // Small blocks share pages: the bytes past the old block belong to its
+  // neighbour, whose taint must not follow into the grown block.
+  const u32 p = call("malloc", {16});
+  const u32 neighbour = call("malloc", {16});
+  ASSERT_EQ(neighbour, p + 16);
+  map().set_range(p, 16, kTaintImei);
+  map().set_range(neighbour, 16, kTaintSms);
+  const u32 q = call("realloc", {p, 48});
+  EXPECT_EQ(map().get_range(q, 16), kTaintImei);
+  EXPECT_EQ(map().get_range(q + 16, 32), kTaintClear);
+}
+
+TEST_F(SysLibFixture, StrdupSetsTheTaintOfAReusedBlock) {
+  const u32 stale = call("malloc", {16});
+  map().set_range(stale, 16, kTaintImei);
+  call("free", {stale});
+  device_.memory.write_cstr(kSrc, "clean");
+  const u32 p = call("strdup", {kSrc});
+  ASSERT_EQ(p, stale);
+  EXPECT_EQ(map().get_range(p, 6), kTaintClear);
+}
+
 TEST_F(SysLibFixture, SprintfPropagatesFormatArgTaint) {
   device_.memory.write_cstr(kSrc, "%s!");
   device_.memory.write_cstr(kSrc + 0x100, "x");

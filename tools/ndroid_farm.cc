@@ -141,6 +141,7 @@ void print_report(const farm::FarmReport& report, bool share,
       "  wall            %.1f ms  (%.1f apps/sec)\n"
       "  leaks           %u native, %u framework\n"
       "  tamper alerts   %u\n"
+      "  faulted events  %u\n"
       "  gate skips      %llu\n"
       "  summary cache   %llu hits / %llu misses / %llu rebinds "
       "(hit rate %.1f%%)\n"
@@ -149,7 +150,7 @@ void print_report(const farm::FarmReport& report, bool share,
       report.jobs, report.workers, report.processes,
       share ? "shared" : "per-job", farm::to_string(engine), report.wall_ms,
       report.apps_per_sec, report.native_leaks, report.framework_leaks,
-      report.tamper_alerts,
+      report.tamper_alerts, report.faulted_events,
       static_cast<unsigned long long>(report.summary_gate_skips),
       static_cast<unsigned long long>(report.cache.hits),
       static_cast<unsigned long long>(report.cache.misses),

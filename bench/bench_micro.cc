@@ -4,8 +4,10 @@
 //
 // The BM_Mem* group covers the memory data plane (software TLB, page
 // directory, word-granular shadow range ops); BM_ThreadedDispatch covers the
-// block-dispatch loop. `--smoke` runs both with a short min-time so CI can
-// catch crashes/asserts in benchmark code without perf gating.
+// block-dispatch loop; BM_InterpreterJavaMemRead and BM_GuardedNativeMemWrite
+// cover the clean-taint run phase (the Dalvik frame window and the guard's
+// store hook). `--smoke` runs these with a short min-time so CI can catch
+// crashes/asserts in benchmark code without perf gating.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -208,6 +210,43 @@ void BM_InterpreterJavaMips(benchmark::State& state) {
 }
 BENCHMARK(BM_InterpreterJavaMips);
 
+/// The Dalvik interpreter's aget path: Java Memory Read resolves the same
+/// int[] on every bytecode pair (Heap::object_at's memo) and reads its
+/// registers through the frame window.
+void BM_InterpreterJavaMemRead(benchmark::State& state) {
+  Env env;
+  const auto* w = env.bench.find("Java Memory Read");
+  const u64 before = env.device.dvm.bytecodes_executed();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(env.bench.run(*w, 100));
+  }
+  state.SetItemsProcessed(
+      static_cast<int64_t>(env.device.dvm.bytecodes_executed() - before));
+}
+BENCHMARK(BM_InterpreterJavaMemRead);
+
+/// Native Memory Write with NDroid's TaintGuard on (the farm default):
+/// every third-party store calls the guard on the CPU's store hook while
+/// the block itself stays on the clean threaded stream.
+void BM_GuardedNativeMemWrite(benchmark::State& state) {
+  Env env;
+  core::NDroidConfig cfg;
+  cfg.taint_protection = true;
+  core::NDroid nd(env.device, cfg);
+  const auto* w = env.bench.find("Native Memory Write");
+  const u64 before = env.device.cpu.instructions_retired();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(env.bench.run(*w, 100));
+  }
+  const u64 insns = env.device.cpu.instructions_retired() - before;
+  state.SetItemsProcessed(static_cast<int64_t>(insns));
+  state.counters["ns_per_insn"] = benchmark::Counter(
+      static_cast<double>(insns),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["alerts"] = static_cast<double>(nd.guard()->alerts().size());
+}
+BENCHMARK(BM_GuardedNativeMemWrite);
+
 void BM_ShadowMemorySetGet(benchmark::State& state) {
   mem::ShadowMemory shadow;
   u32 addr = 0;
@@ -367,12 +406,14 @@ BENCHMARK(BM_DalvikAllocation);
 
 }  // namespace
 
-// `--smoke` (CI): run only the data-plane benchmarks, briefly, to fail on
-// crash/assert without gating on performance.
+// `--smoke` (CI): run only the data-plane, dispatch and run-phase
+// benchmarks, briefly, to fail on crash/assert without gating on
+// performance.
 int main(int argc, char** argv) {
   std::vector<char*> args(argv, argv + argc);
   static char filter[] =
-      "--benchmark_filter=BM_Mem|BM_Shadow|BM_GuestMemcpy|BM_Threaded";
+      "--benchmark_filter=BM_Mem|BM_Shadow|BM_GuestMemcpy|BM_Threaded|"
+      "BM_InterpreterJavaMemRead|BM_GuardedNativeMemWrite";
   static char min_time[] = "--benchmark_min_time=0.05";
   for (auto& arg : args) {
     if (std::strcmp(arg, "--smoke") == 0) {

@@ -82,6 +82,11 @@ void Cpu::set_branch_gate(BranchGate gate, const u64* epoch) {
   flush_blocks();  // void any per-block branch memos from a previous gate
 }
 
+void Cpu::set_store_hook(StoreHook hook) {
+  store_hook_ = hook;
+  flush_blocks();
+}
+
 void Cpu::register_helper(GuestAddr addr, Helper helper) {
   addr &= ~1u;
   if (addr < kHelperWindowBase) {
@@ -214,6 +219,7 @@ void Cpu::step() {
   const Insn insn = fetch_decode(pc, state_.thumb);
 
   for (auto& h : insn_hooks_) h.fn(*this, insn, pc);
+  fire_store_hook(insn.taint_class(), insn, pc);
 
   if (insn.op == Op::kSvc &&
       condition_passed(effective_cond(insn, state_), state_)) {
@@ -314,6 +320,7 @@ u64 Cpu::exec_block(TranslationBlock& tb, u64 budget) {
     if (fire) {
       for (auto& h : insn_hooks_) h.fn(*this, ti.insn, ti.pc);
     }
+    fire_store_hook(ti.taint_class, ti.insn, ti.pc);
     if (ti.insn.op == Op::kSvc &&
         condition_passed(effective_cond(ti.insn, state_), state_)) {
       if (!svc_handler_) throw GuestFault("SVC with no kernel attached");

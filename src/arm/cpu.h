@@ -59,6 +59,18 @@ using BlockGate = std::function<bool(Cpu&, TranslationBlock& tb)>;
 /// without leaving the block executor).
 using BranchGate = std::function<bool(Cpu&, GuestAddr from, GuestAddr to)>;
 
+/// Called right before every store-class instruction (STR*, STM/PUSH)
+/// executes, on every engine and whether or not its condition passes, with
+/// the pre-state in `cpu` and the instruction's address in `pc`. A plain
+/// function pointer plus context, so a hooked store costs one indirect call.
+/// The hook may read anything but must not write guest memory, the CPU
+/// state or the Cpu's hook set.
+struct StoreHook {
+  using Fn = void (*)(void* ctx, Cpu& cpu, const Insn& insn, GuestAddr pc);
+  Fn fn = nullptr;
+  void* ctx = nullptr;
+};
+
 /// CPU execution tier (see the header comment). kThreaded is the default.
 enum class Engine { kInterp, kThreaded };
 
@@ -111,6 +123,11 @@ class Cpu {
   /// hook interest may have changed). Flushes cached blocks so stale branch
   /// memos cannot leak across clients.
   void set_branch_gate(BranchGate gate, const u64* epoch = nullptr);
+
+  /// Installs the store hook (see StoreHook); a hook with fn == nullptr
+  /// clears it. Flushes cached blocks, whose streams bake in whether stores
+  /// call the hook, so blocks translated before the change see it too.
+  void set_store_hook(StoreHook hook);
 
   /// Registers a C++ helper behind guest address `addr`. When the PC lands
   /// there the helper runs with AAPCS argument registers live, then control
@@ -201,6 +218,12 @@ class Cpu {
   friend struct ThreadedRun;
 
   void fire_branch_hooks(GuestAddr from, GuestAddr to);
+  /// Runs the store hook when one is installed and `tc` is store-class.
+  void fire_store_hook(TaintClass tc, const Insn& insn, GuestAddr pc) {
+    if (store_hook_.fn != nullptr && is_store_class(tc)) {
+      store_hook_.fn(store_hook_.ctx, *this, insn, pc);
+    }
+  }
   /// The block-dispatch loop of the threaded tier: front cache,
   /// translate-on-miss, then ThreadedRun::exec per block.
   bool run_blocks(u64 max_steps);
@@ -269,6 +292,7 @@ class Cpu {
   const u64* block_gate_epoch_ = nullptr;
   BranchGate branch_gate_;
   const u64* branch_gate_epoch_ = nullptr;
+  StoreHook store_hook_;
   /// Window helpers, dense: slot i is kHelperWindowBase + 4·i, and an empty
   /// Helper is an unregistered slot.
   std::vector<Helper> window_helpers_;

@@ -109,6 +109,11 @@ enum class TaintClass : u8 {
   kStm,        // STM / PUSH
 };
 
+/// STR* and STM/PUSH: the instructions Cpu::set_store_hook observes.
+[[nodiscard]] inline bool is_store_class(TaintClass c) {
+  return c == TaintClass::kStore || c == TaintClass::kStm;
+}
+
 struct Insn {
   Op op = Op::kUndefined;
   Cond cond = Cond::kAL;

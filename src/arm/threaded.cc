@@ -355,6 +355,18 @@ u64 ThreadedRun::exec_impl(Cpu* cpu_p, ThreadedBlock* entry, u64 budget,
     NEXT;
   }
 
+  L_store_hook: {
+    // Cpu::set_store_hook for the store-class instruction the next micro-op
+    // executes: the hook sees the pre-state, and this op retires nothing.
+    const auto* ti = static_cast<const TbInsn*>(op->p);
+    if (cpu.store_hook_.fn != nullptr) {
+      s.set_pc(ti->pc);
+      cpu.store_hook_.fn(cpu.store_hook_.ctx, cpu, ti->insn, ti->pc);
+    }
+    ++op;
+    goto* op->label;
+  }
+
   L_exec: {
     // General-path instruction (shifted operands, conditional execution,
     // LDM/STM, IT blocks, ...): materialise the PC it expects and defer to
@@ -658,6 +670,7 @@ u64 ThreadedRun::exec_traced_impl(Cpu& cpu, ThreadedBlock& blk, u64 budget) {
     } else if (st.op.fn != nullptr) {
       st.op.fn(st.op.ctx, cpu, ti.insn, ti.pc);
     }
+    cpu.fire_store_hook(ti.taint_class, ti.insn, ti.pc);
     if (ti.insn.op == Op::kSvc &&
         condition_passed(effective_cond(ti.insn, s), s)) {
       if (!cpu.svc_handler_) throw GuestFault("SVC with no kernel attached");
@@ -1076,7 +1089,7 @@ std::optional<Uop> make_fused_pair(const TbInsn& a_ti, const TbInsn& b_ti,
 
 }  // namespace
 
-void ThreadedRun::emit(Cpu&, TranslationBlock& tb) {
+void ThreadedRun::emit(Cpu& cpu, TranslationBlock& tb) {
   // Computed-goto label table indexed by UK.
   static void* const* const L = [] {
     void* const* t = nullptr;
@@ -1088,6 +1101,9 @@ void ThreadedRun::emit(Cpu&, TranslationBlock& tb) {
   const std::size_t n = tb.insns.size();
   blk->n_insns = static_cast<u32>(n);
   blk->ops.reserve(n + 2);
+  // Cpu::set_store_hook flushes every block, so whether stores call the
+  // hook is fixed for a stream's lifetime.
+  const bool hook_stores = cpu.store_hook_.fn != nullptr;
 
   Uop enter;
   enter.label = L[static_cast<u32>(UK::k_enter)];
@@ -1105,6 +1121,15 @@ void ThreadedRun::emit(Cpu&, TranslationBlock& tb) {
     } else if (it_left > 0) {
       --it_left;
       in_it = true;
+    }
+    // A hooked store gets a hook micro-op in front of it. Neither fusion
+    // below starts with (or pairs in) a store, so the store itself always
+    // follows as its own micro-op.
+    if (hook_stores && is_store_class(ti.taint_class)) {
+      Uop hook;
+      hook.label = L[static_cast<u32>(UK::k_store_hook)];
+      hook.p = &ti;
+      blk->ops.push_back(hook);
     }
     if (i + 2 == n && !in_it && ends_block(tb.insns[n - 1].insn)) {
       if (std::optional<Uop> fused =

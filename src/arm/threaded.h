@@ -21,6 +21,12 @@
 // Selection happens per execution at block entry via the epoch-memoised
 // gate, so taint liveness flipping never forces re-emission.
 //
+// Store hook: while Cpu::set_store_hook has a hook installed, every
+// store-class instruction is preceded by a store_hook micro-op that calls
+// it, in the clean stream as in the traced one, and the store itself keeps
+// its dense micro-op and dead-block check. A store check therefore never
+// forces a block off the clean stream.
+//
 // Direct block linking: each block carries two monomorphic exit slots
 // (taken / fall-through). When a terminal micro-op resolves its successor it
 // patches the slot with a raw pointer to the successor's stream and later
@@ -66,7 +72,7 @@ class Cpu;
   X(strb_off) X(strb_pre) X(strb_post)                                     \
   X(strh_off) X(strh_pre) X(strh_post)                                     \
   X(movw_movt) X(ldr_addi) X(stm) X(ldm)                                   \
-  X(exec) X(exec_dead)                                                     \
+  X(exec) X(exec_dead) X(store_hook)                                       \
   X(cmp0_b) X(cmp_i_b) X(cmp_r_b) X(subs_i_b)                              \
   X(b_al) X(bl_al) X(b_cond) X(bx_term) X(svc_term) X(exec_term) X(end)
 

@@ -359,11 +359,9 @@ void DvmHookEngine::hook_jni_entry(arm::Cpu& cpu) {
   call.arg_count = n;
   call.method_address = info.insns & ~1u;
   call.return_type = info.shorty.empty() ? 'V' : info.shorty[0];
-
-  // A guest fault inside a native method unwinds past the bridge without
-  // the usual return events; cap the stack so stale entries from faulted
-  // calls cannot accumulate without bound.
-  if (jni_stack_.size() > 64) jni_stack_.clear();
+  call.exits_mark = exits_.size();
+  call.nofs_mark = nof_stack_.size();
+  call.chain_mark = chain_.size();
 
   if (any_taint && transparent_methods_.contains(call.method_address)) {
     // Pre-analysis proved this method taint-transparent: its instructions
@@ -414,6 +412,22 @@ void DvmHookEngine::hook_jni_entry(arm::Cpu& cpu) {
     ++source_policies_created;
   }
   jni_stack_.push_back(call);
+}
+
+void DvmHookEngine::drop_calls_below(GuestAddr sp) {
+  auto truncate = [](auto& v, std::size_t mark) {
+    if (v.size() > mark) v.erase(v.begin() + static_cast<std::ptrdiff_t>(mark),
+                                 v.end());
+  };
+  while (!jni_stack_.empty() &&
+         jni_stack_.back().args_area >= android::Layout::kDalvikStack &&
+         jni_stack_.back().args_area < sp) {
+    const JniCall& dead = jni_stack_.back();
+    truncate(exits_, dead.exits_mark);
+    truncate(nof_stack_, dead.nofs_mark);
+    truncate(chain_, dead.chain_mark);
+    jni_stack_.pop_back();
+  }
 }
 
 void DvmHookEngine::hook_native_return_events(arm::Cpu& cpu, GuestAddr to) {

@@ -64,6 +64,17 @@ class DvmHookEngine {
 
   SourcePolicyMap& policies() { return policies_; }
 
+  /// Drops the records of native calls whose DVM-stack outs area lies below
+  /// `sp`, with every pending exit action, object creation and T1..T6
+  /// chain those calls started: Dvm::call unwound to `sp` (its unwind
+  /// observer), so the calls are gone, and a GuestFault skipped the events
+  /// that would have retired that state.
+  void drop_calls_below(GuestAddr sp);
+  /// Native calls entered through dvmCallJNIMethod and not yet returned.
+  [[nodiscard]] std::size_t jni_calls_in_flight() const {
+    return jni_stack_.size();
+  }
+
   /// A Table III NOF entry point and the MAF it allocates through.
   struct Nof {
     GuestAddr addr;
@@ -125,6 +136,11 @@ class DvmHookEngine {
     char return_type = 'V';
     Taint native_ret_taint = kTaintClear;
     int phase = 0;  // 0: bridge entered, 1: native running, 2: native done
+    /// Sizes of exits_, nof_stack_ and chain_ when the call entered: what
+    /// lies above them belongs to this call or to calls it made.
+    std::size_t exits_mark = 0;
+    std::size_t nofs_mark = 0;
+    std::size_t chain_mark = 0;
   };
 
   struct ActiveNof {

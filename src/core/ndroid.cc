@@ -38,8 +38,6 @@ bool NDroid::block_in_scope(arm::TranslationBlock& tb) {
 }
 
 bool NDroid::block_gate(arm::TranslationBlock& tb) {
-  // The guard's store checks fire regardless of taint liveness.
-  if (guard_ != nullptr && tb.has_stores) return true;
   // SVC sink checks read only the memory taint map; with no tainted bytes
   // the check is a guaranteed no-op.
   const bool mem_taint = engine_.map().tainted_bytes() != 0;
@@ -125,10 +123,17 @@ NDroid::NDroid(android::Device& device, NDroidConfig config)
   dvm_hooks_ = std::make_unique<DvmHookEngine>(
       device_, engine_, log_, third_party, config_.multilevel_hooking);
   if (config_.taint_protection) {
-    guard_ = std::make_unique<TaintGuard>(device_, third_party);
+    // The guard checks every store on the CPU's store hook, independently
+    // of taint liveness: blocks with stores stay on the clean stream.
+    guard_ = std::make_unique<TaintGuard>(
+        device_, android::Layout::kAppLibBase, android::Layout::kHeapBase);
+    device_.cpu.set_store_hook(guard_->store_hook());
   }
   device_.dvm.irt().set_release_observer(
       [this](dvm::IndirectRef iref) { engine_.drop_object_shadow(iref); });
+  // Native calls a GuestFault unwound never reach their bridge-exit events.
+  device_.dvm.set_unwind_observer(
+      [this](GuestAddr sp) { dvm_hooks_->drop_calls_below(sp); });
 
   // Each engine's wants_branch() is a guaranteed-no-op prefilter, so hot
   // loop back-edges (the overwhelming majority of branch events) skip the
@@ -167,7 +172,6 @@ NDroid::NDroid(android::Device& device, NDroidConfig config)
       [this](arm::Cpu& cpu, const arm::Insn& insn, GuestAddr pc) {
         if (config_.instruction_tracer) tracer_->on_insn(cpu, insn, pc);
         if (config_.sink_checks) syslib_->on_insn(cpu, insn, pc);
-        if (guard_) guard_->on_insn(cpu, insn, pc);
       },
       /*gated=*/true);
   if (config_.taint_liveness_fastpath) {
@@ -181,19 +185,13 @@ NDroid::NDroid(android::Device& device, NDroidConfig config)
   }
   // Trace emitter for the threaded tier: pre-resolves the insn hook body
   // above into per-instruction fused thunks. The fallbacks mirror that body
-  // exactly — any instruction a non-tracer engine could act on (syslib's
-  // SVC sinks, the guard's store checks) keeps generic hook dispatch; for
-  // the rest, the hook reduces to the tracer alone, which prepare()
-  // resolves to a thunk or a provable no-op.
+  // exactly — an instruction syslib's SVC sinks could act on keeps generic
+  // hook dispatch; for the rest, the hook reduces to the tracer alone,
+  // which prepare() resolves to a thunk or a provable no-op.
   device_.cpu.set_trace_emitter(
       [this](const arm::TranslationBlock&,
              const arm::TbInsn& ti) -> std::optional<arm::TraceOp> {
         if (config_.sink_checks && ti.insn.op == arm::Op::kSvc) {
-          return std::nullopt;
-        }
-        if (guard_ != nullptr &&
-            (ti.taint_class == arm::TaintClass::kStore ||
-             ti.taint_class == arm::TaintClass::kStm)) {
           return std::nullopt;
         }
         if (!config_.instruction_tracer) return arm::TraceOp{};
@@ -298,6 +296,8 @@ const SummaryGate* NDroid::attach_static_analysis() {
 
 NDroid::~NDroid() {
   device_.dvm.irt().set_release_observer(nullptr);
+  device_.dvm.set_unwind_observer({});
+  if (guard_ != nullptr) device_.cpu.set_store_hook({});
   device_.cpu.set_trace_emitter(nullptr);
   device_.cpu.remove_branch_hook(branch_hook_id_);
   device_.cpu.remove_insn_hook(insn_hook_id_);

@@ -4,9 +4,9 @@
 
 namespace ndroid::core {
 
-TaintGuard::TaintGuard(android::Device& device,
-                       std::function<bool(GuestAddr)> third_party)
-    : device_(device), third_party_(std::move(third_party)) {
+TaintGuard::TaintGuard(android::Device& device, GuestAddr code_start,
+                       GuestAddr code_end)
+    : device_(device), code_start_(code_start), code_end_(code_end) {
   using android::Layout;
   protected_.push_back({Layout::kDalvikStack,
                         Layout::kDalvikStack + Layout::kDalvikStackSize,
@@ -28,25 +28,17 @@ void TaintGuard::check(arm::Cpu& cpu, GuestAddr pc, GuestAddr target) {
   }
 }
 
-void TaintGuard::on_insn(arm::Cpu& cpu, const arm::Insn& insn, GuestAddr pc) {
-  if (!third_party_(pc)) return;
-  if (!arm::condition_passed(arm::effective_cond(insn, cpu.state()),
-                             cpu.state())) {
-    return;
-  }
-  switch (insn.taint_class()) {
-    case arm::TaintClass::kStore:
-      check(cpu, pc, arm::mem_effective_address(insn, cpu.state(), pc));
-      break;
-    case arm::TaintClass::kStm: {
-      const arm::BlockTransfer bt = arm::block_transfer(insn, cpu.state());
-      for (u32 i = 0; i < bt.count; ++i) {
-        check(cpu, pc, bt.start + 4 * i);
-      }
-      break;
-    }
-    default:
-      break;
+void TaintGuard::on_store(arm::Cpu& cpu, const arm::Insn& insn,
+                          GuestAddr pc) {
+  if (pc < code_start_ || pc >= code_end_) return;
+  const arm::CPUState& state = cpu.state();
+  const arm::Cond cond = arm::effective_cond(insn, state);
+  if (cond != arm::Cond::kAL && !arm::condition_passed(cond, state)) return;
+  if (insn.op == arm::Op::kStm) {
+    const arm::BlockTransfer bt = arm::block_transfer(insn, state);
+    for (u32 i = 0; i < bt.count; ++i) check(cpu, pc, bt.start + 4 * i);
+  } else {
+    check(cpu, pc, arm::mem_effective_address(insn, state, pc));
   }
 }
 

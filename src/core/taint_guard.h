@@ -8,15 +8,15 @@
 // modification, because it monitors the memory, hooks major file and memory
 // functions, and inspects every native instruction."
 //
-// The guard watches every store executed by third-party native code and
-// flags writes into protected guest regions:
+// The guard watches every store executed by third-party native code (as
+// the CPU's store hook, so checking costs no traced block) and flags writes
+// into protected guest regions:
 //   * the DVM stack (where TaintDroid keeps the interleaved taint tags —
 //     overwriting a tag slot silently launders a taint);
 //   * libdvm.so (trusted-function modification);
 //   * the kernel structure area (VMI tampering).
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -34,13 +34,24 @@ struct TamperAlert {
 
 class TaintGuard {
  public:
-  /// `third_party` classifies code addresses as app native code; stores
-  /// from system code (libdvm itself, libc) are legitimate.
-  TaintGuard(android::Device& device,
-             std::function<bool(GuestAddr)> third_party);
+  /// Checks stores executed from [code_start, code_end), the app's native
+  /// libraries; stores from system code (libdvm itself, libc) are
+  /// legitimate.
+  TaintGuard(android::Device& device, GuestAddr code_start,
+             GuestAddr code_end);
 
-  /// Instruction-event dispatch: call before each instruction executes.
-  void on_insn(arm::Cpu& cpu, const arm::Insn& insn, GuestAddr pc);
+  /// Checks one store-class instruction about to execute (a conditional
+  /// one only when its condition passes).
+  void on_store(arm::Cpu& cpu, const arm::Insn& insn, GuestAddr pc);
+
+  /// on_store as a Cpu store hook (NDroid installs it).
+  [[nodiscard]] arm::StoreHook store_hook() {
+    return {[](void* self, arm::Cpu& cpu, const arm::Insn& insn,
+               GuestAddr pc) {
+              static_cast<TaintGuard*>(self)->on_store(cpu, insn, pc);
+            },
+            this};
+  }
 
   [[nodiscard]] const std::vector<TamperAlert>& alerts() const {
     return alerts_;
@@ -57,7 +68,8 @@ class TaintGuard {
   void check(arm::Cpu& cpu, GuestAddr pc, GuestAddr target);
 
   android::Device& device_;
-  std::function<bool(GuestAddr)> third_party_;
+  GuestAddr code_start_;
+  GuestAddr code_end_;
   std::vector<Protected> protected_;
   std::vector<TamperAlert> alerts_;
 };

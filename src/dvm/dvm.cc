@@ -402,6 +402,7 @@ Slot Dvm::call(const Method& method, std::vector<Slot> args) {
       dvm.pending_calls_.erase(
           dvm.pending_calls_.begin() + static_cast<std::ptrdiff_t>(pending),
           dvm.pending_calls_.end());
+      if (dvm.unwind_observer_) dvm.unwind_observer_(mark.sp);
     }
   } const unwind{*this, stack_.mark(), pending_calls_.size()};
   if (method.is_builtin()) {
@@ -414,6 +415,7 @@ Slot Dvm::call(const Method& method, std::vector<Slot> args) {
     retval_ = invoke_native(method, args);
     return retval_;
   }
+  verify(method);
   const GuestAddr fp = stack_.push_frame(method);
   const u16 first_in = method.registers_size - method.ins_size;
   for (u32 i = 0; i < args.size(); ++i) {
@@ -529,6 +531,7 @@ void Dvm::helper_call_method_prepare(arm::Cpu& cpu, char kind) {
     throw GuestFault("dvmCallMethod* on a native method is unsupported");
   }
 
+  verify(*method);
   const GuestAddr fp = stack_.push_frame(*method);
   const u16 first_in = method->registers_size - method->ins_size;
   u16 reg = first_in;

@@ -218,6 +218,13 @@ class Dvm {
   }
   [[nodiscard]] u64 bytecodes_executed() const { return bytecodes_executed_; }
 
+  /// Called whenever Dvm::call returns or a GuestFault unwinds it, with the
+  /// DVM stack pointer it restored: every frame and native outs area below
+  /// that address is gone. One observer; pass {} to clear.
+  void set_unwind_observer(std::function<void(GuestAddr sp)> fn) {
+    unwind_observer_ = std::move(fn);
+  }
+
   /// Runs the semi-space copying GC (every object moves; IRT handles stay
   /// valid, stale direct pointers do not).
   u32 run_gc() { return heap_.gc(); }
@@ -234,6 +241,17 @@ class Dvm {
 
   /// Interprets `method` whose frame is already set up at `fp`.
   void interpret(const Method& method, GuestAddr fp);
+  /// The bytecode loop, with TaintDroid's propagation compiled in or out.
+  template <bool kTaint>
+  void run_method(const Method& method, GuestAddr fp);
+  /// Dalvik's verifier, once per method before it first runs (or gets a
+  /// frame): every register operand below registers_size and ins_size no
+  /// larger than registers_size, so the interpreter never indexes outside
+  /// its frame. Throws GuestFault naming the method.
+  static void verify(const Method& method) {
+    if (!method.verified) [[unlikely]] verify_slow(method);
+  }
+  static void verify_slow(const Method& method);
 
   /// Java -> native through the guest bridge stub.
   Slot invoke_native(const Method& method, const std::vector<Slot>& args);
@@ -274,6 +292,7 @@ class Dvm {
   std::vector<PendingJavaCall> pending_calls_;
 
   std::function<void(const Method&, const DInsn&)> insn_observer_;
+  std::function<void(GuestAddr)> unwind_observer_;
   u64 bytecodes_executed_ = 0;
 };
 

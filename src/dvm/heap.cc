@@ -127,9 +127,12 @@ Object* Heap::new_instance(ClassObject* cls) {
   return &obj;
 }
 
-Object* Heap::object_at(GuestAddr addr) const {
+Object* Heap::object_at_slow(GuestAddr addr) const {
   auto it = by_addr_.find(addr);
-  return it == by_addr_.end() ? nullptr : it->second;
+  if (it == by_addr_.end()) return nullptr;
+  memo_addr_ = addr;
+  memo_obj_ = it->second;
+  return it->second;
 }
 
 Taint Heap::object_taint(const Object& obj) const {
@@ -182,6 +185,7 @@ u32 Heap::gc() {
   // keep all allocations reachable; the interesting effect is relocation)
   // and is copied into the other half, so every direct pointer changes.
   std::unordered_map<GuestAddr, GuestAddr> moved;
+  memo_obj_ = nullptr;
 
   active_half_ = !active_half_;
   GuestAddr new_bump = space_base();

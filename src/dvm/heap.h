@@ -38,8 +38,13 @@ class Heap {
                     bool refs);
   Object* new_instance(ClassObject* cls);
 
-  /// Object whose payload currently starts at `addr`, or nullptr.
-  [[nodiscard]] Object* object_at(GuestAddr addr) const;
+  /// Object whose payload currently starts at `addr`, or nullptr. The last
+  /// hit is memoised (the interpreter resolves the same array on every
+  /// aget/aput); gc() clears the memo.
+  [[nodiscard]] Object* object_at(GuestAddr addr) const {
+    if (memo_obj_ != nullptr && memo_addr_ == addr) return memo_obj_;
+    return object_at_slow(addr);
+  }
 
   /// Rewrites an object's guest payload from its host-side state.
   void sync_payload(Object& obj);
@@ -85,6 +90,7 @@ class Heap {
   }
 
  private:
+  [[nodiscard]] Object* object_at_slow(GuestAddr addr) const;
   GuestAddr alloc_payload(u32 size);
   void write_payload(Object& obj);
   [[nodiscard]] GuestAddr space_base() const {
@@ -99,6 +105,8 @@ class Heap {
 
   std::deque<Object> objects_;  // stable host addresses
   std::unordered_map<GuestAddr, Object*> by_addr_;
+  mutable GuestAddr memo_addr_ = 0;
+  mutable Object* memo_obj_ = nullptr;
   std::vector<std::function<void(const Object&, GuestAddr, GuestAddr)>>
       move_observers_;
 };

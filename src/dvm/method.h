@@ -36,6 +36,9 @@ struct Method {
   std::vector<DInsn> code;
   u16 registers_size = 0;
   u16 ins_size = 0;
+  /// Set by the Dvm's verifier before the first interpretation; the code
+  /// and register geometry must not change after that.
+  mutable bool verified = false;
 
   /// Native methods: guest entry point (bit 0 selects Thumb).
   GuestAddr native_addr = 0;

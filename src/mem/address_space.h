@@ -182,6 +182,26 @@ class AddressSpace {
     return nullptr;
   }
 
+  /// Host pointer to [addr, addr + len) when the whole range lies inside
+  /// one resident page that is not write-watched; nullptr otherwise. Reads
+  /// and writes through it touch the guest bytes themselves (there is no
+  /// second copy), but writes bypass the write watch, which is why watched
+  /// pages never qualify. Pages are never released, so the pointer stays
+  /// valid; a page armed later would be written unwatched through it,
+  /// though, so take it again after running anything that may translate
+  /// code.
+  [[nodiscard]] u8* host_window(GuestAddr addr, u32 len) {
+    const u32 offset = addr & kPageMask;
+    if (len > kPageSize - offset) return nullptr;
+    const u32 page_no = addr >> kPageShift;
+    Leaf* leaf = root_[page_no >> kLeafBits].get();
+    if (leaf == nullptr) return nullptr;
+    const u32 slot = page_no & (kLeafSlots - 1);
+    Page* p = leaf->pages[slot].get();
+    if (p == nullptr || leaf->watched[slot] != 0) return nullptr;
+    return p->data() + offset;
+  }
+
   void tlb_flush_write() {
     write_tlb_.fill(TlbEntry{});
   }

@@ -475,6 +475,157 @@ TEST_F(DvmFixture, BytecodeCounterAndObserver) {
   EXPECT_EQ(observed, 4u);
 }
 
+// --- Frame window -----------------------------------------------------------
+// The interpreter reaches an in-page, unwatched frame through a host
+// pointer and every other frame through the DvmStack accessors. Both paths
+// must give the same value and taint; the window probe below runs moves,
+// arithmetic, arrays, fields of the result, an interpreted invoke and a
+// builtin, and records each activation's frame pointer.
+
+class FrameWindowFixture : public DvmFixture {
+ protected:
+  static constexpr u16 kProbeRegs = 8;
+  static constexpr GuestAddr kStackTop = 0x38000000 + 0x40000;
+
+  FrameWindowFixture() {
+    ClassObject* cls = dvm_.define_class("LWindow;");
+    Method* record_fp = dvm_.define_builtin(
+        cls, "recordFp", "V", kAccPublic | kAccStatic,
+        [this](Dvm& dvm, std::vector<Slot>&) {
+          fps_.push_back(dvm.stack().current_fp());
+          return Slot{};
+        });
+    // int twice(int x) { return x + x; }
+    CodeBuilder callee;
+    callee.add(0, 1, 1).return_value(0);
+    Method* twice = dvm_.define_method(cls, "twice", "II",
+                                       kAccPublic | kAccStatic, 2,
+                                       callee.take());
+    // int probe(int x): a[i] = x + i for i < 4, then the sum of twice(a[i]).
+    // v0 arr, v1 i, v2 len, v3 acc, v4 tmp, v5 tmp, v6 unused, v7 = x.
+    CodeBuilder cb;
+    cb.invoke(record_fp, {});
+    cb.const_imm(2, 4).new_array(0, 2, 4, false).const_imm(1, 0);
+    const i32 fill = cb.here();
+    cb.if_op(DOp::kIfGe, 1, 2, fill + 5);
+    cb.add(4, 7, 1).aput(4, 0, 1).add_imm(1, 1, 1).goto_(fill);
+    cb.const_imm(1, 0).const_imm(3, 0);
+    const i32 sum = cb.here();
+    cb.if_op(DOp::kIfGe, 1, 2, sum + 8);
+    cb.aget(4, 0, 1).invoke(twice, {4}).move_result(5).add(3, 3, 5);
+    cb.move(6, 3).add_imm(1, 1, 1).goto_(sum);
+    cb.return_value(6);
+    probe_ = dvm_.define_method(cls, "probe", "II", kAccPublic | kAccStatic,
+                                kProbeRegs, cb.take());
+  }
+
+  /// The probe's result with its frame in one unwatched page.
+  Slot in_page_result() {
+    fps_.clear();
+    const Slot r = dvm_.call(*probe_, {Slot{5, kTaintImei}});
+    EXPECT_EQ(fps_.size(), 1u);
+    EXPECT_NE(mem_.host_window(fps_.at(0), 8u * kProbeRegs), nullptr);
+    return r;
+  }
+
+  Method* probe_ = nullptr;
+  std::vector<GuestAddr> fps_;
+};
+
+TEST_F(FrameWindowFixture, FrameStraddlingAPageMatchesTheInPageFrame) {
+  const Slot expected = in_page_result();
+  // (5 + 6 + 7 + 8) * 2, tainted through the array's object taint.
+  EXPECT_EQ(expected.value, 52u);
+  EXPECT_EQ(expected.taint, kTaintImei);
+
+  // Move the stack pointer so the probe's frame [fp, fp + 64) crosses the
+  // page boundary 4 KiB below the top: an outs area of 508 args takes
+  // 8 * 508 + 4 = 4068 bytes, and fp = top - 4068 - 64.
+  const u32 pad_args = 508;
+  dvm_.stack().push_outs(pad_args);
+  fps_.clear();
+  const Slot r = dvm_.call(*probe_, {Slot{5, kTaintImei}});
+  dvm_.stack().pop_outs(pad_args);
+  ASSERT_EQ(fps_.size(), 1u);
+  const GuestAddr fp = fps_[0];
+  ASSERT_NE(fp >> 12, (fp + 8u * kProbeRegs - 1) >> 12) << std::hex << fp;
+  EXPECT_EQ(mem_.host_window(fp, 8u * kProbeRegs), nullptr);
+  EXPECT_EQ(r.value, expected.value);
+  EXPECT_EQ(r.taint, expected.taint);
+}
+
+TEST_F(FrameWindowFixture, FrameOnAWatchedPageFiresTheWatch) {
+  const Slot expected = in_page_result();
+  const GuestAddr fp = fps_.at(0);
+  const GuestAddr frame_end = fp + 8u * kProbeRegs;
+  u32 frame_writes = 0;
+  mem_.set_write_watch([&](GuestAddr addr, u32 len) {
+    if (addr < frame_end && addr + len > fp) ++frame_writes;
+  });
+  mem_.set_page_watched(fp >> 12, true);
+  EXPECT_EQ(mem_.host_window(fp, 8u * kProbeRegs), nullptr);
+
+  fps_.clear();
+  const Slot r = dvm_.call(*probe_, {Slot{5, kTaintImei}});
+  mem_.set_page_watched(fp >> 12, false);
+  ASSERT_EQ(fps_.size(), 1u);
+  EXPECT_EQ(fps_[0], fp);  // the same frame, now watched
+  EXPECT_EQ(r.value, expected.value);
+  EXPECT_EQ(r.taint, expected.taint);
+  // push_frame clears the registers, then the interpreter writes them:
+  // every one of those stores went through the watch.
+  EXPECT_GT(frame_writes, 2u * kProbeRegs);
+}
+
+TEST_F(DvmFixture, VerifierRejectsAnOutOfRangeRegister) {
+  ClassObject* cls = dvm_.define_class("LBad;");
+  CodeBuilder cb;
+  cb.add(0, 2, 9).return_value(0);  // v9 in a 4-register frame
+  Method* m = dvm_.define_method(cls, "reach", "III",
+                                 kAccPublic | kAccStatic, 4, cb.take());
+  const DvmStack::Mark start = dvm_.stack().mark();
+  try {
+    dvm_.call(*m, {Slot{1, 0}, Slot{2, 0}});
+    ADD_FAILURE() << "v9 of a 4-register frame did not fault";
+  } catch (const GuestFault& e) {
+    EXPECT_NE(std::string(e.what()).find("LBad;.reach"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("v9"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(dvm_.stack().mark().sp, start.sp);
+  // An invoke's argument registers are operands too.
+  CodeBuilder caller;
+  caller.invoke(m, {0, 7}).return_void();
+  Method* c = dvm_.define_method(cls, "pass", "V", kAccPublic | kAccStatic,
+                                 2, caller.take());
+  EXPECT_THROW(dvm_.call(*c, {}), GuestFault);
+}
+
+TEST_F(DvmFixture, VerifierRejectsInsSizeAboveRegistersSize) {
+  ClassObject* cls = dvm_.define_class("LShort;");
+  CodeBuilder cb;
+  cb.return_void();
+  // Two int arguments need ins_size 2; the frame has one register.
+  Method* m = dvm_.define_method(cls, "cramped", "VII",
+                                 kAccPublic | kAccStatic, 1, cb.take());
+  ASSERT_EQ(m->ins_size, 2u);
+  try {
+    dvm_.call(*m, {Slot{1, 0}, Slot{2, 0}});
+    ADD_FAILURE() << "ins_size 2 > registers_size 1 did not fault";
+  } catch (const GuestFault& e) {
+    EXPECT_NE(std::string(e.what()).find("LShort;.cramped"),
+              std::string::npos)
+        << e.what();
+  }
+  // Reached from an interpreted invoke, it faults the same way.
+  CodeBuilder caller;
+  caller.const_imm(0, 1).invoke(m, {0, 0}).return_void();
+  Method* c = dvm_.define_method(cls, "call", "V", kAccPublic | kAccStatic,
+                                 1, caller.take());
+  EXPECT_THROW(dvm_.call(*c, {}), GuestFault);
+}
+
 TEST_F(DvmFixture, StringObjectGuestLayout) {
   Object* s = dvm_.new_string("hello");
   dvm_.heap().set_object_taint(*s, 0x202);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/leak_cases.h"
+#include "apps/native_lib_builder.h"
 #include "apps/real_apps.h"
 #include "core/ndroid.h"
 
@@ -173,6 +174,76 @@ TEST(Engines, SourcePolicyLifecycle) {
   EXPECT_TRUE(nd.log().contains("TrustCallHandler[fopen]"));
   EXPECT_TRUE(nd.log().contains("Open '/sdcard/CONTACTS'"));
   EXPECT_TRUE(nd.log().contains("write: Vincent"));
+}
+
+TEST(Engines, FaultedNativeCallsLeaveNoJniCallRecord) {
+  // A GuestFault inside a native method skips its bridge-exit events and
+  // the exits of the JNI functions it was in; the Dvm::call unwind drops
+  // the call's record and that state, so the exit phase machine never runs
+  // on a dead call and nothing grows.
+  Device device;
+  NDroid nd(device);
+  // TaintDroid's argument-union return policy off: the return taint below
+  // can only come from NDroid's bridge-exit repair.
+  device.dvm.policy().jni_ret_union = false;
+  apps::NativeLibBuilder lib(device, "libfaulty.so");
+  auto& a = lib.a();
+  using arm::R;
+  // int nullField(env, cls): GetIntField(env, NULL, NULL) faults.
+  const GuestAddr null_field = lib.fn();
+  a.push({R(4), arm::LR});
+  a.mov_imm(R(1), 0);
+  a.mov_imm(R(2), 0);
+  a.call(device.jni.fn("GetIntField"));
+  a.pop({R(4), arm::PC});
+  // int badRef(env, cls, fid): GetIntField(env, <bogus reference>, fid)
+  // faults after NDroid's accessor hook queued its exit action.
+  const GuestAddr bad_ref = lib.fn();
+  a.push({R(4), arm::LR});
+  a.mov_imm32(R(1), 0x12345);
+  a.call(device.jni.fn("GetIntField"));
+  a.pop({R(4), arm::PC});
+  // int echo(env, cls, x): return x.
+  const GuestAddr echo = lib.fn();
+  a.mov(R(0), R(2));
+  a.ret();
+  lib.install();
+  dvm::ClassObject* cls = device.dvm.define_class("Lfaulty;");
+  constexpr u32 kStatic = dvm::kAccPublic | dvm::kAccStatic;
+  cls->add_instance_field("x", 'I');
+  const GuestAddr fid = device.dvm.field_id(cls, "x", false);
+  dvm::Method* faulty =
+      device.dvm.define_native(cls, "nullField", "I", kStatic, null_field);
+  dvm::Method* bad =
+      device.dvm.define_native(cls, "badRef", "II", kStatic, bad_ref);
+  dvm::Method* echo_m =
+      device.dvm.define_native(cls, "echo", "II", kStatic, echo);
+
+  // An address no hook targets: wants_branch() is false for it while no
+  // per-call state is pending.
+  const GuestAddr quiet = echo + 0x100;
+  ASSERT_FALSE(nd.dvm_hooks().wants_branch(quiet));
+  u32 faults = 0;
+  for (u32 i = 0; i < 1000; ++i) {
+    try {
+      device.dvm.call(*faulty, {});
+    } catch (const GuestFault&) {
+      ++faults;
+    }
+    try {
+      device.dvm.call(*bad, {dvm::Slot{fid, 0}});
+    } catch (const GuestFault&) {
+      ++faults;
+    }
+  }
+  EXPECT_EQ(faults, 2000u);
+  EXPECT_EQ(nd.dvm_hooks().jni_calls_in_flight(), 0u);
+  EXPECT_FALSE(nd.dvm_hooks().wants_branch(quiet));
+
+  const dvm::Slot r = device.dvm.call(*echo_m, {dvm::Slot{7, kTaintImei}});
+  EXPECT_EQ(r.value, 7u);
+  EXPECT_EQ(r.taint, kTaintImei);
+  EXPECT_EQ(nd.dvm_hooks().jni_calls_in_flight(), 0u);
 }
 
 TEST(Engines, MultilevelChainFiresT1ToT6) {

@@ -11,6 +11,24 @@ namespace {
 using android::Device;
 using android::Layout;
 
+/// Every guard case runs on both CPU engines: the interpreter fires the
+/// store hook from Cpu::step, the threaded tier from a micro-op in front of
+/// each store of a clean stream.
+class TaintGuardTest : public ::testing::TestWithParam<arm::Engine> {
+ protected:
+  TaintGuardTest() { device.cpu.set_engine(GetParam()); }
+  Device device;
+};
+
+INSTANTIATE_TEST_SUITE_P(Engines, TaintGuardTest,
+                         ::testing::Values(arm::Engine::kInterp,
+                                           arm::Engine::kThreaded),
+                         [](const auto& info) {
+                           return info.param == arm::Engine::kInterp
+                                      ? "Interp"
+                                      : "Threaded";
+                         });
+
 NDroidConfig guarded() {
   NDroidConfig cfg;
   cfg.taint_protection = true;
@@ -35,8 +53,7 @@ dvm::Method* build_poker(Device& device, GuestAddr target,
                                   dvm::kAccPublic | dvm::kAccStatic, fn);
 }
 
-TEST(TaintGuard, FlagsDvmStackTampering) {
-  Device device;
+TEST_P(TaintGuardTest, FlagsDvmStackTampering) {
   NDroid nd(device, guarded());
   // An evasive app overwrites a taint tag slot inside the DVM stack.
   const GuestAddr slot = Layout::kDalvikStack + Layout::kDalvikStackSize - 4;
@@ -49,8 +66,7 @@ TEST(TaintGuard, FlagsDvmStackTampering) {
   EXPECT_EQ(nd.guard()->alerts()[0].module, "evil_stack");
 }
 
-TEST(TaintGuard, FlagsTrustedFunctionModification) {
-  Device device;
+TEST_P(TaintGuardTest, FlagsTrustedFunctionModification) {
   NDroid nd(device, guarded());
   dvm::Method* poke =
       build_poker(device, device.dvm.sym("dvmCallJNIMethod"), "evil_dvm");
@@ -59,8 +75,7 @@ TEST(TaintGuard, FlagsTrustedFunctionModification) {
   EXPECT_EQ(nd.guard()->alerts()[0].region, "libdvm.so");
 }
 
-TEST(TaintGuard, FlagsKernelStructTampering) {
-  Device device;
+TEST_P(TaintGuardTest, FlagsKernelStructTampering) {
   NDroid nd(device, guarded());
   dvm::Method* poke =
       build_poker(device, os::Kernel::kTaskRoot, "evil_kernel");
@@ -69,8 +84,7 @@ TEST(TaintGuard, FlagsKernelStructTampering) {
   EXPECT_EQ(nd.guard()->alerts()[0].region, "[kernel]");
 }
 
-TEST(TaintGuard, BenignStoresNotFlagged) {
-  Device device;
+TEST_P(TaintGuardTest, BenignStoresNotFlagged) {
   NDroid nd(device, guarded());
   // Stores into the app's own data are fine.
   const GuestAddr own = device.libc.malloc_guest(16);
@@ -79,11 +93,10 @@ TEST(TaintGuard, BenignStoresNotFlagged) {
   EXPECT_TRUE(nd.guard()->alerts().empty());
 }
 
-TEST(TaintGuard, SystemWritesToDvmStackAreLegitimate) {
+TEST_P(TaintGuardTest, SystemWritesToDvmStackAreLegitimate) {
   // The interpreter and the JNI bridge write the DVM stack constantly; the
   // guard must only fire on third-party stores. Running an ordinary Java
   // method must produce no alerts.
-  Device device;
   NDroid nd(device, guarded());
   dvm::ClassObject* cls = device.dvm.define_class("LOk;");
   dvm::CodeBuilder cb;
@@ -100,8 +113,7 @@ TEST(TaintGuard, DisabledByDefault) {
   EXPECT_EQ(nd.guard(), nullptr);
 }
 
-TEST(TaintGuard, StmTamperingAlsoCaught) {
-  Device device;
+TEST_P(TaintGuardTest, StmTamperingAlsoCaught) {
   NDroid nd(device, guarded());
   apps::NativeLibBuilder lib(device, "evil_stm");
   auto& a = lib.a();
@@ -118,6 +130,58 @@ TEST(TaintGuard, StmTamperingAlsoCaught) {
       cls, "poke", "V", dvm::kAccPublic | dvm::kAccStatic, fn);
   device.dvm.call(*m, {});
   EXPECT_EQ(nd.guard()->alerts().size(), 2u);  // one per stored register
+}
+
+TEST_P(TaintGuardTest, ConditionalStoreThatDoesNotExecuteIsNotFlagged) {
+  NDroid nd(device, guarded());
+  apps::NativeLibBuilder lib(device, "evil_cond");
+  auto& a = lib.a();
+  using arm::R;
+  const GuestAddr fn = lib.fn();
+  a.mov_imm32(R(1), Layout::kDalvikStack + 0x200);
+  a.mov_imm(R(0), 0);
+  a.cmp(R(0), R(0));    // Z set
+  a.word(0x15810000);   // strne r0, [r1]: condition fails, no store
+  a.word(0x05810004);   // streq r0, [r1, #4]: executes
+  a.ret();
+  lib.install();
+  dvm::ClassObject* cls = device.dvm.define_class("Levil_cond;");
+  dvm::Method* m = device.dvm.define_native(
+      cls, "poke", "V", dvm::kAccPublic | dvm::kAccStatic, fn);
+  device.dvm.call(*m, {});
+  ASSERT_EQ(nd.guard()->alerts().size(), 1u);
+  EXPECT_EQ(nd.guard()->alerts()[0].target, Layout::kDalvikStack + 0x204);
+}
+
+TEST(TaintGuard, BenignStoreLoopStaysOnTheCleanStream) {
+  // The guard checks stores on the CPU's store hook, so with taint clean a
+  // third-party store loop costs a check per store, not a traced block.
+  Device device;
+  ASSERT_EQ(device.cpu.engine(), arm::Engine::kThreaded);
+  NDroid nd(device, guarded());
+  const GuestAddr own = device.libc.malloc_guest(16);
+  apps::NativeLibBuilder lib(device, "benign_loop");
+  auto& a = lib.a();
+  using arm::R;
+  const GuestAddr fn = lib.fn();
+  arm::Label loop;
+  a.mov_imm32(R(1), own);
+  a.mov_imm32(R(2), 1000);
+  a.bind(loop);
+  a.str(R(2), R(1), 0);
+  a.sub_imm(R(2), R(2), 1, /*s=*/true);
+  a.b(loop, arm::Cond::kNE);
+  a.ret();
+  lib.install();
+  dvm::ClassObject* cls = device.dvm.define_class("Lbenign_loop;");
+  dvm::Method* m = device.dvm.define_native(
+      cls, "fill", "V", dvm::kAccPublic | dvm::kAccStatic, fn);
+  const u64 fast_before = device.cpu.fastpath_blocks();
+  device.dvm.call(*m, {});
+  EXPECT_TRUE(nd.guard()->alerts().empty());
+  EXPECT_EQ(nd.tracer().instructions_traced(), 0u);
+  EXPECT_GE(device.cpu.fastpath_blocks() - fast_before, 1000u);
+  EXPECT_EQ(device.memory.read32(own), 1u);  // the last store landed
 }
 
 }  // namespace

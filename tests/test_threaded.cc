@@ -220,6 +220,59 @@ TEST_F(ThreadedFixture, UngatedHookFiresOnEveryInstructionWhenThreaded) {
   EXPECT_EQ(fired, 4u);  // three ALU ops + the return
 }
 
+TEST_F(ThreadedFixture, StoreHookInstalledAfterTranslationSeesEveryStore) {
+  // push {r4, lr}; 10 x (str r2, [r1]; strb r2, [r1, #4]); pop {r4, pc}:
+  // 21 store-class instructions per call.
+  constexpr GuestAddr kData = 0x74000;
+  Assembler a(kCode);
+  Label loop;
+  a.push({R(4), arm::LR});
+  a.mov_imm32(R(1), kData);
+  a.mov_imm(R(2), 10);
+  a.bind(loop);
+  a.str(R(2), R(1), 0);
+  a.strb(R(2), R(1), 4);
+  a.sub_imm(R(2), R(2), 1, /*s=*/true);
+  a.b(loop, Cond::kNE);
+  a.pop({R(4), arm::PC});
+  run(a);  // translates every block with no hook installed
+  ASSERT_GT(cpu_.tb_cache().size(), 0u);
+
+  struct Seen {
+    u32 calls = 0;
+    u32 word_stores = 0;
+    u32 stale_before_store = 0;  // memory still held the old word
+  } seen;
+  cpu_.set_store_hook({[](void* ctx, Cpu& cpu, const arm::Insn& insn,
+                          GuestAddr) {
+                         auto* s = static_cast<Seen*>(ctx);
+                         ++s->calls;
+                         if (insn.op == arm::Op::kStr) {
+                           ++s->word_stores;
+                           const auto& r = cpu.state().regs;
+                           if (cpu.memory().read32(r[1]) != r[2]) {
+                             ++s->stale_before_store;
+                           }
+                         }
+                       },
+                       &seen});
+  for (arm::Engine engine : {arm::Engine::kThreaded, arm::Engine::kInterp}) {
+    SCOPED_TRACE(engine == arm::Engine::kInterp ? "interp" : "threaded");
+    cpu_.set_engine(engine);
+    seen = Seen{};
+    cpu_.call_function(kCode, {});
+    EXPECT_EQ(seen.calls, 21u);
+    EXPECT_EQ(seen.word_stores, 10u);
+    // Called before each store executes: every str found the word the
+    // previous call or iteration left, never the one it is about to write.
+    EXPECT_EQ(seen.stale_before_store, 10u);
+  }
+  cpu_.set_store_hook({});
+  seen = Seen{};
+  cpu_.call_function(kCode, {});
+  EXPECT_EQ(seen.calls, 0u);
+}
+
 TEST(Engine, SetEngineRecordsTierAndCouplesTlb) {
   mem::AddressSpace mem;
   mem::MemoryMap map;

@@ -1,5 +1,5 @@
 // Taint explorer: a tour of NDroid's public analysis surfaces on a hand
-// written app — SourcePolicy records, the byte-granular taint map, shadow
+// written app — per-call SourcePolicies, the byte-granular taint map, shadow
 // registers, the iref-keyed object shadow, the trace log, and the OS-level
 // view reconstructor. This is the API a downstream analyst would script
 // against.
@@ -41,17 +41,23 @@ int main() {
               result.value, result.taint,
               (result.taint & kTaintImei) ? "set" : "clear");
 
-  // --- SourcePolicy map ------------------------------------------------
+  // A SourcePolicy belongs to one call: the same method called with clean
+  // arguments gets clean argument shadows and returns clean.
+  const dvm::Slot again =
+      dvm.call(*mix, {dvm::Slot{1234, kTaintClear}, dvm::Slot{5, 0}});
+  std::printf("mix(1234, 5) clean = %u, taint = 0x%x\n", again.value,
+              again.taint);
+
+  // --- SourcePolicies, as the trace log records them ---------------------
   std::printf("\nsource policies created: %llu, applied: %llu\n",
               static_cast<unsigned long long>(
                   nd.dvm_hooks().source_policies_created),
               static_cast<unsigned long long>(
                   nd.dvm_hooks().source_policies_applied));
-  if (core::SourcePolicy* policy =
-          nd.dvm_hooks().policies().find(fn_mix)) {
-    std::printf("policy for 0x%x: shorty=%s tR2=0x%x tR3=0x%x\n",
-                policy->method_address, policy->method_shorty.c_str(),
-                policy->tR2, policy->tR3);
+  for (const auto& line : nd.log().lines()) {
+    if (line.starts_with("args[") || line.starts_with("Find a source")) {
+      std::printf("  | %s\n", line.c_str());
+    }
   }
 
   // --- Tracer statistics ------------------------------------------------
@@ -91,5 +97,5 @@ int main() {
     std::printf("  | %s\n", line.c_str());
     if (++shown == 8) break;
   }
-  return result.taint == kTaintImei ? 0 : 1;
+  return result.taint == kTaintImei && again.taint == kTaintClear ? 0 : 1;
 }

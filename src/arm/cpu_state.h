@@ -1,6 +1,6 @@
 // Architectural state of the emulated ARM core.
 //
-// NDroid's SourcePolicy handler receives a `CPUState*` (paper Listing 1);
+// The paper's SourcePolicy handler receives a `CPUState*` (Listing 1);
 // this struct is that type. Register indices follow the AAPCS: R0-R3 carry
 // the first four arguments and the return value lives in R0 (paper §V-B).
 #pragma once

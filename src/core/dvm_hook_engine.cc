@@ -305,7 +305,7 @@ void DvmHookEngine::on_branch(arm::Cpu& cpu, GuestAddr from, GuestAddr to) {
 void DvmHookEngine::hook_jni_entry(arm::Cpu& cpu) {
   const auto& regs = cpu.state().regs;
   const GuestAddr args_area = regs[0];
-  const GuestMethodInfo info = read_method(cpu, regs[2]);
+  GuestMethodInfo info = read_method(cpu, regs[2]);
   const u32 n = static_cast<u32>(info.shorty.size()) - 1 +
                 (info.is_static() ? 0 : 1);
 
@@ -314,14 +314,20 @@ void DvmHookEngine::hook_jni_entry(arm::Cpu& cpu) {
   log_.line("class: " + info.class_desc);
   log_.line("insnAddr: " + hex(info.insns));
 
-  SourcePolicy policy;
+  JniCall call;
+  call.args_area = args_area;
+  call.result_addr = regs[1];
+  call.arg_count = n;
+  call.return_type = info.shorty.empty() ? 'V' : info.shorty[0];
+  call.exits_mark = exits_.size();
+  call.nofs_mark = nof_stack_.size();
+  call.chain_mark = chain_.size();
+
+  SourcePolicy& policy = call.policy;
   // Branch events report halfword-aligned targets; mask the Thumb bit so
   // Thumb-mode native methods match (§V-C handles both instruction sets).
   policy.method_address = info.insns & ~1u;
-  policy.method_shorty = info.shorty;
   policy.access_flag = info.access_flags;
-  bool any_taint = false;
-
   std::array<Taint, 4> reg_taints{};
   for (u32 slot = 0; slot < n; ++slot) {
     const u32 value = cpu.memory().read32(args_area + 8 * slot);
@@ -329,7 +335,7 @@ void DvmHookEngine::hook_jni_entry(arm::Cpu& cpu) {
     // JNI ABI position: env=0, receiver/class=1, params follow.
     const u32 pos = slot + (info.is_static() ? 2 : 1);
     if (taint != kTaintClear) {
-      any_taint = true;
+      call.tainted = true;
       const u32 shorty_idx = info.is_static() ? slot + 1 : slot;
       const char type =
           (!info.is_static() && slot == 0) ? 'L' : info.shorty[shorty_idx];
@@ -352,66 +358,56 @@ void DvmHookEngine::hook_jni_entry(arm::Cpu& cpu) {
   policy.tR2 = reg_taints[2];
   policy.tR3 = reg_taints[3];
   policy.stack_args_num = static_cast<u32>(policy.stack_args_taints.size());
+  policy.method_shorty = std::move(info.shorty);
+  source_policies_created += call.tainted;
+  jni_stack_.push_back(std::move(call));
+}
 
-  JniCall call;
-  call.args_area = args_area;
-  call.result_addr = regs[1];
-  call.arg_count = n;
-  call.method_address = info.insns & ~1u;
-  call.return_type = info.shorty.empty() ? 'V' : info.shorty[0];
-  call.exits_mark = exits_.size();
-  call.nofs_mark = nof_stack_.size();
-  call.chain_mark = chain_.size();
-
-  if (any_taint && transparent_methods_.contains(call.method_address)) {
-    // Pre-analysis proved this method taint-transparent: its instructions
-    // touch no memory, make no calls, and its return value is argument
-    // independent. Seeding registers/shadows here could only be read back
-    // by the method itself, so the whole policy is dead weight.
-    log_.line("transparent method, SourcePolicy skipped");
-    ++source_policies_skipped;
-  } else if (any_taint) {
-    policy.handler = [this](SourcePolicy& p, arm::CPUState& state) {
-      engine_.set_reg(0, p.tR0);
-      engine_.set_reg(1, p.tR1);
-      engine_.set_reg(2, p.tR2);
-      engine_.set_reg(3, p.tR3);
-      for (u32 i = 0; i < p.stack_args_num; ++i) {
-        engine_.map().add_range(state.sp() + 4 * i, 4,
-                                p.stack_args_taints[i]);
-      }
-      // Key object taints by indirect reference for L-type parameters (the
-      // irefs are the values currently in the argument registers / stack
-      // slots). Parameter p (1-based in the shorty) sits at JNI position
-      // p+1 regardless of staticness; the receiver of an instance method is
-      // an object at position 1.
-      const Taint reg_taints[4] = {p.tR0, p.tR1, p.tR2, p.tR3};
-      auto shadow_pos = [&](u32 pos, Taint taint) {
-        if (taint == kTaintClear) return;
-        const u32 value =
-            pos < 4 ? state.regs[pos]
-                    : device_.memory.read32(state.sp() + 4 * (pos - 4));
-        engine_.add_object_shadow(value, taint);
-        log_.line("t(" + hex(value) + ") := " + std::to_string(taint));
-      };
-      if ((p.access_flag & dvm::kAccStatic) == 0) {
-        shadow_pos(1, p.tR1);
-      }
-      for (u32 param = 1; param < p.method_shorty.size(); ++param) {
-        if (p.method_shorty[param] != 'L') continue;
-        const u32 pos = param + 1;
-        const Taint taint =
-            pos < 4 ? reg_taints[pos]
-                    : (pos - 4 < p.stack_args_num
-                           ? p.stack_args_taints[pos - 4]
-                           : kTaintClear);
-        shadow_pos(pos, taint);
-      }
-    };
-    policies_.put(policy);
-    ++source_policies_created;
+void DvmHookEngine::apply_source_policy(arm::Cpu& cpu, const JniCall& call) {
+  const SourcePolicy& p = call.policy;
+  const arm::CPUState& state = cpu.state();
+  if (call.tainted) {
+    log_.line("Find a source function @0x" + hex(p.method_address));
+    log_.line("SourceHandler");
+    ++source_policies_applied;
   }
-  jni_stack_.push_back(call);
+  // Every call sets its argument shadows, clear ones included: what an
+  // earlier call left in r0-r3 or in these stack slots is not this call's
+  // argument. Clear over clear moves no taint epoch.
+  engine_.set_reg(0, p.tR0);
+  engine_.set_reg(1, p.tR1);
+  engine_.set_reg(2, p.tR2);
+  engine_.set_reg(3, p.tR3);
+  for (u32 i = 0; i < p.stack_args_num; ++i) {
+    engine_.map().set_range(state.sp() + 4 * i, 4, p.stack_args_taints[i]);
+  }
+  if (!call.tainted) return;
+  // Key object taints by indirect reference for L-type parameters (the irefs
+  // are the values currently in the argument registers / stack slots).
+  // Parameter p (1-based in the shorty) sits at JNI position p+1 regardless
+  // of staticness; the receiver of an instance method is an object at
+  // position 1.
+  const Taint reg_taints[4] = {p.tR0, p.tR1, p.tR2, p.tR3};
+  auto shadow_pos = [&](u32 pos, Taint taint) {
+    if (taint == kTaintClear) return;
+    const u32 value =
+        pos < 4 ? state.regs[pos]
+                : device_.memory.read32(state.sp() + 4 * (pos - 4));
+    engine_.add_object_shadow(value, taint);
+    log_.line("t(" + hex(value) + ") := " + std::to_string(taint));
+  };
+  if ((p.access_flag & dvm::kAccStatic) == 0) {
+    shadow_pos(1, p.tR1);
+  }
+  for (u32 param = 1; param < p.method_shorty.size(); ++param) {
+    if (p.method_shorty[param] != 'L') continue;
+    const u32 pos = param + 1;
+    const Taint taint =
+        pos < 4 ? reg_taints[pos]
+                : (pos - 4 < p.stack_args_num ? p.stack_args_taints[pos - 4]
+                                              : kTaintClear);
+    shadow_pos(pos, taint);
+  }
 }
 
 void DvmHookEngine::drop_calls_below(GuestAddr sp) {
@@ -434,14 +430,9 @@ void DvmHookEngine::hook_native_return_events(arm::Cpu& cpu, GuestAddr to) {
   if (jni_stack_.empty()) return;
   JniCall& top = jni_stack_.back();
 
-  if (to == top.method_address && top.phase == 0) {
+  if (to == top.policy.method_address && top.phase == 0) {
     top.phase = 1;
-    if (SourcePolicy* policy = policies_.find(top.method_address)) {
-      log_.line("Find a source function @0x" + hex(top.method_address));
-      log_.line("SourceHandler");
-      policy->handler(*policy, cpu.state());
-      ++source_policies_applied;
-    }
+    apply_source_policy(cpu, top);
     return;
   }
 

@@ -2,11 +2,11 @@
 // functions through which information flows cross the Java/native boundary.
 // Five groups:
 //
-//  (1) JNI entry — dvmCallJNIMethod. Builds a SourcePolicy from the
-//      interleaved (value, taint) arguments on the DVM stack and the guest
-//      Method struct; applies it when execution reaches the native method's
-//      first instruction; captures the native return value's taint and
-//      repairs the return-taint slot / returned object on bridge exit.
+//  (1) JNI entry — dvmCallJNIMethod. Builds the call's SourcePolicy from
+//      the interleaved (value, taint) arguments on the DVM stack and the
+//      guest Method struct; applies it when execution reaches the native
+//      method's first instruction; captures the native return value's taint
+//      and repairs the return-taint slot / returned object on bridge exit.
 //  (2) JNI exit — Call*Method -> dvmCallMethod{V,A} -> dvmInterpret,
 //      guarded by the multilevel hooking conditions T1..T6 (Fig. 5).
 //      Collects indirect-ref arg taints at dvmCallMethod entry and writes
@@ -27,13 +27,12 @@
 #pragma once
 
 #include <functional>
-#include <unordered_set>
+#include <string>
 #include <vector>
 
 #include "common/addr_filter.h"
 #include "android/device.h"
 #include "core/report.h"
-#include "core/source_policy.h"
 #include "core/taint_engine.h"
 
 namespace ndroid::core {
@@ -56,13 +55,11 @@ class DvmHookEngine {
   /// only its own first-instruction address and the static hook targets do.
   [[nodiscard]] bool wants_branch(GuestAddr to) const {
     if (!exits_.empty() || !nof_stack_.empty() || !chain_.empty()) return true;
-    if (!jni_stack_.empty() && to == jni_stack_.back().method_address) {
+    if (!jni_stack_.empty() && to == jni_stack_.back().policy.method_address) {
       return true;
     }
     return tables_.static_targets.maybe(to);
   }
-
-  SourcePolicyMap& policies() { return policies_; }
 
   /// Drops the records of native calls whose DVM-stack outs area lies below
   /// `sp`, with every pending exit action, object creation and T1..T6
@@ -109,30 +106,35 @@ class DvmHookEngine {
   /// The tables this engine dispatches through.
   [[nodiscard]] const HookTables& tables() const { return tables_; }
 
-  /// Native-method entry points (Thumb bit stripped) whose static taint
-  /// summaries proved them transparent — no memory effects, no calls, no
-  /// SVC, return value independent of the arguments. hook_jni_entry skips
-  /// SourcePolicy creation for these even when arguments carry taint: the
-  /// policy's only effect would be register/shadow writes the method can
-  /// neither propagate nor observe. Set by NDroid::attach_static_analysis.
-  void set_transparent_methods(std::unordered_set<GuestAddr> entries) {
-    transparent_methods_ = std::move(entries);
-  }
-
   // Statistics (tests and the ablation bench read these).
+  // A SourcePolicy counts as created and applied only for a call with a
+  // tainted argument.
   u64 source_policies_created = 0;
-  u64 source_policies_skipped = 0;  // skipped via a transparent summary
   u64 source_policies_applied = 0;
   u64 jni_exit_restores = 0;
   u64 objects_tainted = 0;
   u64 chain_events[6] = {};  // T1..T6 match counts
 
  private:
+  /// The argument taints of one native call, in the paper's Listing 1
+  /// layout (its `handler` is apply_source_policy). The paper keeps one per
+  /// method in an <addr, SourcePolicy> map; here each JniCall holds its
+  /// own, so a policy lives exactly as long as its call.
+  struct SourcePolicy {
+    GuestAddr method_address = 0;  // first instruction, Thumb bit clear
+    Taint tR0 = 0, tR1 = 0, tR2 = 0, tR3 = 0;
+    u32 stack_args_num = 0;
+    std::vector<Taint> stack_args_taints;
+    std::string method_shorty;
+    u32 access_flag = 0;
+  };
+
   struct JniCall {
+    SourcePolicy policy;
+    bool tainted = false;  // some argument carries taint
     GuestAddr args_area = 0;
     GuestAddr result_addr = 0;
     u32 arg_count = 0;
-    GuestAddr method_address = 0;
     char return_type = 'V';
     Taint native_ret_taint = kTaintClear;
     int phase = 0;  // 0: bridge entered, 1: native running, 2: native done
@@ -164,6 +166,7 @@ class DvmHookEngine {
   GuestMethodInfo read_method(arm::Cpu& cpu, GuestAddr method_struct);
 
   void hook_jni_entry(arm::Cpu& cpu);
+  void apply_source_policy(arm::Cpu& cpu, const JniCall& call);
   void hook_native_return_events(arm::Cpu& cpu, GuestAddr to);
   void hook_call_method_entry(arm::Cpu& cpu, char kind);
   void hook_interpret_entry(arm::Cpu& cpu);
@@ -196,9 +199,7 @@ class DvmHookEngine {
   std::function<bool(GuestAddr)> third_party_;
   bool multilevel_;
 
-  SourcePolicyMap policies_;
   std::vector<JniCall> jni_stack_;
-  std::unordered_set<GuestAddr> transparent_methods_;
 
   // Multilevel chain state: current level per nesting depth.
   std::vector<int> chain_;

@@ -1,7 +1,5 @@
 #include "core/ndroid.h"
 
-#include <unordered_set>
-
 #include "static/summary.h"
 #include "static/summary_cache.h"
 #include "static/summary_store.h"
@@ -132,8 +130,12 @@ NDroid::NDroid(android::Device& device, NDroidConfig config)
   device_.dvm.irt().set_release_observer(
       [this](dvm::IndirectRef iref) { engine_.drop_object_shadow(iref); });
   // Native calls a GuestFault unwound never reach their bridge-exit events.
-  device_.dvm.set_unwind_observer(
-      [this](GuestAddr sp) { dvm_hooks_->drop_calls_below(sp); });
+  // The CPU state is already back to what it was when the unwinding
+  // Dvm::call began, so its SP bounds the native frames that died.
+  device_.dvm.set_unwind_observer([this](GuestAddr sp) {
+    dvm_hooks_->drop_calls_below(sp);
+    syslib_->drop_exits_below(device_.cpu.state().sp());
+  });
 
   // Each engine's wants_branch() is a guaranteed-no-op prefilter, so hot
   // loop back-edges (the overwhelming majority of branch events) skip the
@@ -275,17 +277,9 @@ const SummaryGate* NDroid::attach_static_analysis() {
   }
   summary_gate_ = std::make_unique<SummaryGate>(std::move(libs));
 
-  // (3) Feedback into the dynamic layer: transparent JNI methods need no
-  // SourcePolicy at all...
-  std::unordered_set<GuestAddr> transparent;
-  for (GuestAddr e : summary_gate_->transparent_entries()) {
-    transparent.insert(e);
-  }
-  dvm_hooks_->set_transparent_methods(std::move(transparent));
-
-  // ...and the block gate re-arms on the finer taint-mutation epoch so the
-  // summary answers in block_gate stay memo-sound (set_block_gate flushes
-  // every existing per-block memo).
+  // (4) Feedback into the dynamic layer: the block gate re-arms on the finer
+  // taint-mutation epoch so the summary answers in block_gate stay
+  // memo-sound (set_block_gate flushes every existing per-block memo).
   if (config_.taint_liveness_fastpath) {
     device_.cpu.set_block_gate(
         [this](arm::Cpu&, arm::TranslationBlock& tb) { return block_gate(tb); },

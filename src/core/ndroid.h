@@ -64,9 +64,8 @@ struct NDroidConfig {
   bool taint_liveness_fastpath = true;
   /// Static pre-analysis feedback (attach_static_analysis): summaries of the
   /// app's native functions let the block gate skip taint-transparent code
-  /// even while taint is live, and let the DVM Hook Engine pre-place
-  /// SourcePolicies only at taint-relevant JNI methods. Off = the attach
-  /// call becomes a no-op (ablation: liveness-only gating).
+  /// even while taint is live. Off = the attach call becomes a no-op
+  /// (ablation: liveness-only gating).
   bool static_summaries = true;
   /// Optional shared cache of per-library static artifacts (the farm's
   /// cross-app amortisation, src/farm). When set, attach_static_analysis
@@ -139,7 +138,7 @@ class NDroid {
   /// regions through the OS view reconstructor, lifts CFGs from every
   /// registered native method, computes taint summaries, and feeds them
   /// back into the dynamic layer (summary-aware block gate on the finer
-  /// taint-mutation epoch; transparent-method set for the DVM Hook Engine).
+  /// taint-mutation epoch).
   /// Call after the app's native libraries are loaded and its methods
   /// registered. Returns the gate (nullptr when config.static_summaries is
   /// off). Safe to call again after more libraries load — rebuilds.

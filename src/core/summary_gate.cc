@@ -62,12 +62,4 @@ const TaintSummary* SummaryGate::lookup(GuestAddr pc, bool thumb) const {
   return nullptr;
 }
 
-std::vector<GuestAddr> SummaryGate::transparent_entries() const {
-  std::vector<GuestAddr> out;
-  for (const auto& [entry, s] : merged_index_.summaries) {
-    if (s.transparent) out.push_back(entry);
-  }
-  return out;
-}
-
 }  // namespace ndroid::core

@@ -46,11 +46,6 @@ class SummaryGate {
   [[nodiscard]] const static_analysis::TaintSummary* lookup(GuestAddr pc,
                                                             bool thumb) const;
 
-  /// Entries (Thumb bit stripped) of functions whose summaries are
-  /// transparent — the DVM hook engine can skip SourcePolicy creation for
-  /// native methods starting there.
-  [[nodiscard]] std::vector<GuestAddr> transparent_entries() const;
-
   /// Merged per-function summaries across every library (bound addresses).
   [[nodiscard]] const static_analysis::SummaryIndex& index() const {
     return merged_index_;

@@ -60,7 +60,12 @@ u32 SysLibHookEngine::guest_strlen(arm::Cpu& cpu, GuestAddr s) {
 
 void SysLibHookEngine::defer_exit(arm::Cpu& cpu,
                                   std::function<void(arm::Cpu&)> fn) {
-  exits_.push_back(PendingExit{cpu.state().lr() & ~1u, std::move(fn)});
+  exits_.push_back(
+      PendingExit{cpu.state().lr() & ~1u, cpu.state().sp(), std::move(fn)});
+}
+
+void SysLibHookEngine::drop_exits_below(GuestAddr sp) {
+  while (!exits_.empty() && exits_.back().sp <= sp) exits_.pop_back();
 }
 
 void SysLibHookEngine::on_branch(arm::Cpu& cpu, GuestAddr /*from*/,

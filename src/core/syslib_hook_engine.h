@@ -70,6 +70,11 @@ class SysLibHookEngine {
     return !exits_.empty() || table_.targets.maybe(to);
   }
 
+  /// Drops the pending exits of hooked calls entered at or below guest
+  /// stack pointer `sp`: a GuestFault unwound the native frames down to
+  /// there, so those calls will never return.
+  void drop_exits_below(GuestAddr sp);
+
   /// Instruction-event dispatch (SVC sink checks).
   void on_insn(arm::Cpu& cpu, const arm::Insn& insn, GuestAddr pc);
 
@@ -104,6 +109,7 @@ class SysLibHookEngine {
 
   struct PendingExit {
     GuestAddr ret_to;
+    GuestAddr sp;  // the guest SP when the hooked call was entered
     std::function<void(arm::Cpu&)> fn;
   };
   std::vector<PendingExit> exits_;

@@ -18,7 +18,7 @@ namespace ndroid::static_analysis {
 /// precision gate compares against a checked-in budget.
 struct PrecisionReport {
   u32 functions = 0;
-  u32 transparent = 0;       // summaries the hook engine skips entirely
+  u32 transparent = 0;       // TaintSummary::transparent verdicts
   u32 opaque_summaries = 0;  // TaintSummary::opaque(): gate never skips
   u32 truncated = 0;
   u32 degraded = 0;  // functions carrying a non-empty degrade chain

@@ -11,14 +11,14 @@
 //    clear-over-clear everywhere — skipping it leaves the shadow state
 //    bit-identical (see NDroid::block_gate).
 //
-//  * *Arg-flow facts* for reporting and hook pre-placement: which argument
+//  * *Arg-flow facts* for reporting: which argument
 //    registers (r0-r3) can flow to the return value, to memory stores, or
 //    to outgoing call arguments, computed by a forward register def-use
 //    dataflow (joins at block entries, kills on definite writes) iterated
 //    to a bounded fixed point over the call graph.
 //    A function with no memory effects, no calls, no SVC and an
-//    argument-independent return value is `transparent`: the DVM hook
-//    engine skips building a SourcePolicy for it entirely.
+//    argument-independent return value is `transparent` (ndroid-scan and
+//    the precision report count these).
 //
 // Everything degrades conservatively: indirect calls, truncated lifts and
 // unmodelled instructions make a summary opaque, and opaque summaries are

@@ -208,49 +208,93 @@ TEST(NestedJni, ArgumentArrayOnStackCarriesTaint) {
 
 TEST(ObjectShadow, DiesWithItsReference) {
   // int f(JNIEnv*, jclass, jstring s) { return strlen(GetStringUTFChars(s)); }
-  // twice: `source` gets the one tainted call, `sink` 5,000 clean ones
-  // (a SourcePolicy is per method, so the clean calls need their own).
+  // called once with a tainted string, then 5,000 times with clean ones.
   // Every call hands s the same local slot with a 12-bit serial, so the
   // handle of the tainted call comes back 4,096 calls later. Its shadow
-  // taint must have died with it.
+  // taint must have died with it, and its SourcePolicy with its call.
   Device device;
   NDroid nd(device);
   auto& dvm = device.dvm;
   dvm::ClassObject* app = dvm.define_class("Lshadow/App;");
   apps::NativeLibBuilder lib(device, "libshadow.so");
   auto& a = lib.a();
-  auto emit_strlen = [&] {
-    const GuestAddr fn = lib.fn();
-    a.push({R(4), LR});
-    a.mov(R(1), R(2));
-    a.mov_imm(R(2), 0);
-    a.call(device.jni.fn("GetStringUTFChars"));
-    a.call(device.libc.fn("strlen"));
-    a.pop({R(4), PC});
-    return fn;
-  };
-  const GuestAddr source_fn = emit_strlen();
-  const GuestAddr sink_fn = emit_strlen();
+  const GuestAddr fn = lib.fn();
+  a.push({R(4), LR});
+  a.mov(R(1), R(2));
+  a.mov_imm(R(2), 0);
+  a.call(device.jni.fn("GetStringUTFChars"));
+  a.call(device.libc.fn("strlen"));
+  a.pop({R(4), PC});
   lib.install();
-  Method* source = dvm.define_native(app, "source", "IL",
-                                     kAccPublic | kAccStatic, source_fn);
-  Method* sink =
-      dvm.define_native(app, "sink", "IL", kAccPublic | kAccStatic, sink_fn);
+  Method* f = dvm.define_native(app, "f", "IL", kAccPublic | kAccStatic, fn);
 
   dvm::Object* secret = dvm.new_string("354958031234567");
-  EXPECT_EQ(dvm.call(*source, {dvm::Slot{secret->addr(), kTaintImei}})
-                    .taint &
+  EXPECT_EQ(dvm.call(*f, {dvm::Slot{secret->addr(), kTaintImei}}).taint &
                 kTaintImei,
             kTaintImei);
   u32 tainted_clean_calls = 0;
   for (u32 i = 0; i < 5000; ++i) {
     dvm::Object* clean = dvm.new_string("monkey-input");
     tainted_clean_calls +=
-        dvm.call(*sink, {dvm::Slot{clean->addr(), kTaintClear}}).taint !=
+        dvm.call(*f, {dvm::Slot{clean->addr(), kTaintClear}}).taint !=
         kTaintClear;
   }
   EXPECT_EQ(tainted_clean_calls, 0u);
   EXPECT_EQ(dvm.irt().live_count(), 0u);
+}
+
+TEST(SourcePolicy, RegisterArgumentTaintEndsWithItsCall) {
+  // int add1(JNIEnv*, jclass, int x) { return x + 1; }: x arrives in r2.
+  // A clean call after a tainted one must find r2's shadow clear.
+  Device device;
+  NDroid nd(device);
+  auto& dvm = device.dvm;
+  dvm::ClassObject* app = dvm.define_class("Lpercall/Reg;");
+  apps::NativeLibBuilder lib(device, "libpercallreg.so");
+  auto& a = lib.a();
+  const GuestAddr fn = lib.fn();
+  a.add_imm(R(0), R(2), 1);
+  a.ret();
+  lib.install();
+  Method* add1 =
+      dvm.define_native(app, "add1", "II", kAccPublic | kAccStatic, fn);
+
+  const dvm::Slot tainted = dvm.call(*add1, {dvm::Slot{1, kTaintImei}});
+  EXPECT_EQ(tainted.value, 2u);
+  EXPECT_EQ(tainted.taint, kTaintImei);
+  const dvm::Slot clean = dvm.call(*add1, {dvm::Slot{1, kTaintClear}});
+  EXPECT_EQ(clean.value, 2u);
+  EXPECT_EQ(clean.taint, kTaintClear);
+  EXPECT_EQ(nd.dvm_hooks().source_policies_created, 1u);
+  EXPECT_EQ(nd.dvm_hooks().source_policies_applied, 1u);
+}
+
+TEST(SourcePolicy, StackArgumentTaintEndsWithItsCall) {
+  // int third(JNIEnv*, jclass, int a, int b, int c) { return c + 1; }: c is
+  // JNI position 4, the first stack argument, at [sp] on entry. A clean call
+  // after a tainted one reuses the slot and must find its shadow clear.
+  Device device;
+  NDroid nd(device);
+  auto& dvm = device.dvm;
+  dvm::ClassObject* app = dvm.define_class("Lpercall/Stack;");
+  apps::NativeLibBuilder lib(device, "libpercallstack.so");
+  auto& a = lib.a();
+  const GuestAddr fn = lib.fn();
+  a.ldr(R(0), SP, 0);
+  a.add_imm(R(0), R(0), 1);
+  a.ret();
+  lib.install();
+  Method* third =
+      dvm.define_native(app, "third", "IIII", kAccPublic | kAccStatic, fn);
+
+  const dvm::Slot tainted = dvm.call(
+      *third, {dvm::Slot{0, 0}, dvm::Slot{0, 0}, dvm::Slot{1, kTaintImei}});
+  EXPECT_EQ(tainted.value, 2u);
+  EXPECT_EQ(tainted.taint, kTaintImei);
+  const dvm::Slot clean = dvm.call(
+      *third, {dvm::Slot{0, 0}, dvm::Slot{0, 0}, dvm::Slot{1, kTaintClear}});
+  EXPECT_EQ(clean.value, 2u);
+  EXPECT_EQ(clean.taint, kTaintClear);
 }
 
 TEST(ObjectShadow, FollowsAPoppedFrameSurvivor) {

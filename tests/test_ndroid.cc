@@ -246,6 +246,42 @@ TEST(Engines, FaultedNativeCallsLeaveNoJniCallRecord) {
   EXPECT_EQ(nd.dvm_hooks().jni_calls_in_flight(), 0u);
 }
 
+TEST(Engines, FaultedModelCallLeavesNoPendingExit) {
+  // malloc's model queues an exit action at entry; a size past the guest
+  // heap faults inside malloc, so that exit never fires. The Dvm::call
+  // unwind drops it: wants_branch() goes quiet again, and a later model
+  // call's exit fires and retires.
+  Device device;
+  NDroid nd(device);
+  apps::NativeLibBuilder lib(device, "liballoc.so");
+  auto& a = lib.a();
+  using arm::R;
+  // int alloc(env, cls, size): return malloc(size).
+  const GuestAddr alloc = lib.fn();
+  a.push({R(4), arm::LR});
+  a.mov(R(0), R(2));
+  a.call(device.libc.fn("malloc"));
+  a.pop({R(4), arm::PC});
+  lib.install();
+  dvm::ClassObject* cls = device.dvm.define_class("Lalloc;");
+  dvm::Method* alloc_m = device.dvm.define_native(
+      cls, "alloc", "II", dvm::kAccPublic | dvm::kAccStatic, alloc);
+
+  // An address no hook targets: wants_branch() is false for it while no
+  // model exit is pending.
+  const GuestAddr quiet = 0x4;
+  ASSERT_FALSE(nd.syslib().wants_branch(quiet));
+  EXPECT_THROW(device.dvm.call(*alloc_m, {dvm::Slot{0x7fff0000, 0}}),
+               GuestFault);
+  EXPECT_FALSE(nd.syslib().wants_branch(quiet));
+
+  const u64 models = nd.syslib().models_applied();
+  const dvm::Slot r = device.dvm.call(*alloc_m, {dvm::Slot{16, 0}});
+  EXPECT_NE(r.value, 0u);
+  EXPECT_EQ(nd.syslib().models_applied(), models + 1);
+  EXPECT_FALSE(nd.syslib().wants_branch(quiet));
+}
+
 TEST(Engines, MultilevelChainFiresT1ToT6) {
   Device device;
   NDroid nd(device);

@@ -4,23 +4,17 @@
 //    under summary-gated instrumentation as under seed full tracing;
 //  * effectiveness: the gate skips taint-irrelevant functions in situations
 //    the liveness-only fast path must trace (taint live in a register the
-//    function never touches / in memory its windows cannot reach);
-//  * hook pre-placement: a transparent native method gets no SourcePolicy
-//    even when its arguments carry taint.
+//    function never touches / in memory its windows cannot reach).
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "apps/cfbench.h"
 #include "apps/leak_cases.h"
-#include "apps/native_lib_builder.h"
 #include "core/ndroid.h"
 
 namespace ndroid {
 namespace {
-
-using dvm::kAccPublic;
-using dvm::kAccStatic;
 
 struct CaseResult {
   bool detected = false;
@@ -107,89 +101,16 @@ TEST(SummaryGate, SkipsMemTaintOutsideStaticWindows) {
 }
 
 TEST(SummaryGate, ConservativeWhenTaintIntersectsFootprint) {
-  // Control: taint r0 — inside every workload's footprint — and the summary
-  // gate must NOT license a skip; the tracer runs as before.
+  // Control: a tainted argument — r2, inside every workload's footprint —
+  // and the summary gate must NOT license a skip; the tracer runs as before.
   android::Device device;
   core::NDroid nd(device);
   apps::CfBenchApp app(device);
   ASSERT_NE(nd.attach_static_analysis(), nullptr);
-  // nativeMips touches only r0-r3; r0 guarantees intersection.
-  nd.taint_engine().set_reg(0, 0x40);
-  app.run(*app.find("Native MIPS"), 50);
+  // nativeMips touches only r0-r3; its iteration count arrives in r2.
+  device.dvm.call(*app.find("Native MIPS")->method, {dvm::Slot{50, 0x40}});
   EXPECT_GT(nd.taint_engine().propagations, 0u)
       << "intersecting taint must keep the tracer running";
-}
-
-TEST(SummaryGate, TransparentMethodSkipsSourcePolicy) {
-  android::Device device;
-  core::NDroid nd(device);
-
-  // int constant(jstring): returns 42, never reads its argument.
-  apps::NativeLibBuilder lib(device, "libtrans.so");
-  auto& a = lib.a();
-  const GuestAddr fn_const = lib.fn();
-  a.mov_imm(arm::R(0), 42);
-  a.ret();
-  lib.install();
-
-  auto& dvm = device.dvm;
-  dvm::ClassObject* app = dvm.define_class("Ltrans/App;");
-  dvm::Method* constant = dvm.define_native(
-      app, "constant", "IL", kAccPublic | kAccStatic, fn_const);
-  dvm::Method* source = device.framework.telephony->find_method("getDeviceId");
-  ASSERT_NE(source, nullptr);
-  dvm::CodeBuilder cb;
-  cb.invoke(source, {})
-      .move_result(0)
-      .invoke(constant, {0})
-      .move_result(1)
-      .return_void();
-  dvm::Method* entry =
-      dvm.define_method(app, "main", "V", kAccPublic | kAccStatic, 3, cb.take());
-
-  const auto* gate = nd.attach_static_analysis();
-  ASSERT_NE(gate, nullptr);
-  const auto* summary = gate->index().find(fn_const);
-  ASSERT_NE(summary, nullptr);
-  EXPECT_TRUE(summary->transparent);
-
-  device.dvm.call(*entry, {});
-  EXPECT_EQ(nd.dvm_hooks().source_policies_skipped, 1u);
-  EXPECT_EQ(nd.dvm_hooks().source_policies_created, 0u);
-}
-
-TEST(SummaryGate, NonTransparentMethodStillGetsSourcePolicy) {
-  // Same app shape, but the method returns its argument: args_to_ret != 0,
-  // so the summary is not transparent and the policy must be built.
-  android::Device device;
-  core::NDroid nd(device);
-
-  apps::NativeLibBuilder lib(device, "libid.so");
-  auto& a = lib.a();
-  const GuestAddr fn_id = lib.fn();
-  a.mov(arm::R(0), arm::R(2));  // return the jstring argument
-  a.ret();
-  lib.install();
-
-  auto& dvm = device.dvm;
-  dvm::ClassObject* app = dvm.define_class("Lid/App;");
-  dvm::Method* ident =
-      dvm.define_native(app, "ident", "LL", kAccPublic | kAccStatic, fn_id);
-  dvm::Method* source = device.framework.telephony->find_method("getDeviceId");
-  ASSERT_NE(source, nullptr);
-  dvm::CodeBuilder cb;
-  cb.invoke(source, {})
-      .move_result(0)
-      .invoke(ident, {0})
-      .move_result(1)
-      .return_void();
-  dvm::Method* entry =
-      dvm.define_method(app, "main", "V", kAccPublic | kAccStatic, 3, cb.take());
-
-  ASSERT_NE(nd.attach_static_analysis(), nullptr);
-  device.dvm.call(*entry, {});
-  EXPECT_EQ(nd.dvm_hooks().source_policies_skipped, 0u);
-  EXPECT_EQ(nd.dvm_hooks().source_policies_created, 1u);
 }
 
 }  // namespace

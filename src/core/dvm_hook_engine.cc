@@ -1,18 +1,10 @@
 #include "core/dvm_hook_engine.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 
 namespace ndroid::core {
 
-namespace {
-std::string hex(u32 v) {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "%x", v);
-  return buf;
-}
-}  // namespace
+using K = TraceKind;
 
 bool DvmHookEngine::GuestMethodInfo::is_static() const {
   return (access_flags & dvm::kAccStatic) != 0;
@@ -176,8 +168,6 @@ DvmHookEngine::GuestMethodInfo DvmHookEngine::read_method(
   GuestMethodInfo info;
   info.insns = mem.read32(method_struct + L::kInsns);
   info.shorty = mem.read_cstr(mem.read32(method_struct + L::kShorty));
-  info.name = mem.read_cstr(mem.read32(method_struct + L::kName));
-  info.class_desc = mem.read_cstr(mem.read32(method_struct + L::kClassDesc));
   info.access_flags = mem.read32(method_struct + L::kAccessFlags);
   info.registers_size = mem.read32(method_struct + L::kRegistersSize);
   info.ins_size = mem.read32(method_struct + L::kInsSize);
@@ -202,21 +192,20 @@ void DvmHookEngine::on_branch(arm::Cpu& cpu, GuestAddr from, GuestAddr to) {
     nof_stack_.pop_back();
     const u32 iref = cpu.state().regs[0];
     if (nof.real_addr != 0) {
-      log_.line("realStringAddr:0x" + hex(nof.real_addr));
+      log_.add({.kind = K::kRealAddr, .a = nof.real_addr});
       if (nof.taint != kTaintClear) {
         if (dvm::Object* obj = device_.dvm.heap().object_at(nof.real_addr)) {
           device_.dvm.heap().add_object_taint(*obj, nof.taint);
           ++objects_tainted;
         }
-        log_.line("add taint " + std::to_string(nof.taint) +
-                  " to new string object@0x" + hex(nof.real_addr));
-        log_.line("t(" + hex(nof.real_addr) + ") := 0x" + hex(nof.taint));
+        log_.add({.kind = K::kObjectTaint, .a = nof.taint, .b = nof.real_addr});
+        log_.add({.kind = K::kShadowHex, .a = nof.real_addr, .b = nof.taint});
       }
     }
     engine_.add_object_shadow(iref, nof.taint);
     engine_.set_reg(0, nof.taint);
-    log_.line(std::string(nof.name) + " return 0x" + hex(iref));
-    log_.line(std::string(nof.name) + " End");
+    log_.add({.kind = K::kNofReturn, .a = iref, .ref = {.tag = nof.name}});
+    log_.add({.kind = K::kNofEnd, .ref = {.tag = nof.name}});
   }
 
   // --- (1) JNI entry --------------------------------------------------------
@@ -309,10 +298,11 @@ void DvmHookEngine::hook_jni_entry(arm::Cpu& cpu) {
   const u32 n = static_cast<u32>(info.shorty.size()) - 1 +
                 (info.is_static() ? 0 : 1);
 
-  log_.line("name: " + info.name);
-  log_.line("shorty: " + info.shorty);
-  log_.line("class: " + info.class_desc);
-  log_.line("insnAddr: " + hex(info.insns));
+  const dvm::Method* method = device_.dvm.method_at(regs[2]);
+  log_.add({.kind = K::kJniName, .ref = {.method = method}});
+  log_.add({.kind = K::kJniShorty, .ref = {.method = method}});
+  log_.add({.kind = K::kJniClass, .ref = {.method = method}});
+  log_.add({.kind = K::kJniInsnAddr, .a = info.insns});
 
   JniCall call;
   call.args_area = args_area;
@@ -339,10 +329,11 @@ void DvmHookEngine::hook_jni_entry(arm::Cpu& cpu) {
       const u32 shorty_idx = info.is_static() ? slot + 1 : slot;
       const char type =
           (!info.is_static() && slot == 0) ? 'L' : info.shorty[shorty_idx];
-      log_.line("args[" + std::to_string(slot) + "]@0x" + hex(value) + " " +
-                std::string(1, type) +
-                (type == 'L' ? " Ljava/lang/String;" : "") +
-                "  taint: 0x" + hex(taint));
+      log_.add({.kind = K::kJniArg,
+                .type = type,
+                .a = slot,
+                .b = value,
+                .c = taint});
     }
     if (pos < 4) {
       reg_taints[pos] = taint;
@@ -367,8 +358,8 @@ void DvmHookEngine::apply_source_policy(arm::Cpu& cpu, const JniCall& call) {
   const SourcePolicy& p = call.policy;
   const arm::CPUState& state = cpu.state();
   if (call.tainted) {
-    log_.line("Find a source function @0x" + hex(p.method_address));
-    log_.line("SourceHandler");
+    log_.add({.kind = K::kSourceFound, .a = p.method_address});
+    log_.tag("SourceHandler");
     ++source_policies_applied;
   }
   // Every call sets its argument shadows, clear ones included: what an
@@ -394,7 +385,7 @@ void DvmHookEngine::apply_source_policy(arm::Cpu& cpu, const JniCall& call) {
         pos < 4 ? state.regs[pos]
                 : device_.memory.read32(state.sp() + 4 * (pos - 4));
     engine_.add_object_shadow(value, taint);
-    log_.line("t(" + hex(value) + ") := " + std::to_string(taint));
+    log_.add({.kind = K::kShadowDec, .a = value, .b = taint});
   };
   if ((p.access_flag & dvm::kAccStatic) == 0) {
     shadow_pos(1, p.tR1);
@@ -496,13 +487,14 @@ void DvmHookEngine::hook_interpret_entry(arm::Cpu& cpu) {
   const GuestMethodInfo info = read_method(cpu, regs[0]);
   const GuestAddr fp = regs[1];
 
-  log_.line("dvmInterpret Begin");
-  log_.line("Method Name: " + info.name);
-  log_.line("Method Shorty: " + info.shorty);
-  log_.line("Method insSize: " + std::to_string(info.ins_size));
-  log_.line("Method registerSize: " + std::to_string(info.registers_size));
-  log_.line("curFrame@0x" + hex(fp));
-  log_.line("Method AccessFlag: 0x" + hex(info.access_flags));
+  const dvm::Method* method = device_.dvm.method_at(regs[0]);
+  log_.tag("dvmInterpret Begin");
+  log_.add({.kind = K::kInterpName, .ref = {.method = method}});
+  log_.add({.kind = K::kInterpShorty, .ref = {.method = method}});
+  log_.add({.kind = K::kInterpInsSize, .a = info.ins_size});
+  log_.add({.kind = K::kInterpRegSize, .a = info.registers_size});
+  log_.add({.kind = K::kInterpFrame, .a = fp});
+  log_.add({.kind = K::kInterpAccess, .a = info.access_flags});
 
   if (!pending_java_valid_) return;
   pending_java_valid_ = false;
@@ -514,9 +506,8 @@ void DvmHookEngine::hook_interpret_entry(arm::Cpu& cpu) {
     if (t == kTaintClear) continue;
     const GuestAddr slot = fp + 8 * (first_in + k) + 4;
     cpu.memory().write32(slot, cpu.memory().read32(slot) | t);
-    log_.line("args[" + std::to_string(k) + "] taint: 0x" + hex(t));
-    log_.line("add taint to new method frame t[" + hex(slot) +
-              "] = 0x" + hex(t));
+    log_.add({.kind = K::kFrameArg, .a = k, .b = t});
+    log_.add({.kind = K::kFrameTaint, .a = slot, .b = t});
     restored = true;
   }
   if (restored) ++jni_exit_restores;
@@ -529,13 +520,13 @@ void DvmHookEngine::hook_interpret_entry(arm::Cpu& cpu) {
 void DvmHookEngine::hook_nof_entry(arm::Cpu& cpu, GuestAddr to) {
   // MAF entry while a NOF is active?
   if (!nof_stack_.empty() && to == nof_stack_.back().maf) {
-    log_.line("dvm allocation Begin");
+    log_.tag("dvm allocation Begin");
     const std::size_t index = nof_stack_.size() - 1;
     push_exit(cpu, [this, index](arm::Cpu& c) {
       if (index < nof_stack_.size()) {
         nof_stack_[index].real_addr = c.state().regs[0];
-        log_.line("dvm allocation return 0x" + hex(c.state().regs[0]));
-        log_.line("dvm allocation End");
+        log_.add({.kind = K::kAllocReturn, .a = c.state().regs[0]});
+        log_.tag("dvm allocation End");
       }
     });
     return;
@@ -547,16 +538,13 @@ void DvmHookEngine::hook_nof_entry(arm::Cpu& cpu, GuestAddr to) {
   const auto& regs = cpu.state().regs;
 
   Taint taint = kTaintClear;
+  log_.add({.kind = K::kNofBegin, .ref = {.tag = nof.name}});
   if (nof.kind == 1) {
     const u32 len = guest_strlen(cpu, regs[1]);
     taint = engine_.map().get_range(regs[1], len);
-    log_.line(std::string(nof.name) + " Begin");
-    log_.line(cpu.memory().read_cstr(regs[1], 1u << 20));
+    log_.add({.kind = K::kText}, cpu.memory(), regs[1], len);
   } else if (nof.kind == 2) {
     taint = engine_.map().get_range(regs[1], 2 * regs[2]);
-    log_.line(std::string(nof.name) + " Begin");
-  } else {
-    log_.line(std::string(nof.name) + " Begin");
   }
   nof_stack_.push_back(
       ActiveNof{nof.name, nof.maf, taint, 0, cpu.state().lr() & ~1u});
@@ -581,8 +569,10 @@ void DvmHookEngine::hook_field_set(arm::Cpu& cpu, char type, bool is_static) {
     obj->fields().at(fr.field->index).taint |= t;
     dvm.heap().sync_payload(*obj);
   }
-  log_.line("Set" + std::string(1, type) + "Field " + fr.field->name +
-            " taint: 0x" + hex(t));
+  log_.add({.kind = K::kFieldSet,
+            .type = type,
+            .a = t,
+            .ref = {.field = fr.field}});
 }
 
 void DvmHookEngine::hook_field_get(arm::Cpu& cpu, char type, bool is_static) {
@@ -615,9 +605,9 @@ void DvmHookEngine::hook_field_get(arm::Cpu& cpu, char type, bool is_static) {
 void DvmHookEngine::hook_get_string_utf_chars(arm::Cpu& cpu) {
   const u32 iref = cpu.state().regs[1];
   const Taint t = object_taint_by_iref(iref);
-  log_.line("TrustCallHandler[GetStringUTFChars] begin");
-  log_.line("jstring taint:" + std::to_string(t));
-  log_.line("TrustCallHandler[GetStringUTFChars] end");
+  log_.tag("TrustCallHandler[GetStringUTFChars] begin");
+  log_.add({.kind = K::kJstringTaint, .a = t});
+  log_.tag("TrustCallHandler[GetStringUTFChars] end");
   push_exit(cpu, [this, t](arm::Cpu& c) {
     const GuestAddr buf = c.state().regs[0];
     if (buf == 0) return;
@@ -627,7 +617,7 @@ void DvmHookEngine::hook_get_string_utf_chars(arm::Cpu& cpu) {
     engine_.map().set_range(buf, len + 1, t);
     if (t == kTaintClear) return;
     engine_.set_reg(0, t);
-    log_.line("t(" + hex(buf) + ") := " + std::to_string(t));
+    log_.add({.kind = K::kShadowDec, .a = buf, .b = t});
   });
 }
 
@@ -646,7 +636,7 @@ void DvmHookEngine::hook_get_array_elements(arm::Cpu& cpu) {
     engine_.map().set_range(buf, bytes, t);  // reused memory: set, not OR
     if (t == kTaintClear) return;
     engine_.set_reg(0, t);
-    log_.line("t(" + hex(buf) + ") := " + std::to_string(t));
+    log_.add({.kind = K::kShadowDec, .a = buf, .b = t});
   });
 }
 
@@ -699,7 +689,7 @@ void DvmHookEngine::hook_pop_local_frame(arm::Cpu& cpu) {
 void DvmHookEngine::hook_throw_new(arm::Cpu& cpu) {
   const GuestAddr msg = cpu.state().regs[2];
   const Taint t = engine_.map().get_range(msg, guest_strlen(cpu, msg));
-  log_.line("ThrowNew Begin");
+  log_.tag("ThrowNew Begin");
   if (t == kTaintClear) return;
   push_exit(cpu, [this, t](arm::Cpu&) {
     dvm::Object* exc = device_.dvm.pending_exception;
@@ -710,8 +700,7 @@ void DvmHookEngine::hook_throw_new(arm::Cpu& cpu) {
     if (dvm::Object* message = device_.dvm.heap().object_at(msg_addr)) {
       device_.dvm.heap().add_object_taint(*message, t);
       ++objects_tainted;
-      log_.line("add taint " + std::to_string(t) +
-                " to exception message@0x" + hex(msg_addr));
+      log_.add({.kind = K::kExceptionTaint, .a = t, .b = msg_addr});
     }
   });
 }

@@ -153,11 +153,11 @@ class DvmHookEngine {
     GuestAddr ret_to = 0;
   };
 
+  /// What the hooks read out of a guest Method struct. The log names the
+  /// method through the host Method (Dvm::method_at) when it renders.
   struct GuestMethodInfo {
     GuestAddr insns = 0;
     std::string shorty;
-    std::string name;
-    std::string class_desc;
     u32 access_flags = 0;
     u32 registers_size = 0;
     u32 ins_size = 0;

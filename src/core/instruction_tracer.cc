@@ -86,12 +86,16 @@ void InstructionTracer::on_insn(arm::Cpu& cpu, const Insn& insn,
   if (handler == nullptr) return;
   ++traced_;
   ++engine_.propagations;
-  if (disasm_log_ != nullptr) {
-    char buf[16];
-    std::snprintf(buf, sizeof buf, "%08x  ", pc);
-    disasm_log_->line(buf + arm::disassemble(insn, pc));
-  }
+  if (disasm_log_ != nullptr) log_disasm(cpu, insn, pc);
   (this->*handler)(cpu, insn, pc);
+}
+
+void InstructionTracer::log_disasm(const arm::Cpu& cpu, const Insn& insn,
+                                   GuestAddr pc) {
+  disasm_log_->add({.kind = TraceKind::kDisasm,
+                    .type = static_cast<char>(cpu.state().thumb),
+                    .a = pc,
+                    .b = insn.raw});
 }
 
 arm::TraceOp InstructionTracer::prepare(const arm::TbInsn& ti) {
@@ -120,11 +124,7 @@ void InstructionTracer::run_prepared(void* ctx, arm::Cpu& cpu,
   if (self->use_cache_) ++self->cache_hits_;
   ++self->traced_;
   ++self->engine_.propagations;
-  if (self->disasm_log_ != nullptr) {
-    char buf[16];
-    std::snprintf(buf, sizeof buf, "%08x  ", pc);
-    self->disasm_log_->line(buf + arm::disassemble(insn, pc));
-  }
+  if (self->disasm_log_ != nullptr) self->log_disasm(cpu, insn, pc);
   (self->*(p->handler))(cpu, insn, pc);
 }
 

@@ -74,6 +74,8 @@ class InstructionTracer {
 
   [[nodiscard]] Handler classify(const arm::Insn& insn) const;
   [[nodiscard]] static u32 access_size(const arm::Insn& insn);
+  /// Records the disassembly line of a traced instruction.
+  void log_disasm(const arm::Cpu& cpu, const arm::Insn& insn, GuestAddr pc);
 
   /// Pre-resolved context a prepare()d thunk runs with (kept alive by the
   /// TraceOp's keepalive).

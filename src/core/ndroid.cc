@@ -135,6 +135,7 @@ NDroid::NDroid(android::Device& device, NDroidConfig config)
   device_.dvm.set_unwind_observer([this](GuestAddr sp) {
     dvm_hooks_->drop_calls_below(sp);
     syslib_->drop_exits_below(device_.cpu.state().sp());
+    ++analysis_epoch_;  // the drops change what wants_branch() answers
   });
 
   // Each engine's wants_branch() is a guaranteed-no-op prefilter, so hot
@@ -142,18 +143,22 @@ NDroid::NDroid(android::Device& device, NDroidConfig config)
   // dispatch bodies entirely.
   branch_hook_id_ = device_.cpu.add_branch_hook(
       [this](arm::Cpu& cpu, GuestAddr from, GuestAddr to) {
+        bool ran = false;
         if (config_.dvm_hooks && dvm_hooks_->wants_branch(to)) {
           dvm_hooks_->on_branch(cpu, from, to);
+          ran = true;
         }
         if ((config_.syslib_models || config_.sink_checks) &&
             syslib_->wants_branch(to)) {
           syslib_->on_branch(cpu, from, to);
+          ran = true;
         }
-        // Every mutation of wants_branch()-relevant state happens inside the
-        // dispatch above (the engines' hook tables are immutable
-        // process-wide data), so bumping here keeps the per-block branch memos
-        // sound: they stay valid exactly while no hook body has run.
-        ++analysis_epoch_;
+        // Apart from the unwind drops above, every mutation of
+        // wants_branch()-relevant state happens inside the dispatch bodies
+        // (the engines' hook tables are immutable process-wide data), so
+        // bumping only when one ran keeps the per-block branch memos sound:
+        // they stay valid exactly while no hook body has run.
+        if (ran) ++analysis_epoch_;
       },
       /*gated=*/true);
   // The branch gate mirrors the hook's own prefilters exactly: gate false

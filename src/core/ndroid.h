@@ -173,8 +173,8 @@ class NDroid {
   int insn_hook_id_ = 0;
   /// Branch-gate memo epoch: bumped whenever the hook engines' dynamic
   /// interest state (pending exits, NOF/JNI stacks, chain) may have
-  /// changed. All such mutations happen inside the branch-hook dispatch,
-  /// which bumps this unconditionally after running the engines.
+  /// changed: after a branch-hook dispatch that ran an engine's body, and
+  /// after the unwind observer dropped a faulted call's state.
   u64 analysis_epoch_ = 0;
 };
 

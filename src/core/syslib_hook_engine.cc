@@ -260,9 +260,9 @@ SysLibHookEngine::HookTable SysLibHookEngine::build_table(
   add("fprintf", [](SysLibHookEngine& e, arm::Cpu& c) {
     const GuestAddr file = c.state().regs[0];
     const std::string fmt = c.memory().read_cstr(c.state().regs[1]);
-    e.log_.line("SinkHandler[fprintf] begin");
+    e.log_.tag("SinkHandler[fprintf] begin");
     auto [out, taint] = e.format_taint(c, fmt, 2);
-    e.log_.line("SinkHandler[fprintf] end");
+    e.log_.tag("SinkHandler[fprintf] end");
     if (taint != kTaintClear) {
       const int fd = e.libc_.fd_of_file(file);
       const auto* fd_entry = e.kernel_.fd_entry(fd);
@@ -306,14 +306,16 @@ SysLibHookEngine::HookTable SysLibHookEngine::build_table(
 
   // Useful TrustCall logging for the case-study figures.
   add("fopen", [](SysLibHookEngine& e, arm::Cpu& c) {
-    e.log_.line("TrustCallHandler[fopen] begin");
-    e.log_.line("Open '" + c.memory().read_cstr(c.state().regs[0]) + "'");
-    e.log_.line("TrustCallHandler[fopen] end");
+    const GuestAddr path = c.state().regs[0];
+    e.log_.tag("TrustCallHandler[fopen] begin");
+    e.log_.add({.kind = TraceKind::kOpen}, c.memory(), path,
+               e.guest_strlen(c, path));
+    e.log_.tag("TrustCallHandler[fopen] end");
   });
   add("fclose", [](SysLibHookEngine& e, arm::Cpu& c) {
-    e.log_.line("TrustCallHandler[fclose] begin");
-    e.log_.line("Close FILE@" + std::to_string(c.state().regs[0]));
-    e.log_.line("TrustCallHandler[fclose] end");
+    e.log_.tag("TrustCallHandler[fclose] begin");
+    e.log_.add({.kind = TraceKind::kClose, .a = c.state().regs[0]});
+    e.log_.tag("TrustCallHandler[fclose] end");
   });
 
   // One hook per address, the later registration winning.
@@ -367,9 +369,9 @@ std::pair<std::string, Taint> SysLibHookEngine::format_taint(
             p == 0 ? "(null)" : c.memory().read_cstr(p);
         arg_taint |= engine_.map().get_range(p, static_cast<u32>(s.size()));
         if (arg_taint != kTaintClear) {
-          log_.line("t[" + std::to_string(p) + "] = " +
-                    std::to_string(arg_taint));
-          log_.line("write: " + s);
+          log_.add(
+              {.kind = TraceKind::kFormatArgTaint, .a = p, .b = arg_taint});
+          log_.add({.kind = TraceKind::kFormatWrite}, s);
         }
         out += s;
         break;
@@ -442,8 +444,8 @@ void SysLibHookEngine::on_insn(arm::Cpu& cpu, const arm::Insn& insn,
                                                : "sendto";
   record_leak(name, destination, t, std::string(data.begin(), data.end()),
               pc);
-  log_.line(std::string("SinkHandler[") + name + "] taint=0x" +
-            std::to_string(t) + " dest=" + destination);
+  log_.add({.kind = TraceKind::kSvcSink, .a = t, .ref = {.tag = name}},
+           destination);
 }
 
 }  // namespace ndroid::core

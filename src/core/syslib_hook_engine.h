@@ -66,8 +66,12 @@ class SysLibHookEngine {
   void on_branch(arm::Cpu& cpu, GuestAddr from, GuestAddr to);
 
   /// Cheap prefilter: false means on_branch(to) is guaranteed to be a no-op.
+  /// on_branch acts only on the innermost pending exit's return address and
+  /// on hooked entry points, so a loop inside a hooked call (a guest strlen
+  /// under a pending exit) stays quiet.
   [[nodiscard]] bool wants_branch(GuestAddr to) const {
-    return !exits_.empty() || table_.targets.maybe(to);
+    return (!exits_.empty() && exits_.back().ret_to == to) ||
+           table_.targets.maybe(to);
   }
 
   /// Drops the pending exits of hooked calls entered at or below guest

@@ -3,6 +3,8 @@
 // not just presence, so refactors cannot silently reorder the hook pipeline.
 #include <gtest/gtest.h>
 
+#include <fstream>
+
 #include "apps/leak_cases.h"
 #include "apps/real_apps.h"
 #include "core/ndroid.h"
@@ -146,6 +148,74 @@ TEST(GoldenLogs, CleanRunProducesNoSourceEvents) {
     EXPECT_EQ(line.find("SourceHandler"), std::string::npos) << line;
   }
 }
+
+// ---------------------------------------------------------------------------
+// Byte-for-byte golden traces: the full log of each case-study figure, as
+// tests/golden/*.log records it, on both CPU engines.
+// ---------------------------------------------------------------------------
+
+std::vector<std::string> read_golden(const std::string& name) {
+  std::ifstream in(std::string(NDROID_GOLDEN_DIR) + "/" + name);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+struct GoldenCase {
+  const char* file;
+  const char* package;
+  apps::LeakScenario (*build)(Device&);
+  bool disassembly;
+};
+
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.file; }
+
+class GoldenTrace
+    : public ::testing::TestWithParam<std::tuple<GoldenCase, arm::Engine>> {};
+
+TEST_P(GoldenTrace, FullLogMatchesByteForByte) {
+  const auto& [c, engine] = GetParam();
+  const std::vector<std::string> golden = read_golden(c.file);
+  ASSERT_FALSE(golden.empty()) << "missing golden file " << c.file;
+
+  Device device(c.package);
+  device.cpu.set_engine(engine);
+  NDroidConfig cfg;
+  cfg.trace_disassembly = c.disassembly;
+  NDroid nd(device, cfg);
+  const auto app = c.build(device);
+  device.dvm.call(*app.entry, {});
+
+  const std::vector<std::string>& lines = nd.log().lines();
+  ASSERT_EQ(lines.size(), golden.size());
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    EXPECT_EQ(lines[i], golden[i]) << "line " << i;
+  }
+  EXPECT_EQ(nd.log().dropped(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Figures, GoldenTrace,
+    ::testing::Combine(
+        ::testing::Values(
+            GoldenCase{"fig6_qqphonebook.log", "com.tencent.qqphonebook",
+                       &apps::build_qq_phonebook, false},
+            GoldenCase{"fig7_ephone.log", "com.vnet.ephone",
+                       &apps::build_ephone, false},
+            GoldenCase{"fig8_poc_case2.log", "com.ndroid.demos",
+                       &apps::build_case2, false},
+            GoldenCase{"fig9_poc_case3.log", "com.ndroid.demos",
+                       &apps::build_case3, false},
+            GoldenCase{"fig8_poc_case2_disasm.log", "com.ndroid.demos",
+                       &apps::build_case2, true}),
+        ::testing::Values(arm::Engine::kInterp, arm::Engine::kThreaded)),
+    [](const auto& info) {
+      std::string name = std::get<0>(info.param).file;
+      name = name.substr(0, name.find('.'));
+      return name + (std::get<1>(info.param) == arm::Engine::kInterp
+                         ? "_interp"
+                         : "_threaded");
+    });
 
 }  // namespace
 }  // namespace ndroid::core

@@ -81,6 +81,35 @@ TEST_F(SysLibFixture, StrlenAtoiTaintTheResult) {
   EXPECT_EQ(nd_.taint_engine().reg(0), kTaintPhoneNumber);
 }
 
+TEST_F(SysLibFixture, PendingExitWantsOnlyItsReturnAddress) {
+  // A strlen entry defers its exit to the caller's LR. Until then only that
+  // return address and the hooked entry points concern the engine, so the
+  // back-edges of a loop inside the call stay off the hook dispatch.
+  constexpr GuestAddr kReturnTo = 0x10000040;
+  constexpr GuestAddr kLoop = 0x10000100;  // unrelated to any hook
+  SysLibHookEngine& syslib = nd_.syslib();
+  device_.memory.write_cstr(kSrc, "12345");
+  map().set_range(kSrc, 5, kTaintPhoneNumber);
+  ASSERT_FALSE(syslib.wants_branch(kLoop));
+
+  arm::CPUState& s = device_.cpu.state();
+  s.regs[0] = kSrc;
+  s.set_lr(kReturnTo | 1);  // a Thumb caller
+  const GuestAddr strlen_at = device_.libc.fn("strlen");
+  ASSERT_TRUE(syslib.wants_branch(strlen_at));
+  syslib.on_branch(device_.cpu, kReturnTo - 4, strlen_at);
+
+  EXPECT_FALSE(syslib.wants_branch(kLoop));
+  EXPECT_FALSE(syslib.wants_branch(kLoop + 8));
+  EXPECT_TRUE(syslib.wants_branch(kReturnTo));
+  EXPECT_TRUE(syslib.wants_branch(device_.libc.fn("memcpy")));
+
+  s.regs[0] = 5;
+  syslib.on_branch(device_.cpu, strlen_at + 8, kReturnTo);
+  EXPECT_EQ(nd_.taint_engine().reg(0), kTaintPhoneNumber);
+  EXPECT_FALSE(syslib.wants_branch(kReturnTo));
+}
+
 TEST_F(SysLibFixture, StrcmpResultCarriesBothOperandTaints) {
   device_.memory.write_cstr(kSrc, "abc");
   device_.memory.write_cstr(kDst, "abd");

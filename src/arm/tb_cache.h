@@ -69,7 +69,6 @@ struct TranslationBlock {
   GuestAddr branch_to = 0;
   bool branch_quiet = false;
 
-  u64 exec_count = 0;
   std::vector<TbInsn> insns;
 
   /// Threaded-code lowering of this block (arm/threaded.h), built lazily on
@@ -124,11 +123,12 @@ class TbCache {
   /// translation block is currently being executed.
   void drain_graveyard() { graveyard_.clear(); }
 
-  /// Statistics entry for a hit served from the Cpu's front cache (keeps
-  /// hit_rate() meaningful without routing the fast path through lookup()).
-  void count_front_hit() {
-    ++lookups_;
-    ++hits_;
+  /// Statistics entry for `n` hits served from the Cpu's front cache or a
+  /// direct link (keeps hit_rate() meaningful without routing the fast
+  /// path through lookup()).
+  void count_front_hits(u64 n) {
+    lookups_ += n;
+    hits_ += n;
   }
 
   // --- Statistics ------------------------------------------------------

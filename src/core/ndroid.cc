@@ -111,7 +111,8 @@ NDroid::NDroid(android::Device& device, NDroidConfig config)
       engine_, scope_, config_.handler_cache,
       config_.trace_disassembly ? &log_ : nullptr);
   syslib_ = std::make_unique<SysLibHookEngine>(
-      device_.libc, device_.kernel, engine_, log_, config_.syslib_models);
+      device_.libc, device_.kernel, engine_, log_, config_.syslib_models,
+      /*skip_clean_models=*/config_.taint_liveness_fastpath);
   // T1 of the multilevel chain asks whether the branch source is in the
   // third-party native library under examination.
   auto third_party = [](GuestAddr pc) {
@@ -135,7 +136,8 @@ NDroid::NDroid(android::Device& device, NDroidConfig config)
   device_.dvm.set_unwind_observer([this](GuestAddr sp) {
     dvm_hooks_->drop_calls_below(sp);
     syslib_->drop_exits_below(device_.cpu.state().sp());
-    ++analysis_epoch_;  // the drops change what wants_branch() answers
+    // The drops change what wants_branch() answers.
+    engine_.bump_branch_epoch();
   });
 
   // Each engine's wants_branch() is a guaranteed-no-op prefilter, so hot
@@ -153,25 +155,27 @@ NDroid::NDroid(android::Device& device, NDroidConfig config)
           syslib_->on_branch(cpu, from, to);
           ran = true;
         }
-        // Apart from the unwind drops above, every mutation of
+        // Apart from the unwind drops above and taint-liveness flips (which
+        // the engine's branch epoch counts itself), every mutation of
         // wants_branch()-relevant state happens inside the dispatch bodies
         // (the engines' hook tables are immutable process-wide data), so
         // bumping only when one ran keeps the per-block branch memos sound:
-        // they stay valid exactly while no hook body has run.
-        if (ran) ++analysis_epoch_;
+        // they stay valid exactly while no hook body has run and liveness
+        // stands still.
+        if (ran) engine_.bump_branch_epoch();
       },
       /*gated=*/true);
   // The branch gate mirrors the hook's own prefilters exactly: gate false
   // implies the hook body above is a guaranteed no-op, which also licenses
   // the executor's quiet self-loop chaining and the per-block edge memo
-  // (validated against analysis_epoch_).
+  // (validated against the engine's branch epoch).
   device_.cpu.set_branch_gate(
       [this](arm::Cpu&, GuestAddr /*from*/, GuestAddr to) {
         return (config_.dvm_hooks && dvm_hooks_->wants_branch(to)) ||
                ((config_.syslib_models || config_.sink_checks) &&
                 syslib_->wants_branch(to));
       },
-      &analysis_epoch_);
+      engine_.branch_epoch());
   // The hook consents to block-level gating: when the CPU runs translation
   // blocks, block_gate() may skip it for whole blocks that cannot move
   // taint (the liveness fast path).

@@ -58,9 +58,12 @@ struct NDroidConfig {
   /// Taint-liveness fast path: when the CPU executes translation blocks,
   /// NDroid's block gate skips all per-instruction work for blocks that
   /// provably cannot move taint (nothing tainted anywhere, or clean
-  /// registers and no memory operations in the block). Off = hook every
-  /// instruction regardless (ablation; also forced off by
-  /// trace_disassembly, which must see every in-scope instruction).
+  /// registers and no memory operations in the block), and the System Lib
+  /// Hook Engine skips the Table VI models while no taint is live (they
+  /// would only write clear over clear). Off = hook every instruction and
+  /// apply every model regardless (ablation and the paper's Fig. 10
+  /// policy; trace_disassembly also makes the block gate hook every
+  /// in-scope instruction).
   bool taint_liveness_fastpath = true;
   /// Static pre-analysis feedback (attach_static_analysis): summaries of the
   /// app's native functions let the block gate skip taint-transparent code
@@ -171,11 +174,6 @@ class NDroid {
   std::unique_ptr<SummaryGate> summary_gate_;
   int branch_hook_id_ = 0;
   int insn_hook_id_ = 0;
-  /// Branch-gate memo epoch: bumped whenever the hook engines' dynamic
-  /// interest state (pending exits, NOF/JNI stacks, chain) may have
-  /// changed: after a branch-hook dispatch that ran an engine's body, and
-  /// after the unwind observer dropped a faulted call's state.
-  u64 analysis_epoch_ = 0;
 };
 
 }  // namespace ndroid::core

@@ -17,12 +17,13 @@ void memcpy_taint(mem::ShadowMemory& map, GuestAddr dst, GuestAddr src,
 
 SysLibHookEngine::SysLibHookEngine(libc::Libc& libc, os::Kernel& kernel,
                                    TaintEngine& engine, TraceLog& log,
-                                   bool models_enabled)
+                                   bool models_enabled, bool skip_clean_models)
     : libc_(libc),
       kernel_(kernel),
       engine_(engine),
       log_(log),
-      table_(hook_table(libc.symbols(), models_enabled)) {}
+      table_(hook_table(libc.symbols(), models_enabled)),
+      skip_clean_models_(skip_clean_models) {}
 
 const SysLibHookEngine::HookTable& SysLibHookEngine::hook_table(
     const std::map<std::string, GuestAddr>& symbols, bool models_enabled) {
@@ -58,10 +59,40 @@ u32 SysLibHookEngine::guest_strlen(arm::Cpu& cpu, GuestAddr s) {
   return n;
 }
 
-void SysLibHookEngine::defer_exit(arm::Cpu& cpu,
-                                  std::function<void(arm::Cpu&)> fn) {
-  exits_.push_back(
-      PendingExit{cpu.state().lr() & ~1u, cpu.state().sp(), std::move(fn)});
+void SysLibHookEngine::defer_exit(arm::Cpu& cpu, ExitKind kind, u32 a, u32 b,
+                                  u32 c, u32 d) {
+  exits_.push_back(PendingExit{kind, cpu.state().lr() & ~1u, cpu.state().sp(),
+                               a, b, c, d});
+}
+
+void SysLibHookEngine::run_exit(arm::Cpu& cpu, const PendingExit& e) {
+  auto& map = engine_.map();
+  const GuestAddr ret = cpu.state().regs[0];
+  switch (e.kind) {
+    case ExitKind::kCopyToResult:
+      map.copy_range(ret, e.a, e.b);  // a fresh block
+      return;
+    case ExitKind::kResultFromRange:
+      engine_.set_reg(0, map.get_range(e.a, e.b));
+      return;
+    case ExitKind::kResultFromRanges:
+      engine_.set_reg(0, map.get_range(e.a, e.c) | map.get_range(e.b, e.d));
+      return;
+    case ExitKind::kResultAddTaint:
+      engine_.add_reg(0, e.a);
+      return;
+    case ExitKind::kResultSetTaint:
+      engine_.set_reg(0, e.a);
+      return;
+    case ExitKind::kClearResult:
+      map.clear_range(ret, e.a);
+      return;
+    case ExitKind::kRealloc:
+      if (ret == e.a) return;
+      map.copy_range(ret, e.a, e.c);
+      map.clear_range(ret + e.c, e.b - e.c);
+      return;
+  }
 }
 
 void SysLibHookEngine::drop_exits_below(GuestAddr sp) {
@@ -71,13 +102,13 @@ void SysLibHookEngine::drop_exits_below(GuestAddr sp) {
 void SysLibHookEngine::on_branch(arm::Cpu& cpu, GuestAddr /*from*/,
                                  GuestAddr to) {
   if (!exits_.empty() && exits_.back().ret_to == to) {
-    auto fn = std::move(exits_.back().fn);
+    const PendingExit exit = exits_.back();
     exits_.pop_back();
-    fn(cpu);
+    run_exit(cpu, exit);
     return;
   }
   const EntryHook* hook = find_by_addr(table_.hooks, to);
-  if (hook == nullptr) return;
+  if (hook == nullptr || (hook->model && !models_live())) return;
   ++models_applied_;
   hook->fn(*this, cpu);
 }
@@ -86,8 +117,10 @@ SysLibHookEngine::HookTable SysLibHookEngine::build_table(
     const std::map<std::string, GuestAddr>& symbols, bool models_enabled) {
   using Fn = void (*)(SysLibHookEngine&, arm::Cpu&);
   std::vector<EntryHook> hooks;
+  // Everything added while `model` is set is a Table VI model.
+  bool model = true;
   auto add = [&](const char* name, Fn fn) {
-    hooks.push_back(EntryHook{symbols.at(name), name, fn});
+    hooks.push_back(EntryHook{symbols.at(name), name, fn, model});
   };
 
   // -------------------------------------------------------------------------
@@ -126,19 +159,13 @@ SysLibHookEngine::HookTable SysLibHookEngine::build_table(
     });
     add("strdup", [](SysLibHookEngine& e, arm::Cpu& c) {
       const GuestAddr src = c.state().regs[0];
-      const u32 len = e.guest_strlen(c, src) + 1;
-      e.defer_exit(c, [&map = e.engine_.map(), src, len](arm::Cpu& c2) {
-        map.copy_range(c2.state().regs[0], src, len);  // a fresh block
-      });
+      e.defer_exit(c, ExitKind::kCopyToResult, src, e.guest_strlen(c, src) + 1);
     });
 
     // Result-tainting models: t(ret) = union over examined bytes.
     const Fn ret_from_string = [](SysLibHookEngine& e, arm::Cpu& c) {
       const GuestAddr s = c.state().regs[0];
-      const u32 len = e.guest_strlen(c, s);
-      e.defer_exit(c, [&e, s, len](arm::Cpu&) {
-        e.engine_.set_reg(0, e.engine_.map().get_range(s, len));
-      });
+      e.defer_exit(c, ExitKind::kResultFromRange, s, e.guest_strlen(c, s));
     };
     for (const char* name :
          {"strlen", "atoi", "atol", "strtoul", "strtol", "strtod"}) {
@@ -150,29 +177,20 @@ SysLibHookEngine::HookTable SysLibHookEngine::build_table(
       const GuestAddr b = c.state().regs[1];
       const u32 la = e.guest_strlen(c, a);
       const u32 lb = e.guest_strlen(c, b);
-      e.defer_exit(c, [&e, a, b, la, lb](arm::Cpu&) {
-        auto& map = e.engine_.map();
-        e.engine_.set_reg(0, map.get_range(a, la) | map.get_range(b, lb));
-      });
+      e.defer_exit(c, ExitKind::kResultFromRanges, a, b, la, lb);
     };
     add("strcmp", ret_from_two_strings);
     add("strcasecmp", ret_from_two_strings);
     const Fn ret_from_two_ranges = [](SysLibHookEngine& e, arm::Cpu& c) {
       const auto& r = c.state().regs;
-      const GuestAddr a = r[0], b = r[1];
-      const u32 n = r[2];
-      e.defer_exit(c, [&e, a, b, n](arm::Cpu&) {
-        auto& map = e.engine_.map();
-        e.engine_.set_reg(0, map.get_range(a, n) | map.get_range(b, n));
-      });
+      e.defer_exit(c, ExitKind::kResultFromRanges, r[0], r[1], r[2], r[2]);
     };
     add("strncmp", ret_from_two_ranges);
     add("memcmp", ret_from_two_ranges);
 
     // Pointer-into-argument models: the result aliases the input string.
     const Fn ret_aliases_arg0 = [](SysLibHookEngine& e, arm::Cpu& c) {
-      const Taint t = e.engine_.reg(0);
-      e.defer_exit(c, [&e, t](arm::Cpu&) { e.engine_.add_reg(0, t); });
+      e.defer_exit(c, ExitKind::kResultAddTaint, e.engine_.reg(0));
     };
     for (const char* name : {"strchr", "strrchr", "memchr", "strstr"}) {
       add(name, ret_aliases_arg0);
@@ -180,16 +198,11 @@ SysLibHookEngine::HookTable SysLibHookEngine::build_table(
 
     // Allocation family: fresh memory starts clear; realloc moves taints.
     add("malloc", [](SysLibHookEngine& e, arm::Cpu& c) {
-      const u32 size = c.state().regs[0];
-      e.defer_exit(c, [&map = e.engine_.map(), size](arm::Cpu& c2) {
-        map.clear_range(c2.state().regs[0], size);
-      });
+      e.defer_exit(c, ExitKind::kClearResult, c.state().regs[0]);
     });
     add("calloc", [](SysLibHookEngine& e, arm::Cpu& c) {
-      const u32 size = c.state().regs[0] * c.state().regs[1];
-      e.defer_exit(c, [&map = e.engine_.map(), size](arm::Cpu& c2) {
-        map.clear_range(c2.state().regs[0], size);
-      });
+      e.defer_exit(c, ExitKind::kClearResult,
+                   c.state().regs[0] * c.state().regs[1]);
     });
     add("realloc", [](SysLibHookEngine& e, arm::Cpu& c) {
       const GuestAddr old = c.state().regs[0];
@@ -198,12 +211,7 @@ SysLibHookEngine::HookTable SysLibHookEngine::build_table(
       // blocks); the rest of the new block, all of it for realloc(NULL, n),
       // starts clear like malloc's.
       const u32 kept = std::min(size, e.kernel_.heap().block_size(old));
-      e.defer_exit(c, [&map = e.engine_.map(), old, size, kept](arm::Cpu& c2) {
-        const GuestAddr now = c2.state().regs[0];
-        if (now == old) return;
-        map.copy_range(now, old, kept);
-        map.clear_range(now + kept, size - kept);
-      });
+      e.defer_exit(c, ExitKind::kRealloc, old, size, kept);
     });
     add("free", [](SysLibHookEngine&, arm::Cpu&) {});
 
@@ -241,8 +249,8 @@ SysLibHookEngine::HookTable SysLibHookEngine::build_table(
 
     // libm: value-pure functions; t(ret) = t(arg0) | t(arg1).
     const Fn value_pure = [](SysLibHookEngine& e, arm::Cpu& c) {
-      const Taint t = e.engine_.reg(0) | e.engine_.reg(1);
-      e.defer_exit(c, [&e, t](arm::Cpu&) { e.engine_.set_reg(0, t); });
+      e.defer_exit(c, ExitKind::kResultSetTaint,
+                   e.engine_.reg(0) | e.engine_.reg(1));
     };
     for (const char* name :
          {"sin",  "sinf",  "cos",   "cosf", "sqrt", "sqrtf", "exp",  "expf",
@@ -257,6 +265,7 @@ SysLibHookEngine::HookTable SysLibHookEngine::build_table(
   // Table VII sinks: FILE*-level (no SVC is reached; the libc helpers write
   // directly).
   // -------------------------------------------------------------------------
+  model = false;
   add("fprintf", [](SysLibHookEngine& e, arm::Cpu& c) {
     const GuestAddr file = c.state().regs[0];
     const std::string fmt = c.memory().read_cstr(c.state().regs[1]);
@@ -331,6 +340,7 @@ SysLibHookEngine::HookTable SysLibHookEngine::build_table(
       table.hooks.push_back(h);
     }
     table.targets.add(h.addr);
+    if (!h.model) table.sink_targets.add(h.addr);
   }
   return table;
 }

@@ -17,9 +17,15 @@
 // The hooked entry points come from the once-per-process libc image, so the
 // address -> handler table is process-wide data too (hook_table); an engine
 // owns only its per-invocation state: pending exits, leaks, counters.
+//
+// Liveness fast path (NDroidConfig::taint_liveness_fastpath): a Table VI
+// model's entry handler only writes shadows and logs nothing while the data
+// is clean, so while no taint is live anywhere (TaintEngine::has_live_taint)
+// the models are skipped, and wants_branch() does not ask for their entry
+// points. Sinks and TrustCall handlers always run, and a pending exit fires
+// whether or not taint is still live.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -35,8 +41,9 @@ namespace ndroid::core {
 
 class SysLibHookEngine {
  public:
+  /// `skip_clean_models` turns on the liveness fast path (see above).
   SysLibHookEngine(libc::Libc& libc, os::Kernel& kernel, TaintEngine& engine,
-                   TraceLog& log, bool models_enabled);
+                   TraceLog& log, bool models_enabled, bool skip_clean_models);
 
   /// One Table VI model or Table VII sink: a libc entry point and the
   /// handler that runs when control reaches it. Handlers capture nothing;
@@ -45,12 +52,16 @@ class SysLibHookEngine {
     GuestAddr addr;
     const char* name;
     void (*fn)(SysLibHookEngine&, arm::Cpu&);
+    bool model;  // a Table VI model (shadow-only while the data is clean)
   };
   /// The entry hooks of one libc image, sorted by address, and the branch
-  /// prefilter over their addresses. Immutable once built.
+  /// prefilters over their addresses: `targets` over every hook,
+  /// `sink_targets` over the sinks and TrustCall handlers alone (the hooks
+  /// that run while the models are skipped). Immutable once built.
   struct HookTable {
     std::vector<EntryHook> hooks;
     AddrBloom targets;
+    AddrBloom sink_targets;
   };
 
   /// The table for libc images with `symbols`, with or without the Table VI
@@ -67,11 +78,18 @@ class SysLibHookEngine {
 
   /// Cheap prefilter: false means on_branch(to) is guaranteed to be a no-op.
   /// on_branch acts only on the innermost pending exit's return address and
-  /// on hooked entry points, so a loop inside a hooked call (a guest strlen
-  /// under a pending exit) stays quiet.
+  /// on hooked entry points (models only while models_live()), so a loop
+  /// inside a hooked call (a guest strlen under a pending exit) stays quiet.
+  /// The answer depends on taint liveness: a memo of it must be voided when
+  /// liveness flips (TaintEngine::branch_epoch).
   [[nodiscard]] bool wants_branch(GuestAddr to) const {
     return (!exits_.empty() && exits_.back().ret_to == to) ||
-           table_.targets.maybe(to);
+           (models_live() ? table_.targets : table_.sink_targets).maybe(to);
+  }
+
+  /// False while the liveness fast path skips the Table VI models.
+  [[nodiscard]] bool models_live() const {
+    return !skip_clean_models_ || engine_.has_live_taint();
   }
 
   /// Drops the pending exits of hooked calls entered at or below guest
@@ -93,8 +111,20 @@ class SysLibHookEngine {
   static HookTable build_table(const std::map<std::string, GuestAddr>& symbols,
                                bool models_enabled);
 
-  /// Runs `fn` when the hooked call returns to the current LR.
-  void defer_exit(arm::Cpu& cpu, std::function<void(arm::Cpu&)> fn);
+  /// What a pending exit does when the hooked call returns; a, b, c and d
+  /// are PendingExit's operands.
+  enum class ExitKind : u8 {
+    kCopyToResult,      // strdup: t[r0, r0+b) = t[a, a+b)
+    kResultFromRange,   // strlen family: t(r0) = t[a, a+b)
+    kResultFromRanges,  // strcmp family: t(r0) = t[a, a+c) | t[b, b+d)
+    kResultAddTaint,    // strchr family: t(r0) |= a
+    kResultSetTaint,    // libm: t(r0) = a
+    kClearResult,       // malloc, calloc: t[r0, r0+a) = clear
+    kRealloc,           // old block a, new size b, bytes kept c
+  };
+  /// Runs the exit `kind` when the hooked call returns to the current LR.
+  void defer_exit(arm::Cpu& cpu, ExitKind kind, u32 a, u32 b = 0, u32 c = 0,
+                  u32 d = 0);
 
   u32 guest_strlen(arm::Cpu& cpu, GuestAddr s);
   /// Renders a printf-style call and computes the taint union of its
@@ -110,12 +140,15 @@ class SysLibHookEngine {
   TaintEngine& engine_;
   TraceLog& log_;
   const HookTable& table_;
+  const bool skip_clean_models_;
 
   struct PendingExit {
+    ExitKind kind;
     GuestAddr ret_to;
     GuestAddr sp;  // the guest SP when the hooked call was entered
-    std::function<void(arm::Cpu&)> fn;
+    u32 a, b, c, d;
   };
+  void run_exit(arm::Cpu& cpu, const PendingExit& exit);
   std::vector<PendingExit> exits_;
 
   std::vector<NativeLeak> leaks_;

@@ -22,7 +22,7 @@ namespace ndroid::core {
 class TaintEngine {
  public:
   TaintEngine() {
-    map_.set_liveness_epoch_slot(&liveness_epoch_);
+    map_.set_liveness_epoch_slot(&liveness_epoch_, &branch_epoch_);
     map_.set_mutation_epoch_slot(&mutation_epoch_);
   }
   // The shadow map holds a pointer back into this object.
@@ -40,11 +40,15 @@ class TaintEngine {
         t != kTaintClear ? tainted_reg_mask_ | bit : tainted_reg_mask_ & ~bit);
     mutation_epoch_ += mask != tainted_reg_mask_;
     tainted_reg_mask_ = mask;
-    liveness_epoch_ += (tainted_regs_ != 0) != was;
+    const bool flip = (tainted_regs_ != 0) != was;
+    liveness_epoch_ += flip;
+    branch_epoch_ += flip;
   }
   void add_reg(u8 index, Taint t) {
     if (t == kTaintClear) return;
-    liveness_epoch_ += tainted_regs_ == 0 && regs_[index] == kTaintClear;
+    const bool flip = tainted_regs_ == 0 && regs_[index] == kTaintClear;
+    liveness_epoch_ += flip;
+    branch_epoch_ += flip;
     tainted_regs_ += (regs_[index] == kTaintClear);
     regs_[index] |= t;
     const u16 bit = static_cast<u16>(1u << index);
@@ -53,6 +57,7 @@ class TaintEngine {
   }
   void clear_regs() {
     liveness_epoch_ += tainted_regs_ != 0;
+    branch_epoch_ += tainted_regs_ != 0;
     mutation_epoch_ += tainted_reg_mask_ != 0;
     regs_.fill(kTaintClear);
     tainted_regs_ = 0;
@@ -80,6 +85,14 @@ class TaintEngine {
   /// summary-gate answer. Strictly more frequent than the liveness epoch;
   /// handed to arm::Cpu::set_block_gate when static summaries are attached.
   [[nodiscard]] const u64* mutation_epoch() const { return &mutation_epoch_; }
+
+  /// Branch-gate memo epoch: bumped with the liveness epoch (the syslib
+  /// engine answers wants_branch() for Table VI models only while taint is
+  /// live) and by bump_branch_epoch(), which NDroid calls whenever a hook
+  /// body ran or a fault dropped per-call state. Separate from the liveness
+  /// epoch so hook bodies never void the block-gate memos.
+  [[nodiscard]] const u64* branch_epoch() const { return &branch_epoch_; }
+  void bump_branch_epoch() { ++branch_epoch_; }
 
   // --- Taint map (guest memory shadows) ------------------------------------
   mem::ShadowMemory& map() { return map_; }
@@ -115,6 +128,7 @@ class TaintEngine {
   u16 tainted_reg_mask_ = 0;
   u64 liveness_epoch_ = 0;
   u64 mutation_epoch_ = 0;
+  u64 branch_epoch_ = 0;
   mem::ShadowMemory map_;
   std::unordered_map<u32, Taint> object_shadow_;
 };

@@ -30,7 +30,6 @@ void TaintGuard::check(arm::Cpu& cpu, GuestAddr pc, GuestAddr target) {
 
 void TaintGuard::on_store(arm::Cpu& cpu, const arm::Insn& insn,
                           GuestAddr pc) {
-  if (pc < code_start_ || pc >= code_end_) return;
   const arm::CPUState& state = cpu.state();
   const arm::Cond cond = arm::effective_cond(insn, state);
   if (cond != arm::Cond::kAL && !arm::condition_passed(cond, state)) return;

@@ -40,17 +40,20 @@ class TaintGuard {
   TaintGuard(android::Device& device, GuestAddr code_start,
              GuestAddr code_end);
 
-  /// Checks one store-class instruction about to execute (a conditional
-  /// one only when its condition passes).
+  /// Checks one store-class instruction about to execute from the guarded
+  /// code range (a conditional one only when its condition passes). The
+  /// caller tests the range: the Cpu calls the store hook below only for
+  /// stores whose pc lies in it.
   void on_store(arm::Cpu& cpu, const arm::Insn& insn, GuestAddr pc);
 
-  /// on_store as a Cpu store hook (NDroid installs it).
+  /// on_store as a Cpu store hook over [code_start, code_end) (NDroid
+  /// installs it).
   [[nodiscard]] arm::StoreHook store_hook() {
     return {[](void* self, arm::Cpu& cpu, const arm::Insn& insn,
                GuestAddr pc) {
               static_cast<TaintGuard*>(self)->on_store(cpu, insn, pc);
             },
-            this};
+            this, code_start_, code_end_};
   }
 
   [[nodiscard]] const std::vector<TamperAlert>& alerts() const {

@@ -105,8 +105,12 @@ class ShadowMemory {
 
   /// Optional counter bumped whenever tainted_bytes() crosses zero in either
   /// direction — the liveness epoch the block-gate memo is validated against
-  /// (see arm::Cpu::set_block_gate). Wired by TaintEngine.
-  void set_liveness_epoch_slot(u64* slot) { epoch_slot_ = slot; }
+  /// (see arm::Cpu::set_block_gate) — and an optional second counter bumped
+  /// with it (TaintEngine's branch epoch). Wired by TaintEngine.
+  void set_liveness_epoch_slot(u64* slot, u64* also = nullptr) {
+    epoch_slot_ = slot;
+    also_slot_ = also;
+  }
 
   /// Optional counter bumped whenever any page's live-byte count crosses
   /// zero — exactly the events that can change an any_tainted_in() answer.
@@ -142,7 +146,9 @@ class ShadowMemory {
 
   /// Bumps the liveness epoch if live_bytes_ crossed zero since `was`.
   void note_liveness(bool was) {
-    if (epoch_slot_ != nullptr && (live_bytes_ != 0) != was) ++*epoch_slot_;
+    if ((live_bytes_ != 0) == was) return;
+    if (epoch_slot_ != nullptr) ++*epoch_slot_;
+    if (also_slot_ != nullptr) ++*also_slot_;
   }
   /// Bumps the mutation epoch if a page's live count crossed zero.
   void note_page(u32 live_before, u32 live_after) {
@@ -164,6 +170,7 @@ class ShadowMemory {
   std::size_t resident_ = 0;
   u64 live_bytes_ = 0;
   u64* epoch_slot_ = nullptr;
+  u64* also_slot_ = nullptr;
   u64* mutation_slot_ = nullptr;
   mutable std::array<TlbEntry, kTlbSlots> tlb_;
 };

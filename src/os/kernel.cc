@@ -200,6 +200,7 @@ void Kernel::handle_svc(arm::Cpu& cpu, u32 svc_imm) {
 
 u32 Kernel::do_syscall(arm::Cpu& cpu, Sys number,
                        const std::array<u32, 6>& args) {
+  std::vector<u8> large;  // staging for transfers past kIoBufferBytes
   switch (number) {
     case Sys::kExit:
       exited_ = true;
@@ -208,14 +209,14 @@ u32 Kernel::do_syscall(arm::Cpu& cpu, Sys number,
       return args[0];
 
     case Sys::kRead: {
-      std::vector<u8> buf(args[2]);
+      const std::span<u8> buf = io_buffer(args[2], large);
       const u32 n = read_fd(static_cast<int>(args[0]), buf);
-      memory_.write_bytes(args[1], std::span<const u8>(buf.data(), n));
+      memory_.write_bytes(args[1], buf.first(n));
       return n;
     }
 
     case Sys::kWrite: {
-      std::vector<u8> buf(args[2]);
+      const std::span<u8> buf = io_buffer(args[2], large);
       memory_.read_bytes(args[1], buf);
       return write_fd(static_cast<int>(args[0]), buf);
     }
@@ -258,7 +259,7 @@ u32 Kernel::do_syscall(arm::Cpu& cpu, Sys number,
     case Sys::kSend: {
       const FdEntry* e = fd_entry(static_cast<int>(args[0]));
       if (e == nullptr || e->kind != FdEntry::Kind::kSocket) return -1u;
-      std::vector<u8> buf(args[2]);
+      const std::span<u8> buf = io_buffer(args[2], large);
       memory_.read_bytes(args[1], buf);
       network_.send(e->socket_id, buf);
       return args[2];
@@ -267,7 +268,7 @@ u32 Kernel::do_syscall(arm::Cpu& cpu, Sys number,
     case Sys::kSendto: {
       const FdEntry* e = fd_entry(static_cast<int>(args[0]));
       if (e == nullptr || e->kind != FdEntry::Kind::kSocket) return -1u;
-      std::vector<u8> buf(args[2]);
+      const std::span<u8> buf = io_buffer(args[2], large);
       memory_.read_bytes(args[1], buf);
       network_.sendto(e->socket_id, memory_.read_cstr(args[3]),
                       static_cast<u16>(args[4]), buf);
@@ -277,9 +278,9 @@ u32 Kernel::do_syscall(arm::Cpu& cpu, Sys number,
     case Sys::kRecv: {
       const FdEntry* e = fd_entry(static_cast<int>(args[0]));
       if (e == nullptr || e->kind != FdEntry::Kind::kSocket) return -1u;
-      std::vector<u8> buf(args[2]);
+      const std::span<u8> buf = io_buffer(args[2], large);
       const u32 n = network_.recv(e->socket_id, buf);
-      memory_.write_bytes(args[1], std::span<const u8>(buf.data(), n));
+      memory_.write_bytes(args[1], buf.first(n));
       return n;
     }
   }

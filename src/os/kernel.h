@@ -134,6 +134,17 @@ class Kernel {
   void handle_svc(arm::Cpu& cpu, u32 svc_imm);
   u32 do_syscall(arm::Cpu& cpu, Sys number, const std::array<u32, 6>& args);
 
+  /// Transfers up to this many bytes stage through io_buffer_, which keeps
+  /// its largest size; longer ones get a buffer of their own per call.
+  static constexpr u32 kIoBufferBytes = 64 * 1024;
+  /// `len` bytes of staging for one syscall's data (contents unspecified):
+  /// io_buffer_ when it fits, else `large`, grown to `len`.
+  std::span<u8> io_buffer(u32 len, std::vector<u8>& large) {
+    std::vector<u8>& buf = len <= kIoBufferBytes ? io_buffer_ : large;
+    if (buf.size() < len) buf.resize(len);
+    return {buf.data(), len};
+  }
+
   mem::AddressSpace& memory_;
   mem::MemoryMap& memmap_;
   Vfs vfs_;
@@ -146,6 +157,7 @@ class Kernel {
   std::unordered_map<int, FdEntry> fds_;
   int next_fd_ = 3;  // 0-2 reserved
 
+  std::vector<u8> io_buffer_;
   GuestAddr kernel_bump_ = 0;  // guest allocator for task structs
   NativeHeap heap_;
 

@@ -18,7 +18,12 @@
 #include <vector>
 
 #include "android/device.h"
+#include "apps/cfbench.h"
+#include "apps/leak_cases.h"
+#include "apps/monkey.h"
+#include "apps/real_apps.h"
 #include "arm/assembler.h"
+#include "core/ndroid.h"
 #include "farm/farm.h"
 #include "farm/market_app.h"
 #include "farm/providers.h"
@@ -368,6 +373,92 @@ TEST(Farm, GeneratedMarketLibrariesArePositionIndependent) {
   ASSERT_EQ(fns_low.size(), fns_high.size());
   for (std::size_t i = 0; i < fns_low.size(); ++i) {
     EXPECT_EQ(fns_low[i] - 0x10000, fns_high[i] - 0x24000);
+  }
+}
+
+/// Runs a Table I case, a CF-Bench row or a monkey session the way the
+/// farm's worker does, but under an explicit NDroidConfig.
+farm::JobResult run_under(const farm::JobSpec& spec, core::NDroidConfig cfg,
+                          arm::Engine engine) {
+  farm::JobResult r;
+  r.spec = spec;
+  const bool real_app = spec.kind == farm::JobKind::kRealApp;
+  android::Device device(real_app ? "com." + spec.name : "com.example.app");
+  device.cpu.set_engine(engine);
+  core::NDroid nd(device, cfg);
+  try {
+    if (spec.kind == farm::JobKind::kLeakCase) {
+      for (const auto& [name, builder] : apps::all_cases()) {
+        if (name != spec.name) continue;
+        const apps::LeakScenario scenario = builder(device);
+        nd.attach_static_analysis();
+        device.dvm.call(*scenario.entry, {});
+      }
+    } else if (spec.kind == farm::JobKind::kCfBench) {
+      apps::CfBenchApp app(device);
+      nd.attach_static_analysis();
+      r.checksum = app.run(*app.find(spec.name), spec.iterations);
+    } else {
+      const bool qq = spec.name == "qqphonebook";
+      (qq ? apps::build_qq_phonebook : apps::build_ephone)(device);
+      nd.attach_static_analysis();
+      apps::Monkey monkey(device, spec.monkey_seed);
+      monkey.add_target(device.dvm.find_class(
+          qq ? "Lcom/tencent/tccsync/LoginUtil;"
+             : "Lcom/vnet/asip/general/general;"));
+      const apps::MonkeyReport report = monkey.run(spec.monkey_events, [&] {
+        return static_cast<u32>(device.framework.leaks().size() +
+                                nd.leaks().size());
+      });
+      r.first_leaking_method = report.first_leaking_method;
+      r.faulted_events = report.faulted_events;
+    }
+    r.ok = true;
+  } catch (const std::exception& e) {
+    r.error = e.what();
+  }
+  r.framework_leaks = device.framework.leaks();
+  r.native_leaks = nd.leaks();
+  if (nd.guard() != nullptr) {
+    r.tamper_alerts = static_cast<u32>(nd.guard()->alerts().size());
+  }
+  return r;
+}
+
+TEST(ConfigDifferential, LivenessFastPathIsCostOnly) {
+  // taint_liveness_fastpath skips blocks and Table VI models that could
+  // only write clear over clear: with it on and off, on both engines, every
+  // job must report the same leaks, alerts and results.
+  std::vector<farm::JobSpec> jobs = farm::table1_jobs();
+  for (farm::JobSpec& j : farm::cfbench_jobs(/*iterations=*/2)) {
+    jobs.push_back(std::move(j));
+  }
+  for (farm::JobSpec& j : farm::real_app_jobs(/*monkey_events=*/200, 7)) {
+    jobs.push_back(std::move(j));
+  }
+  for (u32 i = 0; i < jobs.size(); ++i) jobs[i].id = i;
+
+  std::string reference;
+  for (const bool fastpath : {true, false}) {
+    for (arm::Engine engine : {arm::Engine::kThreaded, arm::Engine::kInterp}) {
+      SCOPED_TRACE(std::string("fast path ") + (fastpath ? "on, " : "off, ") +
+                   farm::to_string(engine));
+      core::NDroidConfig cfg;
+      cfg.taint_protection = true;
+      cfg.taint_liveness_fastpath = fastpath;
+      farm::FarmReport report;
+      for (const farm::JobSpec& spec : jobs) {
+        report.results.push_back(run_under(spec, cfg, engine));
+        EXPECT_TRUE(report.results.back().ok)
+            << spec.name << ": " << report.results.back().error;
+      }
+      if (reference.empty()) {
+        reference = report.leak_digest();
+        EXPECT_NE(reference.find("first_leak="), std::string::npos);
+      } else {
+        EXPECT_EQ(report.leak_digest(), reference);
+      }
+    }
   }
 }
 

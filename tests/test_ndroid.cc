@@ -250,7 +250,8 @@ TEST(Engines, FaultedModelCallLeavesNoPendingExit) {
   // malloc's model queues an exit action at entry; a size past the guest
   // heap faults inside malloc, so that exit never fires. The Dvm::call
   // unwind drops it: wants_branch() goes quiet again, and a later model
-  // call's exit fires and retires.
+  // call's exit fires and retires. The size arguments are tainted: with no
+  // live taint the liveness fast path skips the model altogether.
   Device device;
   NDroid nd(device);
   apps::NativeLibBuilder lib(device, "liballoc.so");
@@ -271,15 +272,62 @@ TEST(Engines, FaultedModelCallLeavesNoPendingExit) {
   // model exit is pending.
   const GuestAddr quiet = 0x4;
   ASSERT_FALSE(nd.syslib().wants_branch(quiet));
-  EXPECT_THROW(device.dvm.call(*alloc_m, {dvm::Slot{0x7fff0000, 0}}),
-               GuestFault);
+  EXPECT_THROW(
+      device.dvm.call(*alloc_m, {dvm::Slot{0x7fff0000, kTaintImei}}),
+      GuestFault);
   EXPECT_FALSE(nd.syslib().wants_branch(quiet));
 
   const u64 models = nd.syslib().models_applied();
-  const dvm::Slot r = device.dvm.call(*alloc_m, {dvm::Slot{16, 0}});
+  const dvm::Slot r = device.dvm.call(*alloc_m, {dvm::Slot{16, kTaintImei}});
   EXPECT_NE(r.value, 0u);
   EXPECT_EQ(nd.syslib().models_applied(), models + 1);
   EXPECT_FALSE(nd.syslib().wants_branch(quiet));
+
+  // A clean call applies no model.
+  EXPECT_NE(device.dvm.call(*alloc_m, {dvm::Slot{16, 0}}).value, 0u);
+  EXPECT_EQ(nd.syslib().models_applied(), models + 1);
+}
+
+TEST(Engines, QuietEdgeMemoVoidedWhenTaintAppears) {
+  // A loop calls strlen, then makes an SVC. While nothing is tainted the
+  // edge into strlen is memoised as quiet (the model is skipped) on the
+  // loop-head block (the second iteration's: the first runs the function's
+  // entry block). The second SVC taints the string; SVCs fire no branch
+  // hook, so only the liveness flip moves the branch-gate epoch. The third
+  // strlen call must ask the gate again, fire the model, and return a
+  // tainted r0.
+  Device device;
+  NDroid nd(device);
+  constexpr GuestAddr kStr = 0x30100000;
+  constexpr u32 kTaintSvc = 0x77;
+  device.memory.write_cstr(kStr, "12345");
+  u32 svcs = 0;
+  device.cpu.set_svc_handler([&](arm::Cpu&, u32 number) {
+    ASSERT_EQ(number, kTaintSvc);
+    if (svcs++ == 1) nd.taint_engine().map().set_range(kStr, 5, kTaintImei);
+  });
+  apps::NativeLibBuilder lib(device, "libstrlen.so");
+  auto& a = lib.a();
+  using arm::R;
+  // int len3(const char* s): 3 times { strlen(s); svc }.
+  const GuestAddr len3 = lib.fn();
+  arm::Label loop;
+  a.push({R(4), R(5), arm::LR});
+  a.mov(R(4), R(0));
+  a.mov_imm(R(5), 3);
+  a.bind(loop);
+  a.mov(R(0), R(4));
+  a.call(device.libc.fn("strlen"));
+  a.svc(kTaintSvc);
+  a.sub_imm(R(5), R(5), 1, /*s=*/true);
+  a.b(loop, arm::Cond::kNE);
+  a.pop({R(4), R(5), arm::PC});
+  lib.install();
+
+  EXPECT_EQ(device.cpu.call_function(len3, {kStr}), 5u);
+  EXPECT_EQ(svcs, 3u);
+  EXPECT_EQ(nd.syslib().models_applied(), 1u);
+  EXPECT_EQ(nd.taint_engine().reg(0), kTaintImei);
 }
 
 TEST(Engines, MultilevelChainFiresT1ToT6) {

@@ -266,6 +266,65 @@ TEST_F(SysLibFixture, LeakSummaryAggregates) {
   EXPECT_EQ(s.by_destination.at("/sdcard/a"), 2u);
 }
 
+TEST_F(SysLibFixture, ModelsSkipWhileNoTaintIsLive) {
+  // With nothing tainted anywhere a model could only write clear over
+  // clear: the liveness fast path skips it. Once taint is live it applies.
+  device_.memory.write_cstr(kSrc, "12345");
+  const u64 before = nd_.syslib().models_applied();
+  EXPECT_EQ(call("strlen", {kSrc}), 5u);
+  EXPECT_EQ(nd_.syslib().models_applied(), before);
+  EXPECT_FALSE(nd_.syslib().models_live());
+
+  map().set_range(kSrc, 5, kTaintImei);
+  EXPECT_TRUE(nd_.syslib().models_live());
+  EXPECT_EQ(call("strlen", {kSrc}), 5u);
+  EXPECT_EQ(nd_.syslib().models_applied(), before + 1);
+  EXPECT_EQ(nd_.taint_engine().reg(0), kTaintImei);
+}
+
+TEST_F(SysLibFixture, SinksRunWhileNoTaintIsLive) {
+  // TrustCall handlers log whether or not taint is live.
+  device_.memory.write_cstr(kSrc, "/sdcard/clean");
+  device_.memory.write_cstr(kSrc + 0x40, "w");
+  call("fopen", {kSrc, kSrc + 0x40});
+  EXPECT_TRUE(nd_.log().contains("/sdcard/clean"));
+}
+
+TEST_F(SysLibFixture, PendingExitFiresAfterTheTaintDies) {
+  // strchr's exit is queued while r0's taint is live; a later branch hook
+  // clears every register before the call returns. The exit still fires
+  // and gives r0 the argument's taint back.
+  device_.memory.write_cstr(kSrc, "a.b");
+  const GuestAddr strchr_at = device_.libc.fn("strchr");
+  TaintEngine& engine = nd_.taint_engine();
+  const int hook = device_.cpu.add_branch_hook(
+      [&engine, strchr_at](arm::Cpu&, GuestAddr, GuestAddr to) {
+        if (to == strchr_at) engine.clear_regs();
+      });
+  engine.set_reg(0, kTaintContacts);
+  const u64 before = nd_.syslib().models_applied();
+  call("strchr", {kSrc, '.'});
+  device_.cpu.remove_branch_hook(hook);
+  EXPECT_EQ(nd_.syslib().models_applied(), before + 1);
+  EXPECT_EQ(engine.reg(0), kTaintContacts);
+  EXPECT_FALSE(nd_.syslib().wants_branch(arm::kHostReturnAddr));
+}
+
+TEST(SysLibConfig, PaperPolicyAppliesEveryModel) {
+  // taint_liveness_fastpath = false (the Fig. 10 policy): models apply on
+  // clean data too.
+  Device device;
+  NDroidConfig cfg;
+  cfg.taint_liveness_fastpath = false;
+  NDroid nd(device, cfg);
+  constexpr GuestAddr kStr = 0x30100000;
+  device.memory.write_cstr(kStr, "abc");
+  EXPECT_EQ(device.cpu.call_function(device.libc.fn("strlen"), {kStr}), 3u);
+  EXPECT_NE(device.cpu.call_function(device.libc.fn("malloc"), {16}), 0u);
+  EXPECT_EQ(nd.syslib().models_applied(), 2u);
+  EXPECT_TRUE(nd.syslib().models_live());
+}
+
 TEST_F(SysLibFixture, ModelsDisabledMeansNoModelApplications) {
   Device d2;
   NDroidConfig cfg;

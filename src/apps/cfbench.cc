@@ -16,8 +16,17 @@ using dvm::kAccPublic;
 using dvm::kAccStatic;
 using dvm::Method;
 
-CfBenchApp::CfBenchApp(android::Device& device) : device_(device) {
-  NativeLibBuilder lib(device, "libcfbench.so");
+namespace {
+
+/// libcfbench.so's entry points, in emission order.
+enum CfEntry : std::size_t {
+  kMips, kMsflops, kMdflops, kMallocs, kMemRead, kMemWrite, kDiskWrite,
+  kDiskRead,
+};
+
+}  // namespace
+
+void emit_cfbench(NativeLibBuilder& lib, const android::Device& device) {
   auto& a = lib.a();
   const GuestAddr malloc_fn = device.libc.fn("malloc");
   const GuestAddr free_fn = device.libc.fn("free");
@@ -33,7 +42,7 @@ CfBenchApp::CfBenchApp(android::Device& device) : device_(device) {
   // All native workloads: jint f(JNIEnv*, jclass, jint iters).
 
   // Native MIPS: 8 integer ALU ops per iteration.
-  const GuestAddr fn_mips = lib.fn();
+  lib.fn();  // kMips
   {
     Label loop, done;
     a.mov_imm(R(0), 0);
@@ -56,7 +65,7 @@ CfBenchApp::CfBenchApp(android::Device& device) : device_(device) {
   }
 
   // Native MSFLOPS: soft-float via libm (sqrtf) plus integer mixing.
-  const GuestAddr fn_msflops = lib.fn();
+  lib.fn();  // kMsflops
   {
     Label loop, done;
     a.push({R(4), R(5), LR});
@@ -76,7 +85,7 @@ CfBenchApp::CfBenchApp(android::Device& device) : device_(device) {
   }
 
   // Native MDFLOPS: 64-bit multiply-accumulate chains.
-  const GuestAddr fn_mdflops = lib.fn();
+  lib.fn();  // kMdflops
   {
     Label loop, done;
     a.push({R(4), R(5), R(6), LR});
@@ -98,7 +107,7 @@ CfBenchApp::CfBenchApp(android::Device& device) : device_(device) {
   }
 
   // Native MALLOCS: malloc(64) + free per iteration.
-  const GuestAddr fn_mallocs = lib.fn();
+  lib.fn();  // kMallocs
   {
     Label loop, done;
     a.push({R(4), LR});
@@ -117,7 +126,7 @@ CfBenchApp::CfBenchApp(android::Device& device) : device_(device) {
   }
 
   // Native Memory Read: 16 sequential word loads per iteration.
-  const GuestAddr fn_mem_read = lib.fn();
+  lib.fn();  // kMemRead
   {
     Label loop, done;
     a.mov_imm(R(0), 0);
@@ -136,7 +145,7 @@ CfBenchApp::CfBenchApp(android::Device& device) : device_(device) {
   }
 
   // Native Memory Write: 16 sequential word stores per iteration.
-  const GuestAddr fn_mem_write = lib.fn();
+  lib.fn();  // kMemWrite
   {
     Label loop, done;
     a.bind(loop);
@@ -154,7 +163,7 @@ CfBenchApp::CfBenchApp(android::Device& device) : device_(device) {
   }
 
   // Native Disk Write: write(fd, buf, 64) per iteration.
-  const GuestAddr fn_disk_write = lib.fn();
+  lib.fn();  // kDiskWrite
   {
     Label loop, done;
     a.push({R(4), R(5), LR});
@@ -180,7 +189,7 @@ CfBenchApp::CfBenchApp(android::Device& device) : device_(device) {
   }
 
   // Native Disk Read: read(fd, buf, 64) per iteration.
-  const GuestAddr fn_disk_read = lib.fn();
+  lib.fn();  // kDiskRead
   {
     Label loop, done;
     a.push({R(4), R(5), LR});
@@ -204,8 +213,11 @@ CfBenchApp::CfBenchApp(android::Device& device) : device_(device) {
     a.mov_imm(R(0), 0);
     a.pop({R(4), R(5), PC});
   }
+}
 
-  lib.install();
+CfBenchApp::CfBenchApp(android::Device& device) : device_(device) {
+  const std::vector<GuestAddr>& fns =
+      load_app_lib(device, "libcfbench.so", &emit_cfbench);
 
   auto& dvm = device.dvm;
   dvm::ClassObject* app = dvm.define_class("Leu/chainfire/cfbench/Bench;");
@@ -214,14 +226,14 @@ CfBenchApp::CfBenchApp(android::Device& device) : device_(device) {
                                   kAccPublic | kAccStatic, fn);
     workloads_.push_back(CfWorkload{wl_name, false, m});
   };
-  native("Native MIPS", "nativeMips", fn_mips);
-  native("Native MSFLOPS", "nativeMsflops", fn_msflops);
-  native("Native MDFLOPS", "nativeMdflops", fn_mdflops);
-  native("Native MALLOCS", "nativeMallocs", fn_mallocs);
-  native("Native Memory Read", "nativeMemRead", fn_mem_read);
-  native("Native Memory Write", "nativeMemWrite", fn_mem_write);
-  native("Native Disk Read", "nativeDiskRead", fn_disk_read);
-  native("Native Disk Write", "nativeDiskWrite", fn_disk_write);
+  native("Native MIPS", "nativeMips", fns[kMips]);
+  native("Native MSFLOPS", "nativeMsflops", fns[kMsflops]);
+  native("Native MDFLOPS", "nativeMdflops", fns[kMdflops]);
+  native("Native MALLOCS", "nativeMallocs", fns[kMallocs]);
+  native("Native Memory Read", "nativeMemRead", fns[kMemRead]);
+  native("Native Memory Write", "nativeMemWrite", fns[kMemWrite]);
+  native("Native Disk Read", "nativeDiskRead", fns[kDiskRead]);
+  native("Native Disk Write", "nativeDiskWrite", fns[kDiskWrite]);
 
   // Java MIPS: v0 acc, v1 tmp, v2 const, v3 = iters (in).
   {

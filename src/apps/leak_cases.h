@@ -24,6 +24,8 @@
 
 namespace ndroid::apps {
 
+class NativeLibBuilder;
+
 struct LeakScenario {
   dvm::Method* entry = nullptr;   // Java method to invoke (no args)
   std::string sink_destination;   // where the data ends up
@@ -35,6 +37,14 @@ LeakScenario build_case1_prime(android::Device& device);
 LeakScenario build_case2(android::Device& device);
 LeakScenario build_case3(android::Device& device);
 LeakScenario build_case4(android::Device& device);
+
+/// The cases' native libraries (libcase1.so ... libcase4.so), which the
+/// builders load through load_app_lib: emitted once per process.
+void emit_case1(NativeLibBuilder& lib, const android::Device& device);
+void emit_case1_prime(NativeLibBuilder& lib, const android::Device& device);
+void emit_case2(NativeLibBuilder& lib, const android::Device& device);
+void emit_case3(NativeLibBuilder& lib, const android::Device& device);
+void emit_case4(NativeLibBuilder& lib, const android::Device& device);
 
 /// All five, keyed by the paper's case names.
 std::vector<std::pair<std::string, LeakScenario (*)(android::Device&)>>

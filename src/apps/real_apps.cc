@@ -13,8 +13,7 @@ using dvm::kAccPublic;
 using dvm::kAccStatic;
 using dvm::Method;
 
-LeakScenario build_qq_phonebook(android::Device& device) {
-  NativeLibBuilder lib(device, "libtccsync.so");
+void emit_tccsync(NativeLibBuilder& lib, const android::Device& device) {
   auto& a = lib.a();
   const GuestAddr get_utf = device.jni.fn("GetStringUTFChars");
   const GuestAddr new_utf = device.jni.fn("NewStringUTF");
@@ -26,7 +25,7 @@ LeakScenario build_qq_phonebook(android::Device& device) {
   // jint makeLoginRequestPackageMd5(JNIEnv*, jclass, 11 params);
   // shorty IILLLLLLLLII. The sensitive payload is args[3] (the 4th DVM
   // slot), i.e. shorty param 4 -> JNI position 5 -> second stacked arg.
-  const GuestAddr fn_make = lib.fn();
+  lib.fn();  // fns[0]
   a.push({R(4), R(5), LR});
   a.mov(R(4), R(0));       // env
   a.ldr(R(5), SP, 16);     // args[3] iref: entry [sp+4], +12 for pushes
@@ -44,20 +43,24 @@ LeakScenario build_qq_phonebook(android::Device& device) {
   a.pop({R(4), R(5), PC});
 
   // jstring getPostUrl(JNIEnv*, jclass, jint); shorty LI.
-  const GuestAddr fn_get = lib.fn();
+  lib.fn();  // fns[1]
   a.push({R(4), LR});
   a.mov_imm32(R(1), buf);
   a.call(new_utf);  // env already in r0
   a.pop({R(4), PC});
-  lib.install();
+}
+
+LeakScenario build_qq_phonebook(android::Device& device) {
+  const std::vector<GuestAddr>& fns =
+      load_app_lib(device, "libtccsync.so", &emit_tccsync);
 
   auto& dvm = device.dvm;
   dvm::ClassObject* app = dvm.define_class("Lcom/tencent/tccsync/LoginUtil;");
   Method* make = dvm.define_native(app, "makeLoginRequestPackageMd5",
                                    "IILLLLLLLLII", kAccPublic | kAccStatic,
-                                   fn_make);
+                                   fns[0]);
   Method* get = dvm.define_native(app, "getPostUrl", "LI",
-                                  kAccPublic | kAccStatic, fn_get);
+                                  kAccPublic | kAccStatic, fns[1]);
   Method* sink = device.framework.network->find_method("send");
   Method* sms = device.framework.sms_manager->find_method("getAllMessages");
   Method* contacts =
@@ -97,8 +100,7 @@ LeakScenario build_qq_phonebook(android::Device& device) {
                       "QQPhoneBook: SMS/contacts exfiltrated via JNI (1')"};
 }
 
-LeakScenario build_ephone(android::Device& device) {
-  NativeLibBuilder lib(device, "libephone.so");
+void emit_ephone(NativeLibBuilder& lib, const android::Device& device) {
   auto& a = lib.a();
   const GuestAddr get_utf = device.jni.fn("GetStringUTFChars");
   const GuestAddr memcpy_fn = device.libc.fn("memcpy");
@@ -116,7 +118,7 @@ LeakScenario build_ephone(android::Device& device) {
 
   // jint callregister(JNIEnv*, jclass, 9 params); shorty ILLLLLLLII.
   // args[2] (slot 2, shorty param 3) -> JNI position 4 -> first stacked arg.
-  const GuestAddr fn_call = lib.fn();
+  lib.fn();  // fns[0]
   a.push({R(4), R(5), R(6), LR});
   a.mov(R(4), R(0));     // env
   a.ldr(R(5), SP, 16);   // args[2] iref: entry [sp+0] + 16 pushed
@@ -159,12 +161,16 @@ LeakScenario build_ephone(android::Device& device) {
   a.add_imm(SP, SP, 8);
   a.mov_imm(R(0), 0);
   a.pop({R(4), R(5), R(6), PC});
-  lib.install();
+}
+
+LeakScenario build_ephone(android::Device& device) {
+  const std::vector<GuestAddr>& fns =
+      load_app_lib(device, "libephone.so", &emit_ephone);
 
   auto& dvm = device.dvm;
   dvm::ClassObject* app = dvm.define_class("Lcom/vnet/asip/general/general;");
   Method* callregister = dvm.define_native(
-      app, "callregister", "ILLLLLLLII", kAccPublic | kAccStatic, fn_call);
+      app, "callregister", "ILLLLLLLII", kAccPublic | kAccStatic, fns[0]);
   Method* contacts = device.framework.contacts->find_method("queryContacts");
 
   CodeBuilder cb;

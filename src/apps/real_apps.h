@@ -21,4 +21,9 @@ namespace ndroid::apps {
 LeakScenario build_qq_phonebook(android::Device& device);
 LeakScenario build_ephone(android::Device& device);
 
+/// libtccsync.so and libephone.so, which the builders load through
+/// load_app_lib: emitted once per process.
+void emit_tccsync(NativeLibBuilder& lib, const android::Device& device);
+void emit_ephone(NativeLibBuilder& lib, const android::Device& device);
+
 }  // namespace ndroid::apps

@@ -1,5 +1,7 @@
 // Per-job execution: one isolated Device + NDroid per JobSpec.
 #include <chrono>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 
@@ -51,124 +53,110 @@ void collect(JobResult& r, android::Device& device, core::NDroid& nd) {
   }
 }
 
-/// Picks the job's Device: the fork pool's pre-built copy-on-write template
-/// when one is offered (skipping Device construction entirely — the
-/// dominant share of setup_ms), else a fresh local one. The template is
-/// byte-identical to a default-constructed Device, so results cannot
-/// differ.
+/// Picks the job's Device. Market and real apps run in a Device named
+/// after the app; every other kind takes the fork pool's pre-built
+/// copy-on-write template when one is offered (skipping Device
+/// construction entirely — the dominant share of setup_ms), else a fresh
+/// local one. The template is byte-identical to a default-constructed
+/// Device, so results cannot differ.
 android::Device& pick_device(std::optional<android::Device>& local,
-                             android::Device* snapshot) {
-  if (snapshot != nullptr) return *snapshot;
-  return local.emplace();
-}
-
-void run_leak_case(JobResult& r, const JobSpec& spec, core::NDroidConfig cfg,
-                   EngineTier engine, android::Device* snapshot) {
-  apps::LeakScenario (*builder)(android::Device&) = nullptr;
-  for (const auto& [name, b] : apps::all_cases()) {
-    if (name == spec.name) builder = b;
+                             android::Device* snapshot, const JobSpec& spec) {
+  switch (spec.kind) {
+    case JobKind::kMarketApp: return local.emplace(spec.name);
+    case JobKind::kRealApp: return local.emplace("com." + spec.name);
+    default: return snapshot != nullptr ? *snapshot : local.emplace();
   }
-  if (builder == nullptr) throw std::runtime_error("unknown case " + spec.name);
-
-  const auto t0 = Clock::now();
-  std::optional<android::Device> local;
-  android::Device& device = pick_device(local, snapshot);
-  apply_engine(device, engine);
-  core::NDroid nd(device, cfg);
-  const apps::LeakScenario scenario = builder(device);
-  r.timing.setup_ms = ms_since(t0);
-
-  const auto t1 = Clock::now();
-  nd.attach_static_analysis();
-  r.timing.static_ms = ms_since(t1);
-
-  const auto t2 = Clock::now();
-  device.dvm.call(*scenario.entry, {});
-  r.timing.run_ms = ms_since(t2);
-  collect(r, device, nd);
 }
 
-void run_cfbench(JobResult& r, const JobSpec& spec, core::NDroidConfig cfg,
-                 EngineTier engine, android::Device* snapshot) {
-  const auto t0 = Clock::now();
-  std::optional<android::Device> local;
-  android::Device& device = pick_device(local, snapshot);
-  apply_engine(device, engine);
-  core::NDroid nd(device, cfg);
-  apps::CfBenchApp app(device);
-  const apps::CfWorkload* workload = app.find(spec.name);
-  if (workload == nullptr) {
-    throw std::runtime_error("unknown workload " + spec.name);
-  }
-  r.timing.setup_ms = ms_since(t0);
-
-  const auto t1 = Clock::now();
-  nd.attach_static_analysis();
-  r.timing.static_ms = ms_since(t1);
-
-  const auto t2 = Clock::now();
-  r.checksum = app.run(*workload, spec.iterations);
-  r.timing.run_ms = ms_since(t2);
-  collect(r, device, nd);
-}
-
-void run_market_app(JobResult& r, const JobSpec& spec, core::NDroidConfig cfg,
-                    EngineTier engine) {
-  const auto t0 = Clock::now();
-  android::Device device(spec.name);
-  apply_engine(device, engine);
-  core::NDroid nd(device, cfg);
-  const MarketApp app = build_market_app(device, spec);
-  r.timing.setup_ms = ms_since(t0);
-
-  const auto t1 = Clock::now();
-  nd.attach_static_analysis();
-  r.timing.static_ms = ms_since(t1);
-
+const char* market_type(const JobSpec& spec) {
   market::AppRecord record;
   record.package = spec.name;
   record.calls_load_library = true;
   record.bundles_native_libs = !spec.native_libs.empty();
   record.native_libs = spec.native_libs;
   switch (market::classify(record)) {
-    case market::AppType::kType1: r.market_type = "type1"; break;
-    case market::AppType::kType2: r.market_type = "type2"; break;
-    case market::AppType::kType3: r.market_type = "type3"; break;
-    default: r.market_type = "none"; break;
+    case market::AppType::kType1: return "type1";
+    case market::AppType::kType2: return "type2";
+    case market::AppType::kType3: return "type3";
+    default: return "none";
   }
-
-  const auto t2 = Clock::now();
-  u32 checksum = 0;
-  u32 arg = 7;
-  for (dvm::Method* m : app.natives) {
-    const dvm::Slot ret = device.dvm.call(*m, {dvm::Slot{arg, kTaintClear}});
-    checksum = checksum * 31 + ret.value;
-    arg = checksum | 1;
-  }
-  r.checksum = checksum;
-  r.timing.run_ms = ms_since(t2);
-  collect(r, device, nd);
 }
 
-void run_real_app(JobResult& r, const JobSpec& spec, core::NDroidConfig cfg,
-                  EngineTier engine) {
-  const auto t0 = Clock::now();
-  apps::LeakScenario (*builder)(android::Device&) = nullptr;
-  const char* target_class = nullptr;
-  if (spec.name == "qqphonebook") {
-    builder = &apps::build_qq_phonebook;
-    target_class = "Lcom/tencent/tccsync/LoginUtil;";
-  } else if (spec.name == "ephone") {
-    builder = &apps::build_ephone;
-    target_class = "Lcom/vnet/asip/general/general;";
-  } else {
-    throw std::runtime_error("unknown real app " + spec.name);
+/// Builds the job's app into `device` and returns its run step, which
+/// fills the result fields of the job's kind.
+std::function<void()> build_app(JobResult& r, const JobSpec& spec,
+                                android::Device& device, core::NDroid& nd) {
+  switch (spec.kind) {
+    case JobKind::kLeakCase:
+      for (const auto& [name, builder] : apps::all_cases()) {
+        if (name != spec.name) continue;
+        dvm::Method* entry = builder(device).entry;
+        return [&device, entry] { device.dvm.call(*entry, {}); };
+      }
+      throw std::runtime_error("unknown case " + spec.name);
+    case JobKind::kCfBench: {
+      auto app = std::make_shared<apps::CfBenchApp>(device);
+      const apps::CfWorkload* workload = app->find(spec.name);
+      if (workload == nullptr) {
+        throw std::runtime_error("unknown workload " + spec.name);
+      }
+      return [&r, &spec, app, workload] {
+        r.checksum = app->run(*workload, spec.iterations);
+      };
+    }
+    case JobKind::kMarketApp: {
+      r.market_type = market_type(spec);
+      const MarketApp app = build_market_app(device, spec);
+      return [&r, &device, natives = app.natives] {
+        u32 checksum = 0;
+        u32 arg = 7;
+        for (dvm::Method* m : natives) {
+          const dvm::Slot ret =
+              device.dvm.call(*m, {dvm::Slot{arg, kTaintClear}});
+          checksum = checksum * 31 + ret.value;
+          arg = checksum | 1;
+        }
+        r.checksum = checksum;
+      };
+    }
+    case JobKind::kRealApp: {
+      const char* target_class = nullptr;
+      if (spec.name == "qqphonebook") {
+        apps::build_qq_phonebook(device);
+        target_class = "Lcom/tencent/tccsync/LoginUtil;";
+      } else if (spec.name == "ephone") {
+        apps::build_ephone(device);
+        target_class = "Lcom/vnet/asip/general/general;";
+      } else {
+        throw std::runtime_error("unknown real app " + spec.name);
+      }
+      return [&r, &spec, &device, &nd, target_class] {
+        apps::Monkey monkey(device, spec.monkey_seed);
+        monkey.add_target(device.dvm.find_class(target_class));
+        const apps::MonkeyReport report = monkey.run(spec.monkey_events, [&] {
+          return static_cast<u32>(device.framework.leaks().size() +
+                                  nd.leaks().size());
+        });
+        r.first_leaking_method = report.first_leaking_method;
+        r.faulted_events = report.faulted_events;
+      };
+    }
+    case JobKind::kFuzz: break;
   }
+  throw std::logic_error("build_app: fuzz jobs have no app");
+}
 
-  android::Device device("com." + spec.name);
+/// Every app job, one sequence: Device, engine, NDroid, app build, static
+/// attach, run, collect. Scope exit tears down in reverse: the app (its run
+/// step), then NDroid, then the Device.
+void run_app_job(JobResult& r, const JobSpec& spec, core::NDroidConfig cfg,
+                 EngineTier engine, android::Device* snapshot) {
+  const auto t0 = Clock::now();
+  std::optional<android::Device> local;
+  android::Device& device = pick_device(local, snapshot, spec);
   apply_engine(device, engine);
   core::NDroid nd(device, cfg);
-  builder(device);
+  const std::function<void()> run = build_app(r, spec, device, nd);
   r.timing.setup_ms = ms_since(t0);
 
   const auto t1 = Clock::now();
@@ -176,14 +164,7 @@ void run_real_app(JobResult& r, const JobSpec& spec, core::NDroidConfig cfg,
   r.timing.static_ms = ms_since(t1);
 
   const auto t2 = Clock::now();
-  apps::Monkey monkey(device, spec.monkey_seed);
-  monkey.add_target(device.dvm.find_class(target_class));
-  const apps::MonkeyReport report = monkey.run(spec.monkey_events, [&] {
-    return static_cast<u32>(device.framework.leaks().size() +
-                            nd.leaks().size());
-  });
-  r.first_leaking_method = report.first_leaking_method;
-  r.faulted_events = report.faulted_events;
+  run();
   r.timing.run_ms = ms_since(t2);
   collect(r, device, nd);
 }
@@ -217,16 +198,10 @@ JobResult run_job(const JobSpec& spec, static_analysis::SummaryCache* cache,
   if (cache == nullptr) cfg.summary_store = options.store;
 
   try {
-    switch (spec.kind) {
-      case JobKind::kLeakCase:
-        run_leak_case(r, spec, cfg, options.engine, snapshot);
-        break;
-      case JobKind::kCfBench:
-        run_cfbench(r, spec, cfg, options.engine, snapshot);
-        break;
-      case JobKind::kMarketApp: run_market_app(r, spec, cfg, options.engine); break;
-      case JobKind::kRealApp: run_real_app(r, spec, cfg, options.engine); break;
-      case JobKind::kFuzz: run_fuzz(r, spec); break;
+    if (spec.kind == JobKind::kFuzz) {
+      run_fuzz(r, spec);
+    } else {
+      run_app_job(r, spec, cfg, options.engine, snapshot);
     }
     r.ok = true;
   } catch (const std::exception& e) {

@@ -5,25 +5,28 @@
 
 namespace ndroid::mem {
 
+AddressSpace::Leaf& AddressSpace::touch_leaf(u32 page_no) {
+  Leaf*& leaf = root_[page_no >> kLeafBits];
+  if (leaf == nullptr) {
+    leaves_.push_back(std::make_unique<Leaf>());
+    leaf = leaves_.back().get();
+  }
+  return *leaf;
+}
+
 AddressSpace::Page& AddressSpace::touch_page(GuestAddr addr) {
   const u32 page_no = addr >> kPageShift;
-  std::unique_ptr<Leaf>& leaf = root_[page_no >> kLeafBits];
-  if (leaf == nullptr) leaf = std::make_unique<Leaf>();
-  std::unique_ptr<Page>& page = leaf->pages[page_no & (kLeafSlots - 1)];
+  Page*& page = touch_leaf(page_no).pages[page_no & (kLeafSlots - 1)];
   if (page == nullptr) {
-    page = std::make_unique<Page>();  // value-initialised: zero-filled
-    ++resident_;
+    pages_.push_back(std::make_unique<Page>());  // value-initialised: zeros
+    page = pages_.back().get();
   }
   return *page;
 }
 
 void AddressSpace::set_page_watched(u32 page_no, bool on) {
-  std::unique_ptr<Leaf>& leaf = root_[page_no >> kLeafBits];
-  if (leaf == nullptr) {
-    if (!on) return;
-    leaf = std::make_unique<Leaf>();
-  }
-  u8& watched = leaf->watched[page_no & (kLeafSlots - 1)];
+  if (!on && root_[page_no >> kLeafBits] == nullptr) return;
+  u8& watched = touch_leaf(page_no).watched[page_no & (kLeafSlots - 1)];
   if (watched == static_cast<u8>(on)) return;
   watched = on;
   if (!on) {

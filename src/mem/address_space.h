@@ -12,7 +12,9 @@
 //    one host memory access, no hash probe and no function call;
 //  * a flat two-level page directory (1024-entry root of lazily allocated
 //    1024-slot leaves) behind the TLB, so even a miss is two dependent loads
-//    rather than an unordered_map probe;
+//    rather than an unordered_map probe. The directory holds raw pointers;
+//    the pages and leaves are owned by two lists, so teardown frees what was
+//    allocated instead of visiting every slot of every leaf;
 //  * page-chunked bulk ops (read_bytes/write_bytes/fill/copy/read_cstr)
 //    that run memcpy/memset/memchr per resident page instead of per byte.
 //
@@ -31,6 +33,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "common/types.h"
 
@@ -140,8 +143,8 @@ class AddressSpace {
   void copy(GuestAddr dst, GuestAddr src, u32 len);
 
   /// Number of pages currently materialised (memory footprint diagnostics).
-  /// Exact and O(1): maintained by page allocation.
-  [[nodiscard]] std::size_t resident_pages() const { return resident_; }
+  /// Exact and O(1): the length of the owned-page list.
+  [[nodiscard]] std::size_t resident_pages() const { return pages_.size(); }
   [[nodiscard]] bool is_resident(GuestAddr addr) const {
     return find_page(addr) != nullptr;
   }
@@ -194,10 +197,10 @@ class AddressSpace {
     const u32 offset = addr & kPageMask;
     if (len > kPageSize - offset) return nullptr;
     const u32 page_no = addr >> kPageShift;
-    Leaf* leaf = root_[page_no >> kLeafBits].get();
+    const Leaf* leaf = root_[page_no >> kLeafBits];
     if (leaf == nullptr) return nullptr;
     const u32 slot = page_no & (kLeafSlots - 1);
-    Page* p = leaf->pages[slot].get();
+    Page* p = leaf->pages[slot];
     if (p == nullptr || leaf->watched[slot] != 0) return nullptr;
     return p->data() + offset;
   }
@@ -222,7 +225,7 @@ class AddressSpace {
  private:
   using Page = std::array<u8, kPageSize>;
   struct Leaf {
-    std::array<std::unique_ptr<Page>, kLeafSlots> pages;
+    std::array<Page*, kLeafSlots> pages{};  // owned by pages_
     std::array<u8, kLeafSlots> watched{};  // set_page_watched marks
   };
   static constexpr u32 kNoPage = 0xFFFFFFFFu;
@@ -234,12 +237,12 @@ class AddressSpace {
 
   [[nodiscard]] Page* find_page(GuestAddr addr) const {
     const u32 page_no = addr >> kPageShift;
-    const Leaf* leaf = root_[page_no >> kLeafBits].get();
-    return leaf == nullptr
-               ? nullptr
-               : leaf->pages[page_no & (kLeafSlots - 1)].get();
+    const Leaf* leaf = root_[page_no >> kLeafBits];
+    return leaf == nullptr ? nullptr
+                           : leaf->pages[page_no & (kLeafSlots - 1)];
   }
   Page& touch_page(GuestAddr addr);
+  Leaf& touch_leaf(u32 page_no);
 
   /// Refill policies. Reads may cache any resident page; writes must never
   /// cache a watched page or every subsequent store would skip the watch.
@@ -252,7 +255,7 @@ class AddressSpace {
     write_tlb_[page_no & (kTlbSlots - 1)] = {page_no, p.data()};
   }
   [[nodiscard]] bool is_watched(u32 page_no) const {
-    const Leaf* leaf = root_[page_no >> kLeafBits].get();
+    const Leaf* leaf = root_[page_no >> kLeafBits];
     return leaf != nullptr && leaf->watched[page_no & (kLeafSlots - 1)] != 0;
   }
 
@@ -276,8 +279,9 @@ class AddressSpace {
     }
   }
 
-  std::array<std::unique_ptr<Leaf>, kRootSlots> root_;
-  std::size_t resident_ = 0;
+  std::array<Leaf*, kRootSlots> root_{};  // owned by leaves_
+  std::vector<std::unique_ptr<Leaf>> leaves_;
+  std::vector<std::unique_ptr<Page>> pages_;
   std::size_t watched_pages_ = 0;
   mutable std::array<TlbEntry, kTlbSlots> read_tlb_;
   std::array<TlbEntry, kTlbSlots> write_tlb_;

@@ -9,15 +9,18 @@ ShadowMemory::Page& ShadowMemory::touch_page(GuestAddr addr) {
   const u32 page_no = addr >> kPageShift;
   TlbEntry& e = tlb_[page_no & (kTlbSlots - 1)];
   if (e.page == page_no) return *e.host;
-  std::unique_ptr<Leaf>& leaf = root_[page_no >> kLeafBits];
-  if (leaf == nullptr) leaf = std::make_unique<Leaf>();
-  std::unique_ptr<Page>& page = leaf->pages[page_no & (kLeafSlots - 1)];
-  if (page == nullptr) {
-    page = std::make_unique<Page>();
-    page->bytes.fill(0);
-    ++resident_;
+  Leaf*& leaf = root_[page_no >> kLeafBits];
+  if (leaf == nullptr) {
+    leaves_.push_back(std::make_unique<Leaf>());
+    leaf = leaves_.back().get();
   }
-  e = {page_no, page.get()};
+  Page*& page = leaf->pages[page_no & (kLeafSlots - 1)];
+  if (page == nullptr) {
+    pages_.push_back(std::make_unique<Page>());
+    page = pages_.back().get();
+    page->bytes.fill(0);
+  }
+  e = {page_no, page};
   return *page;
 }
 
@@ -56,13 +59,13 @@ bool ShadowMemory::any_tainted_in(GuestAddr lo, GuestAddr hi) const {
   // 4 MiB per null check, so a multi-GiB window costs O(resident pages
   // inside it), not O(window size).
   for (u32 r = first >> kLeafBits; r <= (last >> kLeafBits); ++r) {
-    const Leaf* leaf = root_[r].get();
+    const Leaf* leaf = root_[r];
     if (leaf == nullptr) continue;
     const u32 base = r << kLeafBits;
     const u32 s_lo = r == (first >> kLeafBits) ? first - base : 0;
     const u32 s_hi = r == (last >> kLeafBits) ? last - base : kLeafSlots - 1;
     for (u32 s = s_lo; s <= s_hi; ++s) {
-      const Page* p = leaf->pages[s].get();
+      const Page* p = leaf->pages[s];
       if (p != nullptr && p->live != 0) return true;
     }
   }
@@ -273,8 +276,9 @@ void ShadowMemory::or_copy_range(GuestAddr dst, GuestAddr src, u32 len) {
 void ShadowMemory::clear_all() {
   const bool was = live_bytes_ != 0;
   if (mutation_slot_ != nullptr && live_bytes_ != 0) ++*mutation_slot_;
-  for (std::unique_ptr<Leaf>& leaf : root_) leaf.reset();
-  resident_ = 0;
+  root_.fill(nullptr);
+  leaves_.clear();
+  pages_.clear();
   live_bytes_ = 0;
   tlb_.fill(TlbEntry{});
   note_liveness(was);

@@ -11,7 +11,9 @@
 //    memcpy pattern: alternating src/dst) stay lookup-free;
 //  * a flat two-level page directory replaces the unordered_map, making
 //    misses two dependent loads and any_tainted_in a walk over resident
-//    leaves only;
+//    leaves only; as in AddressSpace the directory holds raw pointers and
+//    two lists own the pages and leaves, so clear_all and teardown free
+//    what was allocated without visiting empty slots;
 //  * range ops are page-chunked and word-granular: get_range OR-reduces
 //    64 bits per step, set_range/add_range/copy_range account live-byte
 //    deltas from chunk scans and bulk fill/copy instead of per-byte
@@ -30,6 +32,7 @@
 
 #include <array>
 #include <memory>
+#include <vector>
 
 #include "common/types.h"
 
@@ -92,7 +95,7 @@ class ShadowMemory {
   [[nodiscard]] u64 tainted_bytes() const { return live_bytes_; }
 
   /// Number of shadow pages currently materialised. O(1).
-  [[nodiscard]] std::size_t resident_pages() const { return resident_; }
+  [[nodiscard]] std::size_t resident_pages() const { return pages_.size(); }
 
   /// True when any byte of [lo, hi) *may* be tainted, answered at page
   /// granularity from the per-page live counters: every page overlapping the
@@ -124,7 +127,7 @@ class ShadowMemory {
     u32 live = 0;  // bytes of this page with a non-zero label
   };
   struct Leaf {
-    std::array<std::unique_ptr<Page>, kLeafSlots> pages;
+    std::array<Page*, kLeafSlots> pages{};  // owned by pages_
   };
 
   struct TlbEntry {
@@ -136,9 +139,9 @@ class ShadowMemory {
     const u32 page_no = addr >> kPageShift;
     TlbEntry& e = tlb_[page_no & (kTlbSlots - 1)];
     if (e.page == page_no) return e.host;
-    const Leaf* leaf = root_[page_no >> kLeafBits].get();
+    const Leaf* leaf = root_[page_no >> kLeafBits];
     Page* p =
-        leaf == nullptr ? nullptr : leaf->pages[page_no & (kLeafSlots - 1)].get();
+        leaf == nullptr ? nullptr : leaf->pages[page_no & (kLeafSlots - 1)];
     if (p != nullptr) e = {page_no, p};
     return p;
   }
@@ -166,8 +169,9 @@ class ShadowMemory {
     return n;
   }
 
-  std::array<std::unique_ptr<Leaf>, kRootSlots> root_;
-  std::size_t resident_ = 0;
+  std::array<Leaf*, kRootSlots> root_{};  // owned by leaves_
+  std::vector<std::unique_ptr<Leaf>> leaves_;
+  std::vector<std::unique_ptr<Page>> pages_;
   u64 live_bytes_ = 0;
   u64* epoch_slot_ = nullptr;
   u64* also_slot_ = nullptr;

@@ -1,7 +1,9 @@
 #include "os/kernel.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
+#include <cstring>
 
 namespace ndroid::os {
 
@@ -23,6 +25,13 @@ constexpr u32 kVmaEnd = 0x04;
 constexpr u32 kVmaNext = 0x08;
 constexpr u32 kVmaName = 0x0C;
 constexpr u32 kVmaSize = 0x10;
+
+// Task structures start past the init_task pointer's slot.
+constexpr GuestAddr kKernelStructs = Kernel::kKernelBase + 16;
+
+std::string maps_path(u32 pid) {
+  return "/proc/" + std::to_string(pid) + "/maps";
+}
 }  // namespace
 
 Kernel::Kernel(mem::AddressSpace& memory, mem::MemoryMap& memmap)
@@ -30,7 +39,8 @@ Kernel::Kernel(mem::AddressSpace& memory, mem::MemoryMap& memmap)
   memmap_.add("[kernel]", kKernelBase, kKernelSize, mem::kRW);
   memmap_.add("[heap]", kHeapBase, kHeapSize, mem::kRW);
   memory_.write32(kTaskRoot, 0);
-  kernel_bump_ = kKernelBase + 16;
+  kernel_bump_ = kKernelStructs;
+  task_tail_ = kTaskRoot;
 }
 
 void Kernel::attach(arm::Cpu& cpu) {
@@ -42,7 +52,9 @@ u32 Kernel::create_process(std::string name) {
   const u32 pid = next_pid_++;
   processes_.push_back(Process{pid, std::move(name), {}});
   if (current_pid_ == 0) current_pid_ = pid;
-  sync_guest_structs();
+  append_task(processes_.back());
+  vfs_.create(maps_path(pid));
+  if (pid == current_pid_) vfs_.create("/proc/self/maps");
   return pid;
 }
 
@@ -50,80 +62,83 @@ void Kernel::map_region(u32 pid, const mem::Region& region) {
   for (Process& p : processes_) {
     if (p.pid == pid) {
       p.regions.push_back(region);
-      sync_guest_structs();
+      if (&p == &processes_.back()) {
+        append_vma(region);
+      } else {
+        sync_guest_structs();
+      }
+      append_maps_line(pid, region);
       return;
     }
   }
   throw GuestFault("map_region: no such pid " + std::to_string(pid));
 }
 
-void Kernel::refresh_proc_maps() {
-  // Renders /proc/<pid>/maps for each process (and /proc/self/maps for the
-  // current one) from the per-process region lists — the textual view tools
-  // and emulator-detection code read on real Android.
-  for (const Process& p : processes_) {
-    std::string text;
-    for (const mem::Region& r : p.regions) {
-      char line[128];
-      std::snprintf(line, sizeof line, "%08x-%08x %c%c%cp 00000000 %s\n",
-                    r.start, r.end,
-                    mem::has_perm(r.perms, mem::Perm::kRead) ? 'r' : '-',
-                    mem::has_perm(r.perms, mem::Perm::kWrite) ? 'w' : '-',
-                    mem::has_perm(r.perms, mem::Perm::kExec) ? 'x' : '-',
-                    r.name.c_str());
-      text += line;
-    }
-    const std::vector<u8> bytes(text.begin(), text.end());
-    vfs_.create("/proc/" + std::to_string(p.pid) + "/maps", bytes);
-    if (p.pid == current_pid_) {
-      vfs_.create("/proc/self/maps", bytes);
-    }
+void Kernel::append_maps_line(u32 pid, const mem::Region& r) {
+  // The textual view tools and emulator-detection code read on real
+  // Android, one line per region in mapping order.
+  char line[128];
+  const int n = std::snprintf(
+      line, sizeof line, "%08x-%08x %c%c%cp 00000000 %s\n", r.start, r.end,
+      mem::has_perm(r.perms, mem::Perm::kRead) ? 'r' : '-',
+      mem::has_perm(r.perms, mem::Perm::kWrite) ? 'w' : '-',
+      mem::has_perm(r.perms, mem::Perm::kExec) ? 'x' : '-', r.name.c_str());
+  const std::span<const u8> bytes(
+      reinterpret_cast<const u8*>(line),
+      std::min<std::size_t>(static_cast<std::size_t>(n), sizeof line - 1));
+  const std::string path = maps_path(pid);
+  vfs_.write_at(path, vfs_.size(path), bytes);
+  if (pid == current_pid_) {
+    vfs_.write_at("/proc/self/maps", vfs_.size("/proc/self/maps"), bytes);
   }
 }
 
-void Kernel::sync_guest_structs() {
-  // Rebuild the whole linked structure with a fresh bump allocation pass;
-  // simple and deterministic, and forces the reconstructor to re-parse.
-  kernel_bump_ = kKernelBase + 16;
-  auto alloc = [&](u32 size) {
-    const GuestAddr addr = kernel_bump_;
-    kernel_bump_ += (size + 3) & ~3u;
-    if (kernel_bump_ > kKernelBase + kKernelSize) {
-      throw GuestFault("kernel struct area exhausted");
-    }
-    return addr;
-  };
-  auto alloc_cstr = [&](const std::string& s) {
-    const GuestAddr addr = alloc(static_cast<u32>(s.size()) + 1);
-    memory_.write_cstr(addr, s);
-    return addr;
-  };
-
-  GuestAddr prev_link = kTaskRoot;
-  for (const Process& p : processes_) {
-    const GuestAddr task = alloc(kTaskSize);
-    memory_.write32(prev_link, task);
-    memory_.write32(task + kTaskNext, 0);
-    memory_.write32(task + kTaskPid, p.pid);
-    std::string comm = p.name.substr(0, 15);
-    for (u32 i = 0; i < 16; ++i) {
-      memory_.write8(task + kTaskComm + i,
-                     i < comm.size() ? static_cast<u8>(comm[i]) : 0);
-    }
-    GuestAddr mm_link = task + kTaskMm;
-    memory_.write32(mm_link, 0);
-    for (const mem::Region& r : p.regions) {
-      const GuestAddr vma = alloc(kVmaSize);
-      memory_.write32(mm_link, vma);
-      memory_.write32(vma + kVmaStart, r.start);
-      memory_.write32(vma + kVmaEnd, r.end);
-      memory_.write32(vma + kVmaNext, 0);
-      memory_.write32(vma + kVmaName, alloc_cstr(r.name));
-      mm_link = vma + kVmaNext;
-    }
-    prev_link = task + kTaskNext;
+GuestAddr Kernel::alloc_guest(u32 size) {
+  const GuestAddr addr = kernel_bump_;
+  kernel_bump_ += (size + 3) & ~3u;
+  if (kernel_bump_ > kKernelBase + kKernelSize) {
+    throw GuestFault("kernel struct area exhausted");
   }
-  refresh_proc_maps();
+  return addr;
+}
+
+void Kernel::append_task(const Process& p) {
+  const GuestAddr task = alloc_guest(kTaskSize);
+  memory_.write32(task_tail_, task);
+  memory_.write32(task + kTaskNext, 0);
+  memory_.write32(task + kTaskPid, p.pid);
+  std::array<u8, 16> comm{};
+  std::memcpy(comm.data(), p.name.data(),
+              std::min<std::size_t>(p.name.size(), comm.size() - 1));
+  memory_.write_bytes(task + kTaskComm, comm);
+  memory_.write32(task + kTaskMm, 0);
+  task_tail_ = task + kTaskNext;
+  vma_tail_ = task + kTaskMm;
+}
+
+void Kernel::append_vma(const mem::Region& r) {
+  const GuestAddr vma = alloc_guest(kVmaSize);
+  const GuestAddr name = alloc_guest(static_cast<u32>(r.name.size()) + 1);
+  memory_.write_cstr(name, r.name);
+  memory_.write32(vma_tail_, vma);
+  memory_.write32(vma + kVmaStart, r.start);
+  memory_.write32(vma + kVmaEnd, r.end);
+  memory_.write32(vma + kVmaNext, 0);
+  memory_.write32(vma + kVmaName, name);
+  vma_tail_ = vma + kVmaNext;
+}
+
+void Kernel::sync_guest_structs() {
+  // Clear the old layout (so no byte of it outlives the new one) and lay
+  // every task and vma out again from the start of the area.
+  memory_.fill(kKernelStructs, 0, kernel_bump_ - kKernelStructs);
+  memory_.write32(kTaskRoot, 0);
+  kernel_bump_ = kKernelStructs;
+  task_tail_ = kTaskRoot;
+  for (const Process& p : processes_) {
+    append_task(p);
+    for (const mem::Region& r : p.regions) append_vma(r);
+  }
 }
 
 int Kernel::open_file(const std::string& path, u32 flags) {

@@ -91,21 +91,16 @@ class Kernel {
   [[nodiscard]] const Network& network() const { return network_; }
 
   // --- Processes --------------------------------------------------------
+  /// Adds a process: appends its task to the guest task list and creates an
+  /// empty /proc/<pid>/maps (and /proc/self/maps for the first process,
+  /// which stays the current one).
   u32 create_process(std::string name);
-  /// Records a mapped region for `pid` and mirrors it into the guest-side
-  /// VMA list.
+  /// Records a mapped region for `pid`, mirrors it into the guest-side VMA
+  /// list and appends its line to /proc/<pid>/maps (and /proc/self/maps).
   void map_region(u32 pid, const mem::Region& region);
   [[nodiscard]] const std::vector<Process>& processes() const {
     return processes_;
   }
-  void set_current_pid(u32 pid) { current_pid_ = pid; }
-
-  /// Rewrites the guest-side task structures from the host-side tables.
-  void sync_guest_structs();
-
-  /// Renders /proc/<pid>/maps (and /proc/self/maps) into the VFS from the
-  /// per-process region lists.
-  void refresh_proc_maps();
 
   // --- File descriptors (host-callable, also used by syscalls) ----------
   int open_file(const std::string& path, u32 flags);
@@ -131,6 +126,21 @@ class Kernel {
   [[nodiscard]] u32 exit_code() const { return exit_code_; }
 
  private:
+  /// Guest task structures are laid out by one bump pass over processes_
+  /// in order: each task, then each of its vmas followed by the vma's name.
+  /// create_process and a map_region into the last process extend that
+  /// layout in place (append_task / append_vma); a map_region into an
+  /// earlier process shifts everything after it, so sync_guest_structs
+  /// clears the area and lays it out again. Both leave the same bytes as a
+  /// layout written once into a fresh kernel area.
+  void sync_guest_structs();
+  void append_task(const Process& p);
+  void append_vma(const mem::Region& r);
+  GuestAddr alloc_guest(u32 size);
+  /// Appends one /proc/<pid>/maps line for `r` (and to /proc/self/maps when
+  /// `pid` is the current process).
+  void append_maps_line(u32 pid, const mem::Region& r);
+
   void handle_svc(arm::Cpu& cpu, u32 svc_imm);
   u32 do_syscall(arm::Cpu& cpu, Sys number, const std::array<u32, 6>& args);
 
@@ -159,6 +169,8 @@ class Kernel {
 
   std::vector<u8> io_buffer_;
   GuestAddr kernel_bump_ = 0;  // guest allocator for task structs
+  GuestAddr task_tail_ = 0;    // link word the next task is stored into
+  GuestAddr vma_tail_ = 0;     // link word the last task's next vma goes in
   NativeHeap heap_;
 
   std::function<void(const SyscallEvent&)> syscall_observer_;

@@ -3,7 +3,7 @@
 namespace ndroid::os {
 
 namespace {
-// Mirrors the guest layout written by Kernel::sync_guest_structs — the
+// Mirrors the guest layout the Kernel writes (kernel.cc) — the
 // "kernel symbols" a VMI tool derives from the kernel build.
 constexpr u32 kTaskNext = 0x00;
 constexpr u32 kTaskPid = 0x04;

@@ -198,6 +198,40 @@ TEST(AddressSpace, WatchInUntouchedRegionMaterialisesNoPage) {
   mem.set_write_watch({});
 }
 
+TEST(AddressSpace, ResidentPagesAcrossLeavesAndWatchOnlyLeaves) {
+  // A directory leaf spans 4 MiB. Pages spread over three leaves, plus a
+  // fourth leaf that holds only a watch mark, count exactly the pages
+  // touched; the space frees them all when it goes (LeakSanitizer checks
+  // that in the sanitizer build).
+  AddressSpace mem;
+  mem.write8(0x00001000, 1);
+  mem.write32(0x00002FFE, 0xA1B2C3D4);  // straddles 0x2000 and 0x3000
+  mem.write8(0x00400000, 2);             // second leaf
+  mem.fill(0xBE0FF000, 3, 0x2000);       // third leaf, two pages
+  EXPECT_EQ(mem.resident_pages(), 6u);
+  mem.fill(0x00800000, 0, 0x1000);  // zero fill of untouched memory
+  EXPECT_EQ(mem.resident_pages(), 6u);
+
+  const u32 watched_page = 0x7F400000 >> AddressSpace::kPageShift;
+  mem.set_page_watched(watched_page, true);
+  EXPECT_EQ(mem.resident_pages(), 6u);
+  EXPECT_FALSE(mem.is_resident(0x7F400000));
+  EXPECT_EQ(mem.read32(0x7F400000), 0u);
+
+  int fires = 0;
+  mem.set_write_watch([&](GuestAddr, u32) { ++fires; });
+  mem.write32(0x7F400010, 9);
+  EXPECT_EQ(fires, 1);
+  EXPECT_EQ(mem.resident_pages(), 7u);
+  mem.set_write_watch({});
+
+  EXPECT_EQ(mem.read8(0x00001000), 1u);
+  EXPECT_EQ(mem.read32(0x00002FFE), 0xA1B2C3D4u);
+  EXPECT_EQ(mem.read8(0x00400000), 2u);
+  EXPECT_EQ(mem.read8(0xBE100FFF), 3u);
+  EXPECT_EQ(mem.read32(0x7F400010), 9u);
+}
+
 TEST(AddressSpace, TlbDisabledMatchesEnabled) {
   AddressSpace on;
   AddressSpace off;
@@ -413,6 +447,35 @@ TEST(ShadowMemory, ResidentPagesTracksDirectory) {
   shadow.clear_all();
   EXPECT_EQ(shadow.resident_pages(), 0u);
   EXPECT_EQ(shadow.tainted_bytes(), 0u);
+}
+
+TEST(ShadowMemory, ClearAllThenRetouchCountsExactly) {
+  ShadowMemory shadow;
+  shadow.set(0x00001000, 0x1);
+  shadow.set_range(0x003FFFFE, 4, 0x2);  // last page of leaf 0, first of 1
+  shadow.add_range(0xC0000000, 8, 0x4);
+  EXPECT_EQ(shadow.resident_pages(), 4u);
+  EXPECT_EQ(shadow.tainted_bytes(), 13u);
+
+  shadow.clear_all();
+  EXPECT_EQ(shadow.resident_pages(), 0u);
+  EXPECT_EQ(shadow.tainted_bytes(), 0u);
+  EXPECT_EQ(shadow.get(0x00001000), kTaintClear);
+  EXPECT_EQ(shadow.get_range(0x003FFFFE, 4), kTaintClear);
+  EXPECT_FALSE(shadow.any_tainted_in(0, 0xFFFFFFFF));
+
+  // Touching again allocates fresh, zeroed pages: nothing of the old
+  // labels survives, and the count restarts from the pages touched now.
+  shadow.add(0x00001001, 0x8);
+  shadow.copy_range(0x00400000, 0x00001000, 4);
+  EXPECT_EQ(shadow.resident_pages(), 2u);
+  EXPECT_EQ(shadow.tainted_bytes(), 2u);
+  EXPECT_EQ(shadow.get(0x00001000), kTaintClear);
+  EXPECT_EQ(shadow.get(0x00400001), 0x8u);
+  EXPECT_EQ(shadow.get(0x003FFFFF), kTaintClear);
+  EXPECT_EQ(shadow.get(0xC0000000), kTaintClear);
+  EXPECT_TRUE(shadow.any_tainted_in(0x00400000, 0x00400002));
+  EXPECT_FALSE(shadow.any_tainted_in(0xC0000000, 0xC0001000));
 }
 
 TEST(ShadowMemory, EpochSlotsTrackCrossings) {

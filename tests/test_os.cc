@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "arm/assembler.h"
 #include "os/kernel.h"
 #include "os/view_reconstructor.h"
@@ -293,6 +296,82 @@ TEST_F(OsFixture, ViewReconstructorTracksUpdates) {
   EXPECT_EQ(recon.reconstruct()[0].regions.size(), 0u);
   kernel_.map_region(pid, {"libfoo.so", 0x50000000, 0x50001000, mem::kRX});
   EXPECT_EQ(recon.reconstruct()[0].regions.size(), 1u);
+}
+
+TEST(KernelStructs, AppendsAndRebuildsMatchALayoutWrittenOnce) {
+  // create_process and a mapping into the last process append in place; a
+  // mapping back into an earlier process lays everything out again. Either
+  // way the kernel area, the reconstructed view and the /proc texts must
+  // equal those of a kernel that saw each process's final region list in
+  // one go.
+  mem::AddressSpace mem;
+  mem::MemoryMap map;
+  Kernel kernel(mem, map);
+  const u32 first = kernel.create_process("com.example.first.app");
+  // Names of every length mod 4, so name padding is exercised.
+  const char* names[] = {"a", "libdvm.so", "libc.so", "libm.so", "x.so",
+                         "libcase1p.so", "[native-stack]"};
+  GuestAddr at = 0x40000000;
+  for (const char* n : names) {
+    kernel.map_region(first, {n, at, at + 0x1000, mem::kRX});
+    at += 0x2000;
+  }
+  const u32 second = kernel.create_process("system_server");
+  kernel.map_region(second, {"libandroid.so", 0x60000000, 0x60001000, mem::kRW});
+  kernel.map_region(first, {"libl8.so", 0x50000000, 0x50003000, mem::kRWX});
+  kernel.map_region(second, {"libbinder.so", 0x61000000, 0x61002000, mem::kRX});
+  kernel.map_region(first, {"libafter.so", 0x52000000, 0x52001000, mem::kRX});
+
+  mem::AddressSpace fresh_mem;
+  mem::MemoryMap fresh_map;
+  Kernel fresh(fresh_mem, fresh_map);
+  for (const Process& p : kernel.processes()) {
+    ASSERT_EQ(fresh.create_process(p.name), p.pid);
+    for (const mem::Region& r : p.regions) fresh.map_region(p.pid, r);
+  }
+
+  std::vector<u8> got(Kernel::kKernelSize);
+  std::vector<u8> want(Kernel::kKernelSize);
+  mem.read_bytes(Kernel::kKernelBase, got);
+  fresh_mem.read_bytes(Kernel::kKernelBase, want);
+  EXPECT_EQ(got, want);
+
+  const auto views = ViewReconstructor(mem, Kernel::kTaskRoot).reconstruct();
+  const auto fresh_views =
+      ViewReconstructor(fresh_mem, Kernel::kTaskRoot).reconstruct();
+  ASSERT_EQ(views.size(), 2u);
+  ASSERT_EQ(fresh_views.size(), 2u);
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    const Process& p = kernel.processes()[i];
+    EXPECT_EQ(views[i].pid, p.pid);
+    EXPECT_EQ(views[i].name, p.name.substr(0, 15));
+    EXPECT_EQ(fresh_views[i].name, views[i].name);
+    ASSERT_EQ(views[i].regions.size(), p.regions.size());
+    ASSERT_EQ(fresh_views[i].regions.size(), p.regions.size());
+    for (std::size_t j = 0; j < p.regions.size(); ++j) {
+      EXPECT_EQ(views[i].regions[j].start, p.regions[j].start);
+      EXPECT_EQ(views[i].regions[j].end, p.regions[j].end);
+      EXPECT_EQ(views[i].regions[j].name, p.regions[j].name);
+      EXPECT_EQ(fresh_views[i].regions[j].name, p.regions[j].name);
+    }
+  }
+
+  for (const u32 pid : {first, second}) {
+    const std::string path = "/proc/" + std::to_string(pid) + "/maps";
+    EXPECT_EQ(kernel.vfs().content_str(path), fresh.vfs().content_str(path));
+  }
+  const std::string self = kernel.vfs().content_str("/proc/self/maps");
+  EXPECT_EQ(self, fresh.vfs().content_str("/proc/self/maps"));
+  EXPECT_EQ(self, kernel.vfs().content_str(
+                      "/proc/" + std::to_string(first) + "/maps"));
+  EXPECT_EQ(kernel.vfs().content_str("/proc/" + std::to_string(second) +
+                                     "/maps"),
+            "60000000-60001000 rw-p 00000000 libandroid.so\n"
+            "61000000-61002000 r-xp 00000000 libbinder.so\n");
+  EXPECT_EQ(self.find("40000000-40001000 r-xp 00000000 a\n"), 0u);
+  EXPECT_NE(self.find("50000000-50003000 rwxp 00000000 libl8.so\n"
+                      "52000000-52001000 r-xp 00000000 libafter.so\n"),
+            std::string::npos);
 }
 
 TEST_F(OsFixture, ViewReconstructorCycleGuard) {

@@ -5,6 +5,8 @@
 // the first use of each image and each hook table races, and check that
 // every Device gets the same bytes, shares one symbol table per library and
 // one hook table per engine, and still analyses a Table I case correctly.
+// The scenario apps' libraries are emitted once per process too
+// (apps::load_app_lib); their tests race that memo the same way.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,10 +14,15 @@
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "../bench/e2e/calibration.h"
+#include "apps/cfbench.h"
 #include "apps/leak_cases.h"
+#include "apps/native_lib_builder.h"
+#include "apps/real_apps.h"
 #include "core/ndroid.h"
 
 namespace ndroid {
@@ -213,6 +220,121 @@ TEST(SystemImage, FreshDeviceHoldsOnlyTheImagePages) {
   Device device;
   EXPECT_EQ(jni::JniEnv::image().libdvm.pages.addrs.size(), 2u);
   EXPECT_EQ(device.memory.resident_pages(), 4u);
+}
+
+// One scenario library: the name it loads as, its emitter, and how an app
+// build loads it into a Device.
+struct ScenarioLib {
+  const char* name;
+  apps::LibEmitter emit;
+  void (*build)(Device&);
+};
+
+const ScenarioLib kScenarioLibs[] = {
+    {"libcfbench.so", &apps::emit_cfbench,
+     [](Device& d) { apps::CfBenchApp app(d); }},
+    {"libcase1.so", &apps::emit_case1,
+     [](Device& d) { apps::build_case1(d); }},
+    {"libcase1p.so", &apps::emit_case1_prime,
+     [](Device& d) { apps::build_case1_prime(d); }},
+    {"libcase2.so", &apps::emit_case2,
+     [](Device& d) { apps::build_case2(d); }},
+    {"libcase3.so", &apps::emit_case3,
+     [](Device& d) { apps::build_case3(d); }},
+    {"libcase4.so", &apps::emit_case4,
+     [](Device& d) { apps::build_case4(d); }},
+    {"libtccsync.so", &apps::emit_tccsync,
+     [](Device& d) { apps::build_qq_phonebook(d); }},
+    {"libephone.so", &apps::emit_ephone,
+     [](Device& d) { apps::build_ephone(d); }},
+};
+
+/// The library as its emitter assembles it at `device`'s next load base,
+/// outside the memo.
+std::vector<u8> fresh_assembly(Device& device, const ScenarioLib& lib) {
+  apps::NativeLibBuilder builder(device, lib.name);
+  lib.emit(builder, device);
+  return builder.a().finish();
+}
+
+/// The bytes a Device holds for its loaded library `name`: as many as
+/// `size`, from the region's start, which must be `base`.
+std::vector<u8> loaded_bytes(const Device& device, const char* name,
+                             GuestAddr base, std::size_t size) {
+  const mem::Region* region = device.memmap.find_by_name(name);
+  if (region == nullptr) throw std::runtime_error("not loaded");
+  EXPECT_EQ(region->start, base) << name;
+  return read_region(device, region->start, static_cast<u32>(size));
+}
+
+TEST(AppImage, ConcurrentScenarioBuildsLoadFreshlyAssembledLibraries) {
+  std::vector<std::vector<u8>> want;
+  for (const ScenarioLib& lib : kScenarioLibs) {
+    Device device;
+    want.push_back(fresh_assembly(device, lib));
+  }
+
+  // Each thread builds every scenario twice, starting at a different one,
+  // so first uses of the memo race and later uses copy from it.
+  constexpr int kThreads = 4;
+  constexpr std::size_t kLibs = std::size(kScenarioLibs);
+  std::vector<std::vector<std::vector<u8>>> got(
+      kThreads, std::vector<std::vector<u8>>(2 * kLibs));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&got, &want, t] {
+      for (std::size_t k = 0; k < 2 * kLibs; ++k) {
+        const std::size_t i = (k + static_cast<std::size_t>(t) * 3) % kLibs;
+        Device device("com.app.image" + std::to_string(t));
+        kScenarioLibs[i].build(device);
+        got[t][k] = loaded_bytes(device, kScenarioLibs[i].name,
+                                 Layout::kAppLibBase, want[i].size());
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    for (std::size_t k = 0; k < 2 * kLibs; ++k) {
+      const std::size_t i = (k + static_cast<std::size_t>(t) * 3) % kLibs;
+      EXPECT_EQ(got[t][k], want[i]) << kScenarioLibs[i].name;
+    }
+  }
+}
+
+TEST(AppImage, LibraryAtAnotherBaseIsAssembledThere) {
+  // A library already loaded moves libcfbench.so up; its absolute buffer
+  // and path addresses must follow, so the Native rows still compute the
+  // known answers.
+  Device device;
+  const std::vector<u8> other(0x1800, 0);
+  device.load_native_lib("libother.so", other);
+  const GuestAddr base = device.next_lib_base();
+  ASSERT_NE(base, Layout::kAppLibBase);
+  const std::vector<u8> want = fresh_assembly(device, kScenarioLibs[0]);
+
+  apps::CfBenchApp app(device);
+  EXPECT_EQ(loaded_bytes(device, "libcfbench.so", base, want.size()), want);
+
+  Device plain;
+  apps::CfBenchApp plain_app(plain);
+  EXPECT_NE(loaded_bytes(plain, "libcfbench.so", Layout::kAppLibBase,
+                         want.size()),
+            want);
+
+  int native_rows = 0;
+  for (const auto& answer : e2e::calibration::kCfOracle) {
+    const std::string name = answer.name;
+    if (name.rfind("Native", 0) != 0 ||
+        answer.iterations != e2e::calibration::kMixCfIterations) {
+      continue;
+    }
+    const apps::CfWorkload* w = app.find(name);
+    ASSERT_NE(w, nullptr) << name;
+    EXPECT_EQ(app.run(*w, answer.iterations), answer.checksum) << name;
+    ++native_rows;
+  }
+  EXPECT_EQ(native_rows, 8);
 }
 
 TEST(SystemImage, HelpersRegisteredOutOfOrderAreRejected) {

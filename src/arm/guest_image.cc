@@ -15,6 +15,30 @@ void ImagePages::stamp(mem::AddressSpace& memory) const {
   }
 }
 
+void ImagePages::stamp(mem::AddressSpace& memory,
+                       std::span<const u32> indices) const {
+  for (const u32 i : indices) {
+    memory.write_bytes(addrs[i], {bytes.data() + i * kPageSize, kPageSize});
+  }
+}
+
+std::vector<u32> ImagePages::changed_from(const ImagePages& prior) const {
+  std::vector<u32> out;
+  for (std::size_t i = 0; i < addrs.size(); ++i) {
+    const u8* page = bytes.data() + i * kPageSize;
+    const auto it = std::lower_bound(prior.addrs.begin(), prior.addrs.end(),
+                                     addrs[i]);
+    if (it != prior.addrs.end() && *it == addrs[i]) {
+      const u8* old = prior.bytes.data() +
+                      static_cast<std::size_t>(it - prior.addrs.begin()) *
+                          kPageSize;
+      if (std::equal(page, page + kPageSize, old)) continue;
+    }
+    out.push_back(static_cast<u32>(i));
+  }
+  return out;
+}
+
 GuestAddr ImageBuilder::reserve_helper(HelperTable& table, std::string name) {
   const GuestAddr addr = next_helper_;
   next_helper_ += 4;

@@ -11,6 +11,7 @@
 // against the address the image's code was emitted with.
 #pragma once
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,6 +35,12 @@ struct ImagePages {
 
   /// Copies every page into `memory`.
   void stamp(mem::AddressSpace& memory) const;
+  /// Copies the pages at `indices` (positions in `addrs`) into `memory`.
+  void stamp(mem::AddressSpace& memory, std::span<const u32> indices) const;
+
+  /// Positions of the pages that `prior` lacks or holds other bytes for:
+  /// what stamping this image over `prior` changes.
+  [[nodiscard]] std::vector<u32> changed_from(const ImagePages& prior) const;
 };
 
 /// Scratch address space plus helper-address cursor an image is emitted

@@ -233,12 +233,11 @@ const SummaryGate* NDroid::attach_static_analysis() {
   // (2) Roots: every registered native method living in third-party code —
   // the JNI entry points the bridge can actually reach, grouped under the
   // library that contains them.
-  std::vector<sa::FunctionEntry> entries;
+  std::vector<const dvm::Method*> roots;
   for (const dvm::Method* m : device_.dvm.native_methods()) {
     const GuestAddr stripped = m->native_addr & ~1u;
     if (stripped >= Layout::kAppLibBase && stripped < Layout::kHeapBase) {
-      entries.push_back(
-          {m->native_addr, m->clazz->descriptor() + "." + m->name});
+      roots.push_back(m);
     }
   }
 
@@ -246,32 +245,37 @@ const SummaryGate* NDroid::attach_static_analysis() {
   // process-wide cache when one is configured (first meeting of a content
   // hash lifts, everyone else reuses), privately otherwise. Either way the
   // artifact is bound to this process's load base — a zero-copy share when
-  // the bases coincide, a conservative relocation when they don't.
+  // the bases coincide, a conservative relocation when they don't. The key
+  // needs only the entry addresses; the entries' labels are built when a
+  // lift runs.
   std::vector<std::shared_ptr<const sa::LibrarySummary>> libs;
   for (const auto& region : regions) {
     std::vector<sa::FunctionEntry> lib_entries;
-    for (const auto& e : entries) {
-      const GuestAddr stripped = e.addr & ~1u;
+    std::vector<const dvm::Method*> lib_roots;
+    for (const dvm::Method* m : roots) {
+      const GuestAddr stripped = m->native_addr & ~1u;
       if (stripped >= region.start && stripped < region.end) {
-        lib_entries.push_back(e);
+        lib_entries.push_back({m->native_addr, {}});
+        lib_roots.push_back(m);
       }
     }
-    auto lift = [this, &region, &lib_entries] {
-      return sa::analyze_library(device_.memory, region, lib_entries);
+    auto lift = [this, &region, &lib_entries, &lib_roots] {
+      std::vector<sa::FunctionEntry> labelled = lib_entries;
+      for (std::size_t i = 0; i < labelled.size(); ++i) {
+        labelled[i].name =
+            lib_roots[i]->clazz->descriptor() + "." + lib_roots[i]->name;
+      }
+      return sa::analyze_library(device_.memory, region, labelled);
     };
     if (config_.summary_cache != nullptr) {
-      std::vector<u8> image(region.end - region.start);
-      device_.memory.read_bytes(region.start, image);
-      const u64 key = sa::library_key(image, lib_entries, region.start);
+      const u64 key = sa::library_key(device_.memory, region, lib_entries);
       libs.push_back(
           config_.summary_cache->acquire(key, region.start, lift));
     } else if (config_.summary_store != nullptr) {
       // Cache-less persistent path (isolated worker processes): a
       // hash-verified store entry replaces the lift; corruption or absence
       // falls back to lifting fresh and rewriting the entry.
-      std::vector<u8> image(region.end - region.start);
-      device_.memory.read_bytes(region.start, image);
-      const u64 key = sa::library_key(image, lib_entries, region.start);
+      const u64 key = sa::library_key(device_.memory, region, lib_entries);
       std::shared_ptr<const sa::LibrarySummary> lib =
           config_.summary_store->load(key);
       if (lib == nullptr) {

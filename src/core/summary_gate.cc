@@ -56,7 +56,9 @@ const TaintSummary* SummaryGate::lookup(GuestAddr pc, bool thumb) const {
     const Span& s = spans_[i];
     if (pc < s.lo || pc >= s.hi) continue;
     if (s.fn->thumb != thumb) continue;
-    if (!s.boundaries->contains(pc)) continue;
+    if (!std::binary_search(s.boundaries->begin(), s.boundaries->end(), pc)) {
+      continue;
+    }
     return s.summary;
   }
   return nullptr;

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "static/cfg.h"
@@ -63,8 +62,9 @@ class SummaryGate {
     const static_analysis::FunctionCfg* fn = nullptr;
     const static_analysis::TaintSummary* summary = nullptr;
     /// Instruction-start addresses of every lifted block of fn; points into
-    /// the shared snapshot's precomputed sets (LibrarySummary::boundaries).
-    const std::unordered_set<GuestAddr>* boundaries = nullptr;
+    /// the shared snapshot's precomputed sorted lists
+    /// (LibrarySummary::boundaries).
+    const std::vector<GuestAddr>* boundaries = nullptr;
   };
 
   std::vector<std::shared_ptr<const static_analysis::LibrarySummary>>

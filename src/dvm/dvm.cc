@@ -28,7 +28,7 @@ Dvm::Dvm(arm::Cpu& cpu, GuestAddr heap_base, u32 heap_size,
   load_image(img.libdvm);
   bind_helpers();
   thread_self_addr_ = img.thread_self;
-  string_class_ = add_class("Ljava/lang/String;", img.string_mirror);
+  string_class_ = img.string_class;
 }
 
 // ---------------------------------------------------------------------------
@@ -69,18 +69,102 @@ GuestAddr LibdvmArena::class_mirror(mem::AddressSpace& memory,
   return mirror;
 }
 
+GuestAddr LibdvmArena::method(mem::AddressSpace& memory, const Method& m) {
+  const GuestAddr addr = data(GuestMethodLayout::kSize);
+  memory.write32(addr + GuestMethodLayout::kInsns, m.native_addr);
+  memory.write32(addr + GuestMethodLayout::kShorty, cstr(memory, m.shorty));
+  memory.write32(addr + GuestMethodLayout::kName, cstr(memory, m.name));
+  memory.write32(addr + GuestMethodLayout::kClassDesc,
+                 cstr(memory, m.clazz->descriptor()));
+  memory.write32(addr + GuestMethodLayout::kAccessFlags, m.access_flags);
+  memory.write32(addr + GuestMethodLayout::kRegistersSize, m.registers_size);
+  memory.write32(addr + GuestMethodLayout::kInsSize, m.ins_size);
+  return addr;
+}
+
+LibdvmImageBuilder::LibdvmImageBuilder(const LibdvmImage* base,
+                                       GuestAddr helper_base)
+    : builder_(helper_base) {
+  if (base == nullptr) return;
+  base->pages.stamp(builder_.memory());
+  image_.extends = base;
+  image_.arena = base->arena;
+  image_.symbols = base->symbols;
+  image_.classes = base->classes;
+}
+
+ClassObject* LibdvmImageBuilder::define_class(const std::string& descriptor) {
+  if (classes_ == nullptr) {
+    // This layer's table starts as a copy of the index below it.
+    classes_ = std::make_shared<BootClasses>();
+    if (image_.classes != nullptr) {
+      const BootClasses& below = *image_.classes;
+      classes_->below = image_.classes;
+      classes_->by_descriptor = below.by_descriptor;
+      classes_->by_mirror = below.by_mirror;
+      classes_->mirror_of = below.mirror_of;
+      classes_->by_method = below.by_method;
+    }
+  }
+  if (classes_->by_descriptor.contains(descriptor)) {
+    throw std::logic_error("boot class defined twice: " + descriptor);
+  }
+  const GuestAddr mirror = image_.arena.class_mirror(memory(), descriptor);
+  ClassObject* cls =
+      classes_->owned.emplace_back(std::make_unique<ClassObject>(descriptor))
+          .get();
+  classes_->by_descriptor.emplace(descriptor, cls);
+  classes_->by_mirror.emplace(mirror, cls);
+  classes_->mirror_of.emplace(cls, mirror);
+  return cls;
+}
+
+Method* LibdvmImageBuilder::define_builtin(ClassObject* cls, std::string name,
+                                           std::string shorty,
+                                           u32 access_flags, Builtin fn) {
+  if (classes_ == nullptr || !classes_->mirror_of.contains(cls)) {
+    throw std::logic_error("builtin on a class this image does not define");
+  }
+  auto m = std::make_unique<Method>();
+  m->name = std::move(name);
+  m->shorty = std::move(shorty);
+  m->access_flags = access_flags;
+  m->clazz = cls;
+  m->builtin = std::move(fn);
+  m->registers_size = m->ins_size = m->arg_count();
+  // Verified here, once: a shared Method is never written after this.
+  Dvm::verify(*m);
+  m->guest_addr = image_.arena.method(memory(), *m);
+  Method* raw = m.get();
+  classes_->by_method.emplace(raw->guest_addr, raw);
+  cls->add_method(std::move(m));
+  return raw;
+}
+
+LibdvmImage LibdvmImageBuilder::finish() {
+  image_.pages = builder_.capture(kLibdvmBase, kLibdvmSize);
+  image_.delta = image_.pages.changed_from(
+      image_.extends == nullptr ? arm::ImagePages{} : image_.extends->pages);
+  if (classes_ != nullptr) image_.classes = std::move(classes_);
+  return std::move(image_);
+}
+
 const DvmImage& Dvm::image() {
   static const DvmImage image = emit_image();
   return image;
 }
 
 void Dvm::load_image(const LibdvmImage& image) {
+  if (image.extends != image_) {
+    throw std::logic_error("libdvm.so image does not extend the loaded one");
+  }
   if (image_ != nullptr && arena_ != image_->arena) {
     throw std::logic_error("libdvm.so was extended since its image loaded");
   }
-  image.pages.stamp(cpu_.memory());
+  image.pages.stamp(cpu_.memory(), image.delta);
   arena_ = image.arena;
   image_ = &image;
+  boot_ = image.classes.get();
 }
 
 // Registers the helper closures in the order emit_image() reserved them.
@@ -139,16 +223,16 @@ void Dvm::bind_helpers() {
 }
 
 DvmImage Dvm::emit_image() {
-  arm::ImageBuilder b;
+  LibdvmImageBuilder b;
   mem::AddressSpace& memory = b.memory();
   DvmImage img;
-  LibdvmArena& arena = img.libdvm.arena;
+  LibdvmArena& arena = b.arena();
   auto helper = [&](const char* name) {
     return b.reserve_helper(img.helpers, name);
   };
   auto stub_alloc = [&](const std::string& name, std::span<const u8> code) {
     const GuestAddr addr = arena.stub(memory, code);
-    img.libdvm.symbols[name] = addr;
+    b.symbols()[name] = addr;
     return addr;
   };
 
@@ -198,9 +282,9 @@ DvmImage Dvm::emit_image() {
 
   // The main thread and java.lang.String exist from the start.
   img.thread_self = arena.data(32);
-  img.string_mirror = arena.class_mirror(memory, "Ljava/lang/String;");
+  img.string_class = b.define_class("Ljava/lang/String;");
   img.helper_end = b.next_helper();
-  img.libdvm.pages = b.capture(kLibdvmBase, kLibdvmSize);
+  img.libdvm = b.finish();
   return img;
 }
 
@@ -235,56 +319,71 @@ GuestAddr Dvm::call_method_stub(char kind) const {
 // ---------------------------------------------------------------------------
 
 ClassObject* Dvm::define_class(const std::string& descriptor) {
-  auto it = classes_.find(descriptor);
-  if (it != classes_.end()) return it->second.get();
-  return add_class(descriptor, arena_.class_mirror(cpu_.memory(), descriptor));
+  if (auto it = classes_.find(descriptor); it != classes_.end()) {
+    return it->second.get();
+  }
+  if (auto it = boot_->by_descriptor.find(descriptor);
+      it != boot_->by_descriptor.end()) {
+    return own_class(it->second);
+  }
+  const GuestAddr mirror = arena_.class_mirror(cpu_.memory(), descriptor);
+  ClassObject* cls =
+      classes_.emplace(descriptor, std::make_unique<ClassObject>(descriptor))
+          .first->second.get();
+  class_by_mirror_[mirror] = cls;
+  mirror_by_class_[cls] = mirror;
+  return cls;
 }
 
-ClassObject* Dvm::add_class(const std::string& descriptor, GuestAddr mirror) {
-  auto cls = std::make_unique<ClassObject>(descriptor);
-  ClassObject* raw = cls.get();
-  classes_[descriptor] = std::move(cls);
-  class_by_mirror_[mirror] = raw;
-  mirror_by_class_[raw] = mirror;
-  return raw;
+ClassObject* Dvm::own_class(ClassObject* cls) {
+  if (mirror_by_class_.contains(cls)) return cls;
+  if (auto it = classes_.find(cls->descriptor()); it != classes_.end()) {
+    return it->second.get();  // copied before
+  }
+  const auto shared = boot_->mirror_of.find(cls);
+  if (shared == boot_->mirror_of.end()) throw GuestFault("unregistered class");
+  const GuestAddr mirror = shared->second;
+  ClassObject* copy = classes_.emplace(cls->descriptor(), cls->clone())
+                          .first->second.get();
+  class_by_mirror_[mirror] = copy;
+  mirror_by_class_[copy] = mirror;
+  for (const auto& m : copy->methods()) method_by_guest_[m->guest_addr] = m.get();
+  if (cls == string_class_) string_class_ = copy;
+  return copy;
 }
 
 ClassObject* Dvm::find_class(std::string_view descriptor) const {
-  auto it = classes_.find(std::string(descriptor));
-  return it == classes_.end() ? nullptr : it->second.get();
+  if (auto it = classes_.find(descriptor); it != classes_.end()) {
+    return it->second.get();
+  }
+  auto it = boot_->by_descriptor.find(descriptor);
+  return it == boot_->by_descriptor.end() ? nullptr : it->second;
 }
 
 ClassObject* Dvm::class_at(GuestAddr mirror) const {
-  auto it = class_by_mirror_.find(mirror);
-  if (it == class_by_mirror_.end()) {
+  if (auto it = class_by_mirror_.find(mirror); it != class_by_mirror_.end()) {
+    return it->second;
+  }
+  auto it = boot_->by_mirror.find(mirror);
+  if (it == boot_->by_mirror.end()) {
     throw GuestFault("bad jclass handle 0x" + std::to_string(mirror));
   }
   return it->second;
 }
 
 GuestAddr Dvm::class_mirror(const ClassObject* cls) const {
-  auto it = mirror_by_class_.find(cls);
-  if (it == mirror_by_class_.end()) throw GuestFault("unregistered class");
+  if (auto it = mirror_by_class_.find(cls); it != mirror_by_class_.end()) {
+    return it->second;
+  }
+  auto it = boot_->mirror_of.find(cls);
+  if (it == boot_->mirror_of.end()) throw GuestFault("unregistered class");
   return it->second;
 }
 
-GuestAddr Dvm::materialise_method(Method& m) {
-  const GuestAddr addr = data_alloc(GuestMethodLayout::kSize);
-  auto& mem = cpu_.memory();
-  mem.write32(addr + GuestMethodLayout::kInsns, m.native_addr);
-  mem.write32(addr + GuestMethodLayout::kShorty, data_cstr(m.shorty));
-  mem.write32(addr + GuestMethodLayout::kName, data_cstr(m.name));
-  mem.write32(addr + GuestMethodLayout::kClassDesc,
-              data_cstr(m.clazz->descriptor()));
-  mem.write32(addr + GuestMethodLayout::kAccessFlags, m.access_flags);
-  mem.write32(addr + GuestMethodLayout::kRegistersSize, m.registers_size);
-  mem.write32(addr + GuestMethodLayout::kInsSize, m.ins_size);
-  return addr;
-}
-
 void Dvm::register_method(ClassObject* cls, std::unique_ptr<Method> m) {
+  cls = own_class(cls);
   m->clazz = cls;
-  m->guest_addr = materialise_method(*m);
+  m->guest_addr = arena_.method(cpu_.memory(), *m);
   method_by_guest_[m->guest_addr] = m.get();
   cls->add_method(std::move(m));
 }
@@ -321,8 +420,7 @@ Method* Dvm::define_native(ClassObject* cls, std::string name,
 }
 
 Method* Dvm::define_builtin(ClassObject* cls, std::string name,
-                            std::string shorty, u32 access_flags,
-                            std::function<Slot(Dvm&, std::vector<Slot>&)> fn) {
+                            std::string shorty, u32 access_flags, Builtin fn) {
   auto m = std::make_unique<Method>();
   m->name = std::move(name);
   m->shorty = std::move(shorty);
@@ -336,8 +434,12 @@ Method* Dvm::define_builtin(ClassObject* cls, std::string name,
 }
 
 Method* Dvm::method_at(GuestAddr guest_method) const {
-  auto it = method_by_guest_.find(guest_method);
-  if (it == method_by_guest_.end()) {
+  if (auto it = method_by_guest_.find(guest_method);
+      it != method_by_guest_.end()) {
+    return it->second;
+  }
+  auto it = boot_->by_method.find(guest_method);
+  if (it == boot_->by_method.end()) {
     throw GuestFault("bad jmethodID 0x" + std::to_string(guest_method));
   }
   return it->second;

@@ -22,9 +22,14 @@
 //
 // The guest stubs are the same bytes in every Device, so they are emitted
 // once per process (Dvm::image(), arm/guest_image.h); each Dvm copies the
-// image's pages and registers its helper closures.
+// image's pages and registers its helper closures. The boot classes
+// (java.lang.String here, the framework's on top of the JNI functions) are
+// emitted with the images too: their mirrors and Method structs are image
+// bytes, and their host ClassObjects and Methods sit in one immutable table
+// (BootClasses) that every Dvm loading the image shares.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <span>
@@ -43,6 +48,18 @@ namespace ndroid::dvm {
 inline constexpr GuestAddr kLibdvmBase = 0x40000000;
 inline constexpr u32 kLibdvmSize = 0x00040000;
 
+/// Guest layout of a materialised Method struct (offsets hook engines use).
+struct GuestMethodLayout {
+  static constexpr u32 kInsns = 0;         // native entry point
+  static constexpr u32 kShorty = 4;        // char* shorty
+  static constexpr u32 kName = 8;          // char* name
+  static constexpr u32 kClassDesc = 12;    // char* class descriptor
+  static constexpr u32 kAccessFlags = 16;
+  static constexpr u32 kRegistersSize = 20;
+  static constexpr u32 kInsSize = 24;
+  static constexpr u32 kSize = 28;
+};
+
 /// Bump cursors over libdvm.so: guest stubs in the first 32 KiB, the data
 /// area (strings, class mirrors, Method structs, the JNI table) after it.
 struct LibdvmArena {
@@ -60,15 +77,78 @@ struct LibdvmArena {
   /// Allocates a class mirror {char* descriptor, 0} plus its string.
   GuestAddr class_mirror(mem::AddressSpace& memory,
                          std::string_view descriptor);
+  /// Writes `m`'s Method struct (GuestMethodLayout) and then its shorty,
+  /// name and class descriptor strings; returns the struct's address.
+  GuestAddr method(mem::AddressSpace& memory, const Method& m);
+};
+
+/// The host side of the classes a libdvm.so image defines. Built with the
+/// image and never written after, so every Dvm that loads the image shares
+/// it; a Dvm that has to change one of these classes works on its own copy
+/// (Dvm::own_class). A layer's table also indexes the classes of the layers
+/// below it, which `below` keeps alive.
+struct BootClasses {
+  std::shared_ptr<const BootClasses> below;
+  std::vector<std::unique_ptr<ClassObject>> owned;  // this layer's classes
+  std::map<std::string, ClassObject*, std::less<>> by_descriptor;
+  std::map<GuestAddr, ClassObject*> by_mirror;
+  std::map<const ClassObject*, GuestAddr> mirror_of;
+  std::map<GuestAddr, Method*> by_method;  // guest Method struct -> host
 };
 
 /// A state of the libdvm.so region emitted once per process: its resident
-/// pages, the arena cursors after the emitted stubs and data, and the
-/// symbols it exports.
+/// pages, the arena cursors after the emitted stubs and data, the symbols
+/// it exports and the boot classes it defines.
 struct LibdvmImage {
-  arm::ImagePages pages;
+  arm::ImagePages pages;  // every resident page of the region
+  /// The image this one was emitted on top of (nullptr: from scratch), and
+  /// the positions in `pages` of the pages that differ from it: all that
+  /// loading this image over that one has to copy.
+  const LibdvmImage* extends = nullptr;
+  std::vector<u32> delta;
   LibdvmArena arena;
   std::map<std::string, GuestAddr> symbols;
+  std::shared_ptr<const BootClasses> classes;
+};
+
+/// The host closure behind a builtin (framework) method.
+using Builtin = std::function<Slot(Dvm&, std::vector<Slot>&)>;
+
+/// Emits one libdvm.so image, from scratch or on top of `base` (whose
+/// pages, arena, symbols and boot classes it starts from): code and data
+/// through memory() and arena(), boot classes through define_class and
+/// define_builtin.
+class LibdvmImageBuilder {
+ public:
+  explicit LibdvmImageBuilder(const LibdvmImage* base = nullptr,
+                              GuestAddr helper_base = arm::kHelperWindowBase);
+
+  mem::AddressSpace& memory() { return builder_.memory(); }
+  LibdvmArena& arena() { return image_.arena; }
+  std::map<std::string, GuestAddr>& symbols() { return image_.symbols; }
+  GuestAddr reserve_helper(arm::HelperTable& table, std::string name) {
+    return builder_.reserve_helper(table, std::move(name));
+  }
+  [[nodiscard]] GuestAddr next_helper() const {
+    return builder_.next_helper();
+  }
+
+  /// A boot class: its mirror goes into the image, its host side into the
+  /// image's BootClasses.
+  ClassObject* define_class(const std::string& descriptor);
+  /// A builtin method of a boot class, verified and materialised in the
+  /// image. `fn` is shared by every Dvm: it reaches per-Device state only
+  /// through the Dvm it is called with (Dvm::boot_context()).
+  Method* define_builtin(ClassObject* cls, std::string name,
+                         std::string shorty, u32 access_flags, Builtin fn);
+
+  /// Captures the region and hands the image over; call once.
+  LibdvmImage finish();
+
+ private:
+  arm::ImageBuilder builder_;
+  LibdvmImage image_;
+  std::shared_ptr<BootClasses> classes_;  // this layer's table, lazily
 };
 
 /// The Dvm's own part of libdvm.so (Dvm::image()).
@@ -77,7 +157,16 @@ struct DvmImage {
   arm::HelperTable helpers;
   GuestAddr helper_end = 0;  // first helper address after these
   GuestAddr thread_self = 0;
-  GuestAddr string_mirror = 0;
+  ClassObject* string_class = nullptr;  // a boot class of `libdvm`
+};
+
+/// Per-Device state the boot classes' builtins act on (the TaintDroid
+/// framework's identity, kernel and leak list). The builtins are shared by
+/// every Dvm, so they find it through the Dvm they are called with.
+class BootContext {
+ protected:
+  BootContext() = default;
+  ~BootContext() = default;
 };
 
 /// TaintDroid behaviour toggles (all on = TaintDroid as shipped; all off =
@@ -98,18 +187,6 @@ struct PendingJavaCall {
   GuestAddr result_addr = 0;  // guest JValue out-slot (0 = discard)
 };
 
-/// Guest layout of a materialised Method struct (offsets hook engines use).
-struct GuestMethodLayout {
-  static constexpr u32 kInsns = 0;         // native entry point
-  static constexpr u32 kShorty = 4;        // char* shorty
-  static constexpr u32 kName = 8;          // char* name
-  static constexpr u32 kClassDesc = 12;    // char* class descriptor
-  static constexpr u32 kAccessFlags = 16;
-  static constexpr u32 kRegistersSize = 20;
-  static constexpr u32 kInsSize = 24;
-  static constexpr u32 kSize = 28;
-};
-
 class Dvm {
  public:
   /// Loads libdvm.so from image() and registers its helpers; `cpu` must not
@@ -123,18 +200,33 @@ class Dvm {
   /// libdvm.so's guest stubs, emitted once per process (thread-safe).
   static const DvmImage& image();
 
-  /// Copies `image` into libdvm.so and adopts its arena and symbols. The
-  /// image must extend the one loaded last (JniEnv layers the JNI functions
-  /// on top of image() this way); throws std::logic_error if anything was
-  /// allocated in libdvm.so since that load.
+  /// Copies `image`'s delta pages into libdvm.so and adopts its arena,
+  /// symbols and boot classes. The image must extend the one loaded last
+  /// (JniEnv layers the JNI functions on top of image(), the framework its
+  /// classes on top of JniEnv's); throws std::logic_error if it does not,
+  /// or if anything was allocated in libdvm.so since that load.
   void load_image(const LibdvmImage& image);
 
   // --- Class and method definition (our "dex loading") -------------------
+  /// This Dvm's class `descriptor`, defined on first use. A boot class
+  /// comes back as this Dvm's own copy (own_class), since defining is
+  /// followed by adding methods or fields.
   ClassObject* define_class(const std::string& descriptor);
+  /// Lookups see this Dvm's classes first, then the loaded boot classes.
   [[nodiscard]] ClassObject* find_class(std::string_view descriptor) const;
   /// jclass handle <-> ClassObject (classes are non-moving guest mirrors).
   [[nodiscard]] ClassObject* class_at(GuestAddr mirror) const;
   [[nodiscard]] GuestAddr class_mirror(const ClassObject* cls) const;
+  /// A class this Dvm may change: `cls` itself if this Dvm defined it; for
+  /// a shared boot class, this Dvm's copy of it (made on first call), which
+  /// keeps the mirror and the guest Method structs and replaces the shared
+  /// class in every lookup of this Dvm.
+  ClassObject* own_class(ClassObject* cls);
+
+  /// The state the boot classes' builtins act on (set by whoever loads
+  /// them; nullptr when none is).
+  void set_boot_context(BootContext* context) { boot_context_ = context; }
+  [[nodiscard]] BootContext* boot_context() const { return boot_context_; }
 
   Method* define_method(ClassObject* cls, std::string name, std::string shorty,
                         u32 access_flags, u16 registers_size,
@@ -142,8 +234,7 @@ class Dvm {
   Method* define_native(ClassObject* cls, std::string name, std::string shorty,
                         u32 access_flags, GuestAddr native_addr);
   Method* define_builtin(ClassObject* cls, std::string name,
-                         std::string shorty, u32 access_flags,
-                         std::function<Slot(Dvm&, std::vector<Slot>&)> fn);
+                         std::string shorty, u32 access_flags, Builtin fn);
   /// jmethodID (guest Method struct address) -> host Method.
   [[nodiscard]] Method* method_at(GuestAddr guest_method) const;
 
@@ -231,12 +322,10 @@ class Dvm {
 
  private:
   friend class Interpreter;
+  friend class LibdvmImageBuilder;  // verifies the boot builtins
 
   static DvmImage emit_image();
   void bind_helpers();
-  /// Host side of a class whose guest mirror already exists.
-  ClassObject* add_class(const std::string& descriptor, GuestAddr mirror);
-  GuestAddr materialise_method(Method& m);
   void register_method(ClassObject* cls, std::unique_ptr<Method> m);
 
   /// Interprets `method` whose frame is already set up at `fp`.
@@ -272,7 +361,9 @@ class Dvm {
   /// is also a host stack frame.
   u32 interp_depth_ = 0;
 
-  std::map<std::string, std::unique_ptr<ClassObject>> classes_;
+  // This Dvm's classes (its own and its copies of boot classes); lookups
+  // fall back to boot_.
+  std::map<std::string, std::unique_ptr<ClassObject>, std::less<>> classes_;
   std::map<GuestAddr, ClassObject*> class_by_mirror_;
   std::map<const ClassObject*, GuestAddr> mirror_by_class_;
   std::map<GuestAddr, Method*> method_by_guest_;
@@ -280,6 +371,8 @@ class Dvm {
   std::map<std::string, GuestAddr> field_id_cache_;
 
   const LibdvmImage* image_ = nullptr;  // loaded last (load_image)
+  const BootClasses* boot_ = nullptr;   // image_->classes
+  BootContext* boot_context_ = nullptr;
   std::map<std::string, GuestAddr> local_symbols_;  // stub_alloc'd
   LibdvmArena arena_;
   GuestAddr jnienv_addr_ = 0;

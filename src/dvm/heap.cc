@@ -43,6 +43,19 @@ const Field* ClassObject::find_static_field(std::string_view name) const {
   return nullptr;
 }
 
+std::unique_ptr<ClassObject> ClassObject::clone() const {
+  auto copy = std::make_unique<ClassObject>(descriptor_);
+  copy->ifields_ = ifields_;
+  copy->sfields_ = sfields_;
+  copy->statics_ = statics_;
+  for (const auto& m : methods_) {
+    auto cm = std::make_unique<Method>(*m);
+    cm->clazz = copy.get();
+    copy->methods_.push_back(std::move(cm));
+  }
+  return copy;
+}
+
 void ClassObject::add_method(std::unique_ptr<Method> m) {
   methods_.push_back(std::move(m));
 }

@@ -109,6 +109,10 @@ class ClassObject {
   /// Static field storage (interleaved value/taint, like instance data).
   std::vector<Slot>& statics() { return statics_; }
 
+  /// A copy with its own copy of every method (same guest Method structs,
+  /// `clazz` pointing at the copy): how a Dvm changes a shared boot class.
+  [[nodiscard]] std::unique_ptr<ClassObject> clone() const;
+
   void add_method(std::unique_ptr<Method> m);
   [[nodiscard]] Method* find_method(std::string_view name) const;
   [[nodiscard]] const std::vector<std::unique_ptr<Method>>& methods() const {

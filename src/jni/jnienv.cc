@@ -149,6 +149,9 @@ void JniEnv::bind_helpers() {
     dvm::ClassObject* cls = dvm.class_at(c.state().regs[0]);
     Object* msg = dvm.heap().object_at(c.state().regs[1]);
     if (cls->find_instance_field("message") == nullptr) {
+      // A shared boot class is never written: the field goes on this
+      // Dvm's own copy.
+      cls = dvm.own_class(cls);
       cls->add_instance_field("message", 'L');
     }
     Object* exc = dvm.heap().new_instance(cls);
@@ -432,22 +435,17 @@ arm::Helper JniEnv::helper_for(JniFn index) {
 
 JniImage JniEnv::emit_image() {
   const dvm::DvmImage& base = dvm::Dvm::image();
-  arm::ImageBuilder b(base.helper_end);
+  dvm::LibdvmImageBuilder b(&base.libdvm, base.helper_end);
   mem::AddressSpace& memory = b.memory();
-  base.libdvm.pages.stamp(memory);
   JniImage img;
-  img.libdvm.arena = base.libdvm.arena;
-  img.libdvm.symbols = base.libdvm.symbols;
-  dvm::LibdvmArena& arena = img.libdvm.arena;
-  const auto dvm_sym = [&](const char* name) {
-    return img.libdvm.symbols.at(name);
-  };
+  dvm::LibdvmArena& arena = b.arena();
+  const auto dvm_sym = [&](const char* name) { return b.symbols().at(name); };
   auto helper = [&](const char* name) {
     return b.reserve_helper(img.helpers, name);
   };
   auto stub_alloc = [&](const std::string& name, Assembler& a) {
     const GuestAddr addr = arena.stub(memory, a.finish());
-    img.libdvm.symbols[name] = addr;
+    b.symbols()[name] = addr;
     return addr;
   };
   auto publish = [&](const std::string& name, JniFn index, GuestAddr addr) {
@@ -621,7 +619,7 @@ JniImage JniEnv::emit_image() {
     publish("ThrowNew", JniFn::kThrowNew, stub_alloc("ThrowNew", a));
   }
 
-  img.libdvm.pages = b.capture(dvm::kLibdvmBase, dvm::kLibdvmSize);
+  img.libdvm = b.finish();
   return img;
 }
 

@@ -148,6 +148,13 @@ class AddressSpace {
   [[nodiscard]] bool is_resident(GuestAddr addr) const {
     return find_page(addr) != nullptr;
   }
+  /// The bytes of the resident page holding `addr` (from the page's first
+  /// byte), or nullptr when that page was never touched (it reads as zero).
+  /// For reading a range in place without copying it out.
+  [[nodiscard]] const u8* resident_page(GuestAddr addr) const {
+    const Page* p = find_page(addr);
+    return p == nullptr ? nullptr : p->data();
+  }
 
   /// Write watch: `watch` fires after any write touching a page marked with
   /// set_page_watched(). The translation-block cache uses this to invalidate

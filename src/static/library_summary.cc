@@ -24,28 +24,77 @@ u64 mix(u64 h, u64 word) {
   return h ^ (h >> 32);
 }
 
-}  // namespace
+/// The image half of library_key, fed in pieces of any size. Whole 32-byte
+/// blocks go one word to each of four lanes, so four multiply chains run
+/// side by side; finish() folds the lanes in order, then hashes the last
+/// whole words and the zero-padded tail word one after another. Every step
+/// is a bijection of the word it takes and of the state it updates, so a
+/// change to any single word changes the result.
+class ImageHasher {
+ public:
+  static constexpr std::size_t kLanes = 4;
+  static constexpr std::size_t kBlock = 8 * kLanes;
 
-u64 library_key(std::span<const u8> image,
-                const std::vector<FunctionEntry>& entries, GuestAddr base) {
-  // The length goes in first: the tail word is zero-padded.
-  u64 h = mix(0xcbf29ce484222325ull, image.size());
-  std::size_t at = 0;
-  for (; at + 8 <= image.size(); at += 8) {
+  explicit ImageHasher(u64 size) {
+    // The length goes in first: the tail word is zero-padded.
+    const u64 h = mix(0xcbf29ce484222325ull, size);
+    for (std::size_t i = 0; i < kLanes; ++i) lanes_[i] = mix(h, i);
+  }
+
+  void update(const u8* p, std::size_t n) {
+    if (pending_ != 0) {
+      const std::size_t take = std::min(n, kBlock - pending_);
+      std::memcpy(buf_ + pending_, p, take);
+      pending_ += take;
+      p += take;
+      n -= take;
+      if (pending_ < kBlock) return;
+      block(buf_);
+      pending_ = 0;
+    }
+    for (; n >= kBlock; p += kBlock, n -= kBlock) block(p);
+    std::memcpy(buf_, p, n);
+    pending_ = n;
+  }
+
+  [[nodiscard]] u64 finish() const {
+    u64 h = lanes_[0];
+    for (std::size_t i = 1; i < kLanes; ++i) h = mix(h, lanes_[i]);
+    std::size_t at = 0;
+    for (; at + 8 <= pending_; at += 8) h = mix(h, load(buf_ + at));
+    if (at < pending_) {
+      u64 tail = 0;
+      std::memcpy(&tail, buf_ + at, pending_ - at);
+      h = mix(h, tail);
+    }
+    return h;
+  }
+
+ private:
+  static u64 load(const u8* p) {
     u64 word;
-    std::memcpy(&word, image.data() + at, 8);
-    h = mix(h, word);
+    std::memcpy(&word, p, 8);
+    return word;
   }
-  if (at < image.size()) {
-    u64 tail = 0;
-    std::memcpy(&tail, image.data() + at, image.size() - at);
-    h = mix(h, tail);
+  void block(const u8* p) {
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      lanes_[i] = mix(lanes_[i], load(p + 8 * i));
+    }
   }
-  // Entry *offsets* only — not names and not order. Names carry app-side
-  // identity (the registering class's descriptor), and two apps registering
-  // the same .so must share one artifact; what the analysis depends on is
-  // where lifting starts, which the offsets capture completely. The labels
-  // baked into a shared snapshot are therefore the first lifter's.
+
+  u64 lanes_[kLanes];
+  u8 buf_[kBlock];
+  std::size_t pending_ = 0;
+};
+
+/// The entry half of library_key: entry *offsets* only — not names and not
+/// order. Names carry app-side identity (the registering class's
+/// descriptor), and two apps registering the same .so must share one
+/// artifact; what the analysis depends on is where lifting starts, which
+/// the offsets capture completely. The labels baked into a shared snapshot
+/// are therefore the first lifter's.
+u64 mix_entries(u64 h, const std::vector<FunctionEntry>& entries,
+                GuestAddr base) {
   std::vector<u32> offs;
   offs.reserve(entries.size());
   for (const FunctionEntry& e : entries) {
@@ -57,6 +106,51 @@ u64 library_key(std::span<const u8> image,
   return h;
 }
 
+/// Drops the spare capacity the lifter's and the relocation's push_backs
+/// leave in `lib`: snapshots and their relocated copies live as long as
+/// the cache does.
+void compact(LibrarySummary& lib) {
+  for (auto& [entry, fn] : lib.program.functions) {
+    for (auto& [start, bb] : fn.blocks) {
+      bb.insns.shrink_to_fit();
+      bb.succs.shrink_to_fit();
+      bb.call_targets.shrink_to_fit();
+      bb.call_target_relocatable.shrink_to_fit();
+    }
+    fn.callees.shrink_to_fit();
+    fn.mem_accesses.shrink_to_fit();
+    fn.degrade_sites.shrink_to_fit();
+  }
+  for (auto& [entry, summary] : lib.index.summaries) {
+    summary.windows.shrink_to_fit();
+  }
+  for (auto& [entry, bounds] : lib.boundaries) bounds.shrink_to_fit();
+}
+
+}  // namespace
+
+u64 library_key(std::span<const u8> image,
+                const std::vector<FunctionEntry>& entries, GuestAddr base) {
+  ImageHasher hasher(image.size());
+  hasher.update(image.data(), image.size());
+  return mix_entries(hasher.finish(), entries, base);
+}
+
+u64 library_key(const mem::AddressSpace& memory, const CodeRegion& region,
+                const std::vector<FunctionEntry>& entries) {
+  constexpr u32 kPageSize = mem::AddressSpace::kPageSize;
+  static constexpr u8 kZeroPage[kPageSize] = {};
+  ImageHasher hasher(region.end - region.start);
+  for (GuestAddr at = region.start; at < region.end;) {
+    const u32 offset = at & (kPageSize - 1);
+    const u32 len = std::min<u32>(kPageSize - offset, region.end - at);
+    const u8* page = memory.resident_page(at);
+    hasher.update((page == nullptr ? kZeroPage : page) + offset, len);
+    at += len;
+  }
+  return mix_entries(hasher.finish(), entries, region.start);
+}
+
 LibrarySummary analyze_library(const mem::AddressSpace& memory,
                                const CodeRegion& region,
                                const std::vector<FunctionEntry>& entries) {
@@ -65,23 +159,25 @@ LibrarySummary analyze_library(const mem::AddressSpace& memory,
   lib.lifted_base = region.start;
   lib.image_size = static_cast<u32>(region.end - region.start);
 
-  std::vector<u8> image(lib.image_size);
-  memory.read_bytes(region.start, image);
-  lib.key = library_key(image, entries, region.start);
+  lib.key = library_key(memory, region, entries);
 
   const CfgLifter lifter(memory, {region});
   lib.program = lifter.lift(entries);
   lib.index = summarize(lib.program);
   for (const auto& [entry, fn] : lib.program.functions) {
-    std::unordered_set<GuestAddr>& bounds = lib.boundaries[entry];
+    std::vector<GuestAddr>& bounds = lib.boundaries[entry];
     for (const auto& [start, bb] : fn.blocks) {
       GuestAddr pc = bb.start;
       for (const arm::Insn& insn : bb.insns) {
-        bounds.insert(pc);
+        bounds.push_back(pc);
         pc += insn.length;
       }
     }
+    // Blocks may overlap (a branch into the middle of another block).
+    std::sort(bounds.begin(), bounds.end());
+    bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
   }
+  compact(lib);
   return lib;
 }
 
@@ -259,10 +355,11 @@ std::shared_ptr<const LibrarySummary> bind_library(
   // arg-flow facts — only the recorded kStale* degradations weaken.
   bound->index = summarize(bound->program);
   for (const auto& [entry, bounds] : lib->boundaries) {
-    std::unordered_set<GuestAddr>& shifted = bound->boundaries[entry + delta];
+    std::vector<GuestAddr>& shifted = bound->boundaries[entry + delta];
     shifted.reserve(bounds.size());
-    for (const GuestAddr pc : bounds) shifted.insert(pc + delta);
+    for (const GuestAddr pc : bounds) shifted.push_back(pc + delta);
   }
+  compact(*bound);
   return bound;
 }
 

@@ -33,7 +33,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "mem/address_space.h"
@@ -45,9 +44,10 @@ namespace ndroid::static_analysis {
 /// FNV-1a 64-bit over a byte span (the library content hash primitive).
 [[nodiscard]] u64 fnv1a(std::span<const u8> bytes, u64 seed = 0xcbf29ce484222325ull);
 
-/// Cache key for one library: image bytes (hashed a word at a time) + the
-/// registered JNI entry points expressed as image-relative offsets (bit 0 =
-/// Thumb). Changing any single image byte changes the key. Entry *names* are
+/// Cache key for one library: image bytes + the registered JNI entry points
+/// expressed as image-relative offsets (bit 0 = Thumb). The image is hashed
+/// a word at a time over four independent lanes (word i feeds lane i mod 4),
+/// and changing any single image word changes the key. Entry *names* are
 /// excluded — they carry the registering app's class descriptor, and two
 /// apps that map the same .so and register the same entry offsets must get
 /// the same key regardless of load address or package name (the shared
@@ -55,6 +55,11 @@ namespace ndroid::static_analysis {
 [[nodiscard]] u64 library_key(std::span<const u8> image,
                               const std::vector<FunctionEntry>& entries,
                               GuestAddr base);
+/// The same key for the image `region` delimits in `memory`, hashed straight
+/// off the guest pages with no copy of the image.
+[[nodiscard]] u64 library_key(const mem::AddressSpace& memory,
+                              const CodeRegion& region,
+                              const std::vector<FunctionEntry>& entries);
 
 /// The shareable artifact: one library's lifted program and summaries,
 /// valid as-is for processes that map the image at `lifted_base`.
@@ -66,11 +71,13 @@ struct LibrarySummary {
   u32 image_size = 0;
   Program program;
   SummaryIndex index;
-  /// Instruction-start addresses of every lifted block, per function entry.
-  /// Precomputed here (not in SummaryGate) so attaching the snapshot to yet
-  /// another process costs O(functions), not O(instructions) — the per-app
-  /// setup cost the farm's cache amortises.
-  std::map<GuestAddr, std::unordered_set<GuestAddr>> boundaries;
+  /// Instruction-start addresses of every lifted block, per function entry,
+  /// sorted ascending without duplicates (4 bytes an instruction; a hash
+  /// set cost ~10x that in every snapshot and every relocated copy the
+  /// cache keeps). Precomputed here (not in SummaryGate) so attaching the
+  /// snapshot to yet another process costs O(functions), not
+  /// O(instructions) — the per-app setup cost the farm's cache amortises.
+  std::map<GuestAddr, std::vector<GuestAddr>> boundaries;
 
   [[nodiscard]] bool in_image(GuestAddr addr) const {
     return addr >= lifted_base && addr < lifted_base + image_size;
@@ -90,7 +97,8 @@ struct LibrarySummary {
 /// The cheap half: adapt a published snapshot to a process that mapped the
 /// image at `base`. Same base: returns `lib` unchanged (zero-copy). Different
 /// base: returns a relocated copy with position-sensitive facts degraded as
-/// documented above.
+/// documented above. A pure function of (`lib`, `base`), so SummaryCache
+/// keeps each relocated copy for the next process at that base.
 [[nodiscard]] std::shared_ptr<const LibrarySummary> bind_library(
     std::shared_ptr<const LibrarySummary> lib, GuestAddr base);
 

@@ -68,6 +68,7 @@ std::shared_ptr<const LibrarySummary> SummaryCache::acquire(
   }
 
   std::shared_ptr<const LibrarySummary> lib;
+  bool relocated = false;
   {
     std::unique_lock<std::mutex> lock(slot->m);
     slot->cv.wait(lock, [&] { return slot->ready; });
@@ -78,14 +79,19 @@ std::shared_ptr<const LibrarySummary> SummaryCache::acquire(
       return std::make_shared<const LibrarySummary>(lift());
     }
     lib = slot->lib;
-  }
-
-  if (base != lib->lifted_base) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.rebinds;
+    if (base != lib->lifted_base) {
+      // Relocated under the slot lock, so each (key, base) relocates once.
+      std::shared_ptr<const LibrarySummary>& bound = slot->bound[base];
+      if (bound == nullptr) {
+        bound = bind_library(lib, base);
+        relocated = true;
+      }
+      lib = bound;
     }
-    return bind_library(std::move(lib), base);
+  }
+  if (relocated) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.rebinds;
   }
   return lib;
 }

@@ -11,8 +11,10 @@
 //
 // acquire() also performs the per-process binding step: a snapshot lifted at
 // the requesting process's load base is returned as-is (zero-copy); a
-// mismatched base triggers a relocation copy (counted in Stats::rebinds and
-// never published back, so the canonical snapshot stays pristine).
+// mismatched base gets a relocated copy (bind_library). Binding is a pure
+// function of (snapshot, base), so the slot keeps each relocated copy for
+// the next acquire at that base: one relocation per (key, base), counted in
+// Stats::rebinds. The canonical snapshot itself stays pristine.
 //
 // With a persistent SummaryStore attached (set_store), the cache becomes
 // the in-memory tier of a two-level hierarchy: a first-acquire miss
@@ -25,6 +27,7 @@
 
 #include <condition_variable>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -40,7 +43,7 @@ class SummaryCache {
   struct Stats {
     u64 hits = 0;     // acquire() served from a published snapshot
     u64 misses = 0;   // acquire() not served from memory (store load or lift)
-    u64 rebinds = 0;  // snapshot relocated to a different load base
+    u64 rebinds = 0;  // relocations to another load base (one per base)
     /// Acquires whose artifact originated from the persistent store (a
     /// direct on-miss load, or a hit on a slot published by the store /
     /// warm_from_store). Zero when no store is attached.
@@ -91,6 +94,8 @@ class SummaryCache {
     bool failed = false;
     bool from_store = false;  // artifact came off disk, not a local lift
     std::shared_ptr<const LibrarySummary> lib;
+    /// `lib` bound to each other load base it was acquired at.
+    std::map<GuestAddr, std::shared_ptr<const LibrarySummary>> bound;
   };
 
   mutable std::mutex mu_;

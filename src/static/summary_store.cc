@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <cstring>
 #include <stdexcept>
 
@@ -345,12 +346,8 @@ std::vector<u8> SummaryStore::encode(const LibrarySummary& lib) {
   w.put_u32(static_cast<u32>(lib.boundaries.size()));
   for (const auto& [entry, bounds] : lib.boundaries) {
     w.put_u32(entry);
-    // Sorted so equal summaries always encode to equal bytes regardless of
-    // unordered_set iteration order.
-    std::vector<GuestAddr> sorted(bounds.begin(), bounds.end());
-    std::sort(sorted.begin(), sorted.end());
-    w.put_u32(static_cast<u32>(sorted.size()));
-    for (const GuestAddr a : sorted) w.put_u32(a);
+    w.put_u32(static_cast<u32>(bounds.size()));
+    for (const GuestAddr a : bounds) w.put_u32(a);
   }
   return w.take();
 }
@@ -376,9 +373,15 @@ LibrarySummary SummaryStore::decode(std::span<const u8> payload) {
   for (u32 i = 0; i < boundary_fns; ++i) {
     const GuestAddr entry = r.get_u32();
     const u32 count = r.get_count(4);
-    std::unordered_set<GuestAddr>& bounds = lib.boundaries[entry];
+    std::vector<GuestAddr>& bounds = lib.boundaries[entry];
     bounds.reserve(count);
-    for (u32 k = 0; k < count; ++k) bounds.insert(r.get_u32());
+    for (u32 k = 0; k < count; ++k) bounds.push_back(r.get_u32());
+    // SummaryGate binary-searches the list: only a sorted, duplicate-free
+    // one is well formed.
+    if (std::adjacent_find(bounds.begin(), bounds.end(),
+                           std::greater_equal<>()) != bounds.end()) {
+      throw serde::DecodeError("boundaries not strictly ascending");
+    }
   }
   r.expect_end();
   return lib;

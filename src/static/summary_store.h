@@ -50,7 +50,8 @@ class SummaryStore {
   // v2: TBB/TBH ops, VSA jump tables, precision counters, degrade sites,
   // image-relative windows and relocatable call targets.
   // v3: library_key hashes the image a word at a time (keys changed).
-  static constexpr u32 kFormatVersion = 3;
+  // v4: library_key hashes the words over four lanes (keys changed).
+  static constexpr u32 kFormatVersion = 4;
   static constexpr std::size_t kHeaderSize = 32;
 
   struct Stats {

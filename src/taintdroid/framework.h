@@ -13,6 +13,15 @@
 // ground truth regardless of tainting) and additionally record a LeakReport
 // when TaintDroid's Java-context taint reaches them — this is TaintDroid's
 // detection verdict, compared against NDroid's in the Table I experiment.
+//
+// The framework classes are the same in every Device: their mirrors and
+// Method structs (the ones NDroid reads through dvmCallJNIMethod's third
+// argument, §V-B) are emitted once per process as a libdvm.so image on top
+// of the JNI functions (Framework::image()), and their host ClassObjects and
+// Methods are shared, immutable boot classes. A Device's Framework only
+// loads that image and holds what is per Device: the identity its sources
+// report, the kernel its sinks write through and the leaks they record.
+// The shared builtins reach it through the Dvm they are called with.
 #pragma once
 
 #include <string>
@@ -44,13 +53,38 @@ struct DeviceIdentity {
   std::string location = "22.3364,114.2655";
 };
 
-class Framework {
+/// The framework classes (also discoverable via dvm.find_class): shared
+/// boot classes, never written.
+struct FrameworkClasses {
+  const dvm::ClassObject* telephony = nullptr;   // Landroid/telephony/TelephonyManager;
+  const dvm::ClassObject* sms_manager = nullptr; // Landroid/telephony/SmsManager;
+  const dvm::ClassObject* contacts = nullptr;    // Landroid/provider/ContactsContract;
+  const dvm::ClassObject* location = nullptr;    // Landroid/location/LocationManager;
+  const dvm::ClassObject* network = nullptr;     // Ljava/net/NetworkOutput;
+  const dvm::ClassObject* file_output = nullptr; // Ljava/io/FileOutput;
+  const dvm::ClassObject* string_ops = nullptr;  // Ljava/lang/StringOps;
+};
+
+/// The framework's part of libdvm.so (Framework::image()).
+struct FrameworkImage {
+  dvm::LibdvmImage libdvm;  // JniEnv::image()'s libdvm.so plus the classes
+  FrameworkClasses classes;
+};
+
+class Framework : public dvm::BootContext, public FrameworkClasses {
  public:
+  /// Loads image() into `dvm`, which must hold JniEnv::image() with nothing
+  /// allocated in libdvm.so since.
   Framework(dvm::Dvm& dvm, os::Kernel& kernel,
             DeviceIdentity identity = {});
+  ~Framework();
 
   Framework(const Framework&) = delete;
   Framework& operator=(const Framework&) = delete;
+
+  /// The framework classes' guest bytes and shared host side, emitted once
+  /// per process (thread-safe).
+  static const FrameworkImage& image();
 
   [[nodiscard]] const DeviceIdentity& identity() const { return identity_; }
 
@@ -58,24 +92,16 @@ class Framework {
   [[nodiscard]] const std::vector<LeakReport>& leaks() const { return leaks_; }
   void clear_leaks() { leaks_.clear(); }
 
-  // Framework classes (also discoverable via dvm.find_class).
-  dvm::ClassObject* telephony = nullptr;   // Landroid/telephony/TelephonyManager;
-  dvm::ClassObject* sms_manager = nullptr; // Landroid/telephony/SmsManager;
-  dvm::ClassObject* contacts = nullptr;    // Landroid/provider/ContactsContract;
-  dvm::ClassObject* location = nullptr;    // Landroid/location/LocationManager;
-  dvm::ClassObject* network = nullptr;     // Ljava/net/NetworkOutput;
-  dvm::ClassObject* file_output = nullptr; // Ljava/io/FileOutput;
-  dvm::ClassObject* string_ops = nullptr;  // Ljava/lang/StringOps;
-
  private:
-  void define_sources();
-  void define_sinks();
-  void define_string_ops();
+  static FrameworkImage emit_image();
+  /// The Framework of the Device a builtin runs on.
+  static Framework& of(dvm::Dvm& dvm);
 
-  dvm::Slot make_source_string(const std::string& value, Taint taint);
+  static dvm::Slot make_source_string(dvm::Dvm& dvm, const std::string& value,
+                                      Taint taint);
   /// Combined TaintDroid-visible taint of a string argument: reference slot
   /// taint OR the object-level label.
-  Taint visible_taint(const dvm::Slot& slot);
+  static Taint visible_taint(dvm::Dvm& dvm, const dvm::Slot& slot);
 
   dvm::Dvm& dvm_;
   os::Kernel& kernel_;

@@ -3,6 +3,9 @@
 // relocation rules the farm's cross-app summary cache relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <thread>
 #include <vector>
 
 #include "arm/assembler.h"
@@ -117,6 +120,62 @@ TEST(LibrarySummary, KeyChangesWithEveryImageByte) {
   EXPECT_NE(sa::library_key(image, entries, kBaseA), key);
 }
 
+TEST(LibrarySummary, KeyChangesWithAnySingleWordChange) {
+  // Three whole 32-byte blocks (every lane three times), two whole words
+  // after them and a 5-byte tail: each aligned word, whatever lane or
+  // tail position it lands in, changes the key when it alone changes.
+  std::vector<u8> image(3 * 32 + 2 * 8 + 5);
+  for (std::size_t i = 0; i < image.size(); ++i) {
+    image[i] = static_cast<u8>(i * 37 + 11);
+  }
+  const std::vector<sa::FunctionEntry> entries = {{kBaseA, "entry"}};
+  const u64 key = sa::library_key(image, entries, kBaseA);
+  for (std::size_t at = 0; at < image.size(); at += 8) {
+    const std::size_t len = std::min<std::size_t>(8, image.size() - at);
+    const std::vector<u8> saved(image.begin() + at, image.begin() + at + len);
+    for (const u64 mask : {0x1ull, 0x8000000000000000ull, ~0ull,
+                           0x0101010101010101ull}) {
+      for (std::size_t b = 0; b < len; ++b) {
+        image[at + b] = saved[b] ^ static_cast<u8>(mask >> (8 * b));
+      }
+      if (std::equal(saved.begin(), saved.end(), image.begin() + at)) {
+        continue;  // the mask misses every byte of a short tail
+      }
+      EXPECT_NE(sa::library_key(image, entries, kBaseA), key)
+          << "word at " << at << " mask " << std::hex << mask;
+      std::copy(saved.begin(), saved.end(), image.begin() + at);
+    }
+  }
+  EXPECT_EQ(sa::library_key(image, entries, kBaseA), key);
+}
+
+TEST(LibrarySummary, KeyFromGuestPagesEqualsKeyOfACopiedImage) {
+  // A region over three pages whose middle page was never touched (it reads
+  // as zero), starting page-aligned and 12 bytes into a page.
+  constexpr GuestAddr kPage = mem::AddressSpace::kPageSize;
+  mem::AddressSpace memory;
+  std::vector<u8> bytes(kPage);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<u8>(i * 13 + 5);
+  }
+  memory.write_bytes(kBaseB, bytes);
+  memory.write_bytes(kBaseB + 2 * kPage, bytes);
+  ASSERT_FALSE(memory.is_resident(kBaseB + kPage));
+
+  for (const GuestAddr start : {kBaseB, kBaseB + 12}) {
+    for (const GuestAddr end : {kBaseB + 3 * kPage, kBaseB + 2 * kPage + 77}) {
+      const sa::CodeRegion region{start, end, "libpages.so"};
+      std::vector<u8> copy(end - start);
+      memory.read_bytes(start, copy);
+      const std::vector<sa::FunctionEntry> entries = {{start + 4, "a"},
+                                                      {start + 9, "b"}};
+      EXPECT_EQ(sa::library_key(memory, region, entries),
+                sa::library_key(copy, entries, start))
+          << std::hex << start << ".." << end;
+    }
+  }
+}
+
 TEST(LibrarySummary, SameBaseBindIsZeroCopy) {
   const TestLib lib = assemble(kBaseA);
   auto snapshot =
@@ -149,7 +208,8 @@ TEST(LibrarySummary, RebindShiftsStructure) {
     ASSERT_NE(it, bound->boundaries.end());
     EXPECT_EQ(it->second.size(), bounds.size());
     for (const GuestAddr pc : bounds) {
-      EXPECT_TRUE(it->second.contains(pc + delta));
+      EXPECT_TRUE(std::binary_search(it->second.begin(), it->second.end(),
+                                     pc + delta));
     }
   }
 }
@@ -245,6 +305,48 @@ TEST(SummaryCache, HitsShareOneSnapshotAndRebindsCount) {
   EXPECT_EQ(stats.hits, 2u);
   EXPECT_EQ(stats.rebinds, 1u);
   EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(SummaryCache, RelocatesOncePerKeyAndBaseUnderConcurrentAcquires) {
+  const TestLib lib = assemble(kBaseA);
+  sa::SummaryCache cache;
+  const u64 key = sa::library_key(lib.image, entries_of(lib), kBaseA);
+  std::atomic<int> lifts = 0;
+  const auto lift = [&] {
+    ++lifts;
+    return analyze_at(kBaseA, lib);
+  };
+
+  // Four threads acquire the library alternately at its lifted base and at
+  // another one: one lift, one relocation, and one shared copy per base.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 50;
+  std::vector<std::vector<const sa::LibrarySummary*>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kRounds; ++i) {
+        const GuestAddr base = (i + t) % 2 == 0 ? kBaseA : kBaseB;
+        const auto got = cache.acquire(key, base, lift);
+        EXPECT_EQ(got->lifted_base, base);
+        seen[t].push_back(got.get());
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  const auto at_a = cache.acquire(key, kBaseA, lift);
+  const auto at_b = cache.acquire(key, kBaseB, lift);
+  for (const auto& ptrs : seen) {
+    for (const sa::LibrarySummary* p : ptrs) {
+      EXPECT_TRUE(p == at_a.get() || p == at_b.get());
+    }
+  }
+  EXPECT_EQ(lifts.load(), 1);
+  const sa::SummaryCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, u64{kThreads * kRounds + 1});
+  EXPECT_EQ(stats.rebinds, 1u);
 }
 
 }  // namespace

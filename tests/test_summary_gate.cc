@@ -12,6 +12,7 @@
 #include "apps/cfbench.h"
 #include "apps/leak_cases.h"
 #include "core/ndroid.h"
+#include "static/summary_cache.h"
 
 namespace ndroid {
 namespace {
@@ -111,6 +112,82 @@ TEST(SummaryGate, ConservativeWhenTaintIntersectsFootprint) {
   device.dvm.call(*app.find("Native MIPS")->method, {dvm::Slot{50, 0x40}});
   EXPECT_GT(nd.taint_engine().propagations, 0u)
       << "intersecting taint must keep the tracer running";
+}
+
+/// The facts the gate acts on, compared field by field.
+void expect_same_summary(const static_analysis::TaintSummary* a,
+                         const static_analysis::TaintSummary* b,
+                         GuestAddr pc) {
+  ASSERT_EQ(a == nullptr, b == nullptr) << std::hex << pc;
+  if (a == nullptr) return;
+  EXPECT_EQ(a->entry, b->entry) << std::hex << pc;
+  EXPECT_EQ(a->touched_regs, b->touched_regs) << std::hex << pc;
+  EXPECT_EQ(a->mem_kind, b->mem_kind) << std::hex << pc;
+  ASSERT_EQ(a->windows.size(), b->windows.size()) << std::hex << pc;
+  for (std::size_t i = 0; i < a->windows.size(); ++i) {
+    EXPECT_EQ(a->windows[i].lo, b->windows[i].lo) << std::hex << pc;
+    EXPECT_EQ(a->windows[i].hi, b->windows[i].hi) << std::hex << pc;
+  }
+  EXPECT_EQ(a->has_svc, b->has_svc) << std::hex << pc;
+  EXPECT_EQ(a->truncated, b->truncated) << std::hex << pc;
+  EXPECT_EQ(a->unresolved_calls, b->unresolved_calls) << std::hex << pc;
+  EXPECT_EQ(a->args_to_ret, b->args_to_ret) << std::hex << pc;
+  EXPECT_EQ(a->args_to_mem, b->args_to_mem) << std::hex << pc;
+  EXPECT_EQ(a->args_to_call, b->args_to_call) << std::hex << pc;
+  EXPECT_EQ(a->ret_depends_on_mem, b->ret_depends_on_mem) << std::hex << pc;
+  EXPECT_EQ(a->transparent, b->transparent) << std::hex << pc;
+}
+
+TEST(SummaryGate, AlternateBasesMatchAFreshBindAndRelocateOncePerBase) {
+  namespace sa = static_analysis;
+  android::Device device;
+  apps::CfBenchApp app(device);
+  const mem::Region* lib_region = device.memmap.find_by_name("libcfbench.so");
+  ASSERT_NE(lib_region, nullptr);
+  const sa::CodeRegion region{lib_region->start, lib_region->end,
+                              lib_region->name};
+  std::vector<sa::FunctionEntry> entries;
+  for (const dvm::Method* m : device.dvm.native_methods()) {
+    const GuestAddr stripped = m->native_addr & ~1u;
+    if (stripped >= region.start && stripped < region.end) {
+      entries.push_back({m->native_addr, m->name});
+    }
+  }
+  ASSERT_FALSE(entries.empty());
+  const auto snapshot = std::make_shared<const sa::LibrarySummary>(
+      sa::analyze_library(device.memory, region, entries));
+  const u64 key = sa::library_key(device.memory, region, entries);
+  ASSERT_EQ(snapshot->key, key);
+
+  sa::SummaryCache cache;
+  int lifts = 0;
+  const auto lift = [&] {
+    ++lifts;
+    return *snapshot;
+  };
+  const GuestAddr other = region.start + 0x00100000;
+  for (int round = 0; round < 3; ++round) {
+    for (const GuestAddr base : {region.start, other}) {
+      const core::SummaryGate cached({cache.acquire(key, base, lift)});
+      const core::SummaryGate fresh({sa::bind_library(snapshot, base)});
+      std::size_t checked = 0;
+      for (const auto& [entry, bounds] : fresh.libraries()[0]->boundaries) {
+        for (const GuestAddr pc : bounds) {
+          for (const bool thumb : {false, true}) {
+            expect_same_summary(cached.lookup(pc, thumb),
+                                fresh.lookup(pc, thumb), pc);
+            ++checked;
+          }
+        }
+      }
+      EXPECT_GT(checked, 0u);
+    }
+  }
+  EXPECT_EQ(lifts, 1);
+  const sa::SummaryCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 5u);
+  EXPECT_EQ(stats.rebinds, 1u);
 }
 
 }  // namespace

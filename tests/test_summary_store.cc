@@ -156,10 +156,10 @@ TEST(SummaryStore, PayloadCodecRoundTripsDeterministically) {
   EXPECT_EQ(fn.degrade_sites[1].reason, sa::DegradeReason::kStaleJumpTable);
   ASSERT_EQ(back.index.summaries.size(), 1u);
   EXPECT_EQ(back.index.summaries.begin()->second.windows.size(), 1u);
-  EXPECT_EQ(back.boundaries.at(0x10000).count(0x10004), 1u);
+  EXPECT_EQ(back.boundaries.at(0x10000),
+            (std::vector<GuestAddr>{0x10000, 0x10004}));
 
-  // Deterministic: decode → encode reproduces the exact bytes (boundaries
-  // are sorted on encode, so unordered_set iteration order cannot leak in).
+  // Deterministic: decode → encode reproduces the exact bytes.
   EXPECT_EQ(sa::SummaryStore::encode(back), bytes);
 }
 
@@ -332,6 +332,49 @@ TEST(SummaryStore, CacheReliftsCorruptEntryAndRewritesIt) {
     EXPECT_EQ(lifts, 2);
     EXPECT_EQ(cache.stats().store_hits, 1u);
   }
+}
+
+/// Overwrites the header's version field (offset 4) with `version`.
+void set_version(const std::string& path, u32 version) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.is_open()) << path;
+  f.seekp(4);
+  f.write(reinterpret_cast<const char*>(&version), sizeof version);
+}
+
+u32 read_version(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  u32 version = 0;
+  f.seekg(4);
+  f.read(reinterpret_cast<char*>(&version), sizeof version);
+  return version;
+}
+
+TEST(SummaryStore, V3EntryReadsAsAMissAndIsRewritten) {
+  // Format 4 changed how library_key hashes an image, so a format-3 entry
+  // describes a different key's library: it must never be served.
+  ASSERT_EQ(sa::SummaryStore::kFormatVersion, 4u);
+  const std::string dir = make_temp_dir();
+  const u64 key = 0x78;
+  sa::SummaryStore store(dir);
+  ASSERT_TRUE(store.save(make_lib(key)));
+  set_version(store.path_for(key), 3);
+
+  int lifts = 0;
+  sa::SummaryCache cache;
+  cache.set_store(&store);
+  ASSERT_NE(cache.acquire(key, 0x10000,
+                          [&] {
+                            ++lifts;
+                            return make_lib(key);
+                          }),
+            nullptr);
+  EXPECT_EQ(lifts, 1);
+  EXPECT_EQ(cache.stats().store_hits, 0u);
+  EXPECT_EQ(cache.stats().store_writes, 1u);
+  EXPECT_EQ(store.stats().corrupt, 1u);
+  EXPECT_EQ(read_version(store.path_for(key)), 4u);
+  EXPECT_NE(store.load(key), nullptr);
 }
 
 TEST(SummaryStore, WarmFromStorePublishesEverythingSkippingCorrupt) {
